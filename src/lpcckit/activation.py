@@ -15,16 +15,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exact import Mat, Scalar, Vec, rank
+from .exact import Scalar, Vec, vectors_rank
 from .indexing import GroupIndexer, digits_of, index_of
 from .measurements import (LocalPVM, PVM, Projector, apply,
-                           is_trivial_for_set, local_support_vectors,
-                           preserves_orthogonality)
-from .opsolve import (IrreducibilityVerdict, enumerate_op_pvms,
-                      is_pvm_irreducible)
-from .protocols import ProtocolTree, execute_and_verify, lpcc_search
+                           computational_support, is_trivial_for_set,
+                           local_support_vectors, preserves_orthogonality)
+from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
+                      enumerate_op_pvms, is_pvm_irreducible)
+from .protocols import (ProtocolTree, SearchConfig, execute_and_verify,
+                        lpcc_search)
 from .statesets import (Partition, StateSet, check_mutual_orthogonality,
-                        is_locally_redundant, merge_parties)
+                        is_locally_redundant, merge_parties,
+                        separability_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +159,10 @@ class ActivationError(Exception):
     pass
 
 
-_REDUNDANCY_CACHE: dict = {}
-
-
 def _cached_redundancy(s: StateSet):
-    from .opsolve import _set_group_key
-    key = _set_group_key(s, ())
-    if key not in _REDUNDANCY_CACHE:
-        if len(_REDUNDANCY_CACHE) > 1024:
-            _REDUNDANCY_CACHE.clear()
-        _REDUNDANCY_CACHE[key] = is_locally_redundant(s)
-    return _REDUNDANCY_CACHE[key]
+    key = ("redundancy", s.ray_key)
+    hit = _cache_get(key)
+    return hit if hit is not None else _cache_put(key, is_locally_redundant(s))
 
 
 def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
@@ -305,8 +300,9 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
     dims = s.spec.dims
     if len(dims) != 3 or dims[1] != 2 or dims[2] != 2:
         raise ValueError("expected a tripartite n x 2 x 2 system")
+    first = GroupIndexer(dims, (0,))
     for label, v in s.states:
-        if not _product_across(v, dims, (0,)):
+        if first.factor(v) is None:
             raise ValueError(f"state {label!r} is not biseparable across "
                              f"first party | rest")
     rng = random.Random(seed)
@@ -341,27 +337,12 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
     return Dim2NogoReport(True, (1, 2), len(directions), 0, trace)
 
 
-def _product_across(v: Vec, dims, block) -> bool:
-    idx = GroupIndexer(dims, block)
-    m = Mat(tuple(tuple(u.entries[g] for u in idx.local_vectors(v))
-                  for g in range(idx.group_dim)))
-    return rank(m) == 1
-
-
 def _fully_product_in(v: Vec, dims, *blocks) -> bool:
-    return all(_product_across(v, dims, b) for b in blocks)
+    return all(GroupIndexer(dims, b).factor(v) is not None for b in blocks)
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-@dataclass
-class ClassifyBounds:
-    search_depth: int = 3
-    max_first_rounds: int = 24
-    max_exact_dim: int = 9
-    joint_candidates: dict | None = None    # (i, j) -> list[LocalPVM]
-
 
 @dataclass
 class LocalityClass:
@@ -378,12 +359,12 @@ class LocalityClass:
 
 
 def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
-             bounds: ClassifyBounds | None = None) -> LocalityClass:
+             bounds: SearchConfig | None = None) -> LocalityClass:
     """Place a set on the locality line: already indistinguishable, a
     single party can hide the information (TYPE-I), only a joint pair can
     (TYPE-II), or no activation was found (strong-local evidence; labeled
     exact only for the structurally recognized theorem cases)."""
-    bounds = bounds or ClassifyBounds()
+    bounds = bounds or SearchConfig(depth=3)
     n = s.spec.n_parties
     trace: list[str] = []
 
@@ -398,7 +379,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                              trace=[structural])
 
     singles = Partition.trivial(n)
-    verdict = lpcc_search(s, singles, depth=bounds.search_depth)
+    verdict = lpcc_search(s, singles, config=bounds)
     if verdict.status == "indistinguishable":
         return LocalityClass("indistinguishable-already",
                              trace=["set is already locally indistinguishable"])
@@ -423,7 +404,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
             try:
                 report = verify_activation(s, lp, singles,
                                            assume_distinguishable=assume,
-                                           search_depth=bounds.search_depth,
+                                           search_depth=bounds.depth,
                                            max_exact_dim=bounds.max_exact_dim,
                                            fail_fast=True)
             except ActivationError:
@@ -443,7 +424,9 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
         candidates = []
         supplied = (bounds.joint_candidates or {}).get(tuple(pair), [])
         candidates.extend(supplied)
-        eff = _effective_dim(s, pair)
+        coords = computational_support(s, pair)
+        eff = (len(coords) if coords is not None
+               else GroupIndexer(s.spec.dims, pair).group_dim)
         if eff <= bounds.max_exact_dim:
             candidates.extend(_activation_order(s, enumerate_op_pvms(
                 s, tuple(pair), nontrivial_for_set=True,
@@ -456,7 +439,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
             try:
                 report = verify_activation(s, lp, part,
                                            assume_distinguishable=assume,
-                                           search_depth=bounds.search_depth,
+                                           search_depth=bounds.depth,
                                            max_exact_dim=bounds.max_exact_dim,
                                            fail_fast=True)
             except ActivationError:
@@ -489,29 +472,17 @@ def _structural_strong_local(s: StateSet) -> str | None:
     dimensional side; three fully product states."""
     n = s.spec.n_parties
     if n == 2:
-        all_product = all(_product_across(v, s.spec.dims, (0,))
-                          for v in s.vectors())
-        if all_product:
-            from .exact import vectors_rank
+        first = GroupIndexer(s.spec.dims, (0,))
+        if all(first.factor(v) is not None for v in s.vectors()):
             for party in (0, 1):
                 k = vectors_rank(local_support_vectors(s, (party,)))
                 if k <= 2:
                     return ("orthogonal product set with a two-dimensional "
                             "side: activation impossible in n x 2")
-    if len(s) == 3:
-        from .protocols import _full_factors
-        if all(_full_factors(v, s.spec) is not None for v in s.vectors()):
-            return "three orthogonal fully product states are strong local"
+    if len(s) == 3 and all(separability_degree(v, s.spec)[0] == n
+                           for v in s.vectors()):
+        return "three orthogonal fully product states are strong local"
     return None
-
-
-def _effective_dim(s: StateSet, group) -> int:
-    from .exact import vectors_rank
-    support = local_support_vectors(s, tuple(group))
-    occupied = sorted({a for u in support for a in u.support()})
-    if vectors_rank(support) == len(occupied):
-        return len(occupied)
-    return GroupIndexer(s.spec.dims, tuple(group)).group_dim
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +527,21 @@ def iter_m_partitions(n: int, m: int):
 
 
 def is_m_activable(s: StateSet, m: int, strong: bool = False,
-                   bounds: ClassifyBounds | None = None) -> MActivabilityVerdict:
+                   bounds: SearchConfig | None = None) -> MActivabilityVerdict:
     """Search all m-partitions for a first-round OP-PVM on one block that
     leaves every branch certified irreducible within that partition; the
     strong variant additionally needs every branch irreducible in some
     (m-1)-partition. Negative verdicts are exact only when every branch
     of every candidate was refuted by an explicit discrimination tree;
     bounded gaps surface as unknown, never as a silent negative."""
-    bounds = bounds or ClassifyBounds()
+    bounds = bounds or SearchConfig(depth=3)
     n = s.spec.n_parties
     if m < 2 or m > n:
         raise ValueError(f"m must be between 2 and {n}")
     exhaustive = True
     any_unknown = False
     trace: list[str] = []
-    finest = lpcc_search(s, Partition.trivial(n), depth=bounds.search_depth)
+    finest = lpcc_search(s, Partition.trivial(n), config=bounds)
     assume = ("distinguishable (finest partition)"
               if finest.status == "distinguishable" else None)
     for part in iter_m_partitions(n, m):
@@ -578,7 +549,9 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
         for block in part.blocks:
             supplied = (bounds.joint_candidates or {}).get(tuple(block), [])
             candidates.extend(supplied)
-            eff = _effective_dim(s, block)
+            coords = computational_support(s, block)
+            eff = (len(coords) if coords is not None
+                   else GroupIndexer(s.spec.dims, block).group_dim)
             if eff <= bounds.max_exact_dim:
                 candidates.extend(enumerate_op_pvms(
                     s, block, nontrivial_for_set=True,
@@ -604,7 +577,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
                 outcome_reports.append((outcome, br.states, cert))
                 if not cert.irreducible:
                     all_irreducible = False
-                    sub = lpcc_search(br.states, part, depth=bounds.search_depth)
+                    sub = lpcc_search(br.states, part, config=bounds)
                     if sub.status == "distinguishable":
                         refuted = True
                     else:
@@ -630,7 +603,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
                     continue
             report = verify_activation(s, lp, part,
                                        assume_distinguishable=assume,
-                                       search_depth=bounds.search_depth,
+                                       search_depth=bounds.depth,
                                        max_exact_dim=bounds.max_exact_dim)
             if report.asserted:
                 trace.append(f"activation in {part.describe(s.spec)} via "

@@ -2,8 +2,8 @@
 protocols and theorems, classify sets, draw block diagrams.
 
 Exit codes: 0 confirmed, 1 refuted, 2 unknown or bound-exhausted,
-64 usage error. Reports go to stdout as text, or as one JSON document
-with --json.
+64 usage error, 70 failed internal self-check. Reports go to stdout as
+text, or as one JSON document with --json.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ import sys
 import time
 
 from . import __version__
-from .activation import (ClassifyBounds, classify, is_m_activable,
-                         verify_activation)
+from .activation import classify, is_m_activable, verify_activation
 from .diagram import render_ascii, render_svg
 from .kets import parse_pvm
 from .measurements import LocalPVM, apply, preserves_orthogonality
 from .opsolve import enumerate_op_pvms, rank1_op_directions
-from .protocols import execute_and_verify, lpcc_search, tree_from_script, ProtocolError
+from .protocols import (ProtocolError, SearchConfig, execute_and_verify,
+                        lpcc_search, tree_from_script)
 from .statesets import (NAMED_SETS, Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, is_locally_redundant)
 from .theorems import lemma1_replay, theorem_replay
 
-OK, REFUTED, UNKNOWN, USAGE = 0, 1, 2, 64
+OK, REFUTED, UNKNOWN, USAGE, SOFTWARE = 0, 1, 2, 64, 70
 
 
 def _load_set(args) -> StateSet:
@@ -209,7 +209,7 @@ def cmd_classify(args, report: Report) -> int:
     pairs = None
     if args.joint:
         pairs = [tuple(_parse_group(args.joint, s))]
-    bounds = ClassifyBounds(search_depth=args.depth)
+    bounds = SearchConfig(depth=args.depth)
     out = classify(s, joint_pairs=pairs, bounds=bounds)
     report.data["verdicts"].append(out.to_json())
     report.say(f"class: {out.klass}" + (" [exact]" if out.exact else ""))
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["rank1", "pvms"])
     add_set_args(p)
     p.add_argument("--group", required=True)
-    p.add_argument("--exact-only", action="store_true", default=True)
     p.add_argument("--numeric", dest="exact_only", action="store_false",
                    help="add seeded numeric corroboration")
     p.add_argument("--seed", type=int, default=0)
@@ -360,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except AssertionError as exc:
+        print(f"internal self-check failed: {exc}", file=sys.stderr)
+        return SOFTWARE
     return report.emit(args.json, code)
 
 

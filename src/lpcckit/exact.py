@@ -216,6 +216,14 @@ class Mat:
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.entries for a in row)
 
+    def first_nonzero(self) -> tuple[int, int]:
+        """(row, column) of the first nonzero entry in row-major order."""
+        for i, row in enumerate(self.entries):
+            for j, a in enumerate(row):
+                if not a.is_zero():
+                    return i, j
+        raise ValueError("zero matrix")
+
     def row(self, i: int) -> Vec:
         return Vec(self.entries[i])
 
@@ -397,6 +405,13 @@ def rank(a: Mat) -> int:
 
 def nullspace(a: Mat) -> list[Vec]:
     """Exact basis of {x : a x = 0}, one vector per free column."""
+    return nullspace_with_free(a)[0]
+
+
+def nullspace_with_free(a: Mat) -> tuple[list[Vec], list[int]]:
+    """Nullspace basis plus its free columns: basis vector l is 1 at
+    free[l] and 0 at the other free columns, so the l-th coefficient of
+    a nullspace vector equals its entry at free[l]."""
     red, pivots = rref(a)
     n_cols = a.cols
     free = [c for c in range(n_cols) if c not in pivots]
@@ -407,7 +422,7 @@ def nullspace(a: Mat) -> list[Vec]:
         for r, pc in enumerate(pivots):
             x[pc] = -red.entries[r][fc]
         basis.append(Vec(x))
-    return basis
+    return basis, free
 
 
 def solve_linear(a: Mat, b: Vec) -> Vec | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import Mat, Vec, ZERO, mat_vec
+from .exact import Mat, Vec, ZERO, mat_vec, rank
 
 
 def strides(dims: Sequence[int]) -> list[int]:
@@ -131,3 +131,14 @@ class GroupIndexer:
             for g in range(self.group_dim):
                 out[self.flat(g, r)] = image.entries[g]
         return Vec(out)
+
+    def factor(self, v: Vec) -> tuple[Vec, Vec] | None:
+        """(group factor, rest factor) when v is a product across
+        group | rest, else None; their tensor product is a nonzero
+        multiple of v."""
+        m = Mat(tuple(v.entries[self.flat(g, r)] for r in range(self.rest_dim))
+                for g in range(self.group_dim))
+        if rank(m) != 1:
+            return None
+        g0, r0 = m.first_nonzero()
+        return m.col(r0), m.row(g0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exact import (Mat, Scalar, Vec, ZERO, ONE, identity, inner, mat_mul,
-                    projector_onto, rank)
+                    mat_vec, nullspace, projector_onto, rank, vectors_rank)
 from .indexing import GroupIndexer, total_dim
 from .statesets import Partition, PartySpec, StateSet
 
@@ -74,9 +74,7 @@ class Projector:
         return rank(self.mat)
 
     def complement(self) -> "Projector":
-        from .exact import nullspace
-        return Projector(identity(self.dim) - self.mat, _validated=True,
-                         span=tuple(nullspace(self.mat)))
+        return complement([self], self.dim)
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()
@@ -108,6 +106,17 @@ class Projector:
     @staticmethod
     def from_json(rows: list) -> "Projector":
         return Projector(Mat(tuple(Scalar.from_quad(q) for q in row) for row in rows))
+
+
+def complement(elements: Sequence[Projector], dim: int) -> Projector:
+    """1 minus the sum of mutually orthogonal projectors (the zero
+    projector when they already sum to 1); its span is the nullspace of
+    that sum."""
+    total = elements[0].mat
+    for e in elements[1:]:
+        total = total + e.mat
+    return Projector(identity(dim) - total, _validated=True,
+                     span=tuple(nullspace(total)))
 
 
 class PVM:
@@ -286,20 +295,27 @@ def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
     return out
 
 
+def computational_support(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | None:
+    """The computational coordinates the group's joint local support
+    occupies, when they are fewer than the group dimension and that
+    support is exactly their span (so the problem compresses onto them);
+    None otherwise."""
+    support = local_support_vectors(s, group)
+    occupied = sorted({a for u in support for a in u.support()})
+    if len(occupied) >= total_dim([s.spec.dims[p] for p in group]):
+        return None
+    if vectors_rank(support) != len(occupied):
+        return None
+    return tuple(occupied)
+
+
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:
     """True when the element is 0 or the identity on span(support), i.e.
     trivial relative to the set living there."""
     idx_all_fixed = True
     idx_all_killed = True
     for v in support:
-        image_entries = []
-        for row in e.mat.entries:
-            acc = ZERO
-            for x, y in zip(row, v.entries):
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            image_entries.append(acc)
-        image = Vec(image_entries)
+        image = mat_vec(e.mat, v)
         if image != v:
             idx_all_fixed = False
         if not image.is_zero():
@@ -315,7 +331,6 @@ def is_trivial_for_set(lp: LocalPVM, s: StateSet) -> bool:
     or that support is one-dimensional (a common factor, so outcome
     statistics are state-independent and the branch problems are
     isomorphic to the original)."""
-    from .exact import vectors_rank
     support = local_support_vectors(s, lp.group)
     if vectors_rank(support) <= 1:
         return True

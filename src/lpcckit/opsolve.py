@@ -23,16 +23,19 @@ every pattern ends in a contradiction.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, ONE, basis_vec, rank, rref,
-                    vectors_rank)
+from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace_with_free,
+                    rank, rref, vectors_rank)
 from .indexing import GroupIndexer
-from .measurements import (LocalPVM, PVM, Projector, is_trivial_for_set,
-                           local_support_vectors, preserves_orthogonality)
-from .statesets import Partition, StateSet
+from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
+                           complement, computational_support,
+                           is_trivial_for_set, local_support_vectors,
+                           preserves_orthogonality)
+from .statesets import Partition, PartySpec, StateSet
 
 MAX_EXACT_DIM = 9
 
@@ -274,27 +277,6 @@ class _Contradiction(Exception):
     pass
 
 
-def _null_basis_with_free(rows: list[list[Scalar]], k: int) -> tuple[list[Vec], list[int]]:
-    """Nullspace basis over k coords plus the free-coordinate positions.
-
-    Basis vector b_l has 1 at free coordinate free[l] and 0 at the other
-    free coordinates, so the l-th parameter literally equals that theta
-    coordinate.
-    """
-    if not rows:
-        return [basis_vec(k, i) for i in range(k)], list(range(k))
-    red, pivots = rref(Mat(tuple(tuple(r) for r in rows)))
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [ZERO] * k
-        x[fc] = ONE
-        for r, pc in enumerate(pivots):
-            x[pc] = -red.entries[r][fc]
-        basis.append(Vec(x))
-    return basis, free
-
-
 def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
     """M[k][l] = sum_{a,b} N_k[a] C[a][b] conj(N_l[b])."""
     f = len(basis)
@@ -327,7 +309,8 @@ def _pattern_outcomes(cmats_s: list[Mat], size: int, trace: list[str],
 
 def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
              depth_left: int, trace: list[str]) -> list[tuple]:
-    basis, free = _null_basis_with_free(lin_rows, k)
+    # the l-th parameter equals theta's coordinate free[l]
+    basis, free = nullspace_with_free(Mat(lin_rows or [[ZERO] * k]))
     f = len(basis)
     if f == 0:
         return [("contradiction", "no nonzero vector satisfies the linear system")]
@@ -351,11 +334,12 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
         # the form value must vanish as a complex number, so its Hermitian
         # and anti-Hermitian parts give two independent real constraints;
         # the split parts are often lower-rank than the original
-        herm = m + m.conj_transpose()
-        skew = m - m.conj_transpose()
-        if not herm.is_zero() and herm != m.scale(Scalar(2)):
+        # (a zero part leaves the other equal to 2m, which adds nothing)
+        mh = m.conj_transpose()
+        herm = m + mh
+        skew = m - mh
+        if not herm.is_zero() and not skew.is_zero():
             reduced.append(herm)
-        if not skew.is_zero() and skew != m.scale(Scalar(2)):
             reduced.append(skew)
     if not reduced:
         return [("family", Family(kind="subspace", basis=tuple(basis)))]
@@ -388,7 +372,7 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
     # rank-1 reduced form: the constraint factors into two linear pieces
     for m in reduced:
         if rank(m) == 1:
-            r0, c0 = _first_nonzero(m)
+            r0, c0 = m.first_nonzero()
             row_a = [ZERO] * k
             row_b = [ZERO] * k
             for kk in range(f):
@@ -401,14 +385,6 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
 
     return [("unresolved",
              "constraints stay above rank 1 with three or more free parameters")]
-
-
-def _first_nonzero(m: Mat) -> tuple[int, int]:
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if not x.is_zero():
-                return i, j
-    raise ValueError("zero matrix")
 
 
 def _binary_endgame(cmats: list[Mat], k: int, basis: list[Vec], free: list[int],
@@ -558,14 +534,10 @@ def _quad_on_line(quad, base, direction):
     g, a, b, c = quad
     bx, by = base
     dx, dy = direction
+    # A != 0: quad's g is nonzero and the line's direction never is
     A = g * (dx * dx + dy * dy)
     B = 2 * g * (bx * dx + by * dy) + a * dx + b * dy
     C = g * (bx * bx + by * by) + a * bx + b * by + c
-    if A == 0:
-        if B == 0:
-            return [] if C != 0 else "irrational"   # whole line (degenerate)
-        s = Fraction(-C, B)
-        return [(bx + s * dx, by + s * dy)]
     disc = B * B - 4 * A * C
     if disc < 0:
         return "none"
@@ -588,7 +560,7 @@ def _approx_roots(quad, base, direction, basis) -> list[tuple[complex, ...]]:
     B = float(2 * g * (bx * dx + by * dy) + a * dx + b * dy)
     C = float(g * (bx * bx + by * by) + a * bx + b * by + c)
     disc = B * B - 4 * A * C
-    if A == 0 or disc < 0:
+    if disc < 0:          # A != 0, as in _quad_on_line
         return []
     out = []
     for sgn in (1, -1):
@@ -604,18 +576,32 @@ def _approx_roots(quad, base, direction, basis) -> list[tuple[complex, ...]]:
 # ---------------------------------------------------------------------------
 # public solver
 
-_REPORT_CACHE: dict = {}
+# One store for every exact result that depends only on a set's rays
+# (solver reports, PVM lists, irreducibility, search and redundancy
+# verdicts), keyed on StateSet.ray_key and evicting the least recently
+# used entry beyond the cap.
+_RESULTS: OrderedDict = OrderedDict()
 _CACHE_CAP = 4096
 
 
-def _set_group_key(s: StateSet, group: tuple[int, ...]):
-    rays = tuple(sorted(tuple((a.re, a.im) for a in v.normalized_leading().entries)
-                        for v in s.vectors()))
-    return (s.spec.dims, group, rays)
+def _cache_get(key):
+    """The stored result for key, now most recently used; None on a miss."""
+    hit = _RESULTS.get(key)
+    if hit is not None:
+        _RESULTS.move_to_end(key)
+    return hit
+
+
+def _cache_put(key, value):
+    _RESULTS[key] = value
+    _RESULTS.move_to_end(key)
+    while len(_RESULTS) > _CACHE_CAP:
+        _RESULTS.popitem(last=False)
+    return value
 
 
 def clear_caches() -> None:
-    _REPORT_CACHE.clear()
+    _RESULTS.clear()
 
 
 def rank1_op_directions(s: StateSet, group: Sequence[int], *,
@@ -634,10 +620,9 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     and only the support part is constrained.
     """
     group = tuple(group)
-    cache_key = None
+    cache_key = ("rank1", group, max_exact_dim, s.ray_key)
     if exact_only:
-        cache_key = ("rank1", _set_group_key(s, group), max_exact_dim)
-        hit = _REPORT_CACHE.get(cache_key)
+        hit = _cache_get(cache_key)
         if hit is not None:
             return hit
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
@@ -645,15 +630,12 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     d = idx.group_dim
     report = SolutionReport(group=group)
 
-    support_vecs = local_support_vectors(s, group)
-    occupied = sorted({a for u in support_vecs for a in u.support()})
-    compressed = None
-    if len(occupied) < d and vectors_rank(support_vecs) == len(occupied):
-        compressed = tuple(occupied)
+    compressed = computational_support(s, group)
+    if compressed is not None:
         report.support_coords = compressed
         report.trace.append(
             f"support compression to coordinates {compressed}")
-        if len(occupied) == 0:
+        if not compressed:
             raise ValueError("state set has empty support on the group")
         cm_small = [_restrict(c.mat, compressed) for c in cmats]
         k = len(compressed)
@@ -699,12 +681,12 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                 report.unresolved.append(
                     {"reason": payload, "pattern": [int(x) for x in pattern]})
 
-    if compressed is not None and len(occupied) < d:
+    if compressed is not None:
         ann = tuple(basis_vec(d, a) for a in range(d) if a not in compressed)
         report.families.append(Family(kind="subspace", basis=ann,
                                       annihilating=True))
         report.trace.append(
-            f"{d - len(occupied)}-dimensional annihilating subspace off the support")
+            f"{d - len(compressed)}-dimensional annihilating subspace off the support")
 
     report.families = _dedupe_families(report.families)
     if (not report.solutions and not report.families
@@ -714,11 +696,8 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     if not exact_only:
         report.numeric = _numeric_hunt(cm_small, k, seed, tolerance,
                                        numeric_starts)
-    if cache_key is not None:
-        if len(_REPORT_CACHE) > _CACHE_CAP:
-            _REPORT_CACHE.clear()
-        _REPORT_CACHE[cache_key] = report
-    return report
+        return report
+    return _cache_put(cache_key, report)
 
 
 def _support_patterns(k: int):
@@ -839,7 +818,6 @@ def diagonal_op_subsets(s: StateSet, group: Sequence[int],
     Indices off the joint support never change preservation or the action
     on the set, so only occupied subsets are enumerated.
     """
-    from .measurements import local_support_vectors
     group = tuple(group)
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
     occupied = sorted({a for u in local_support_vectors(s, group)
@@ -930,23 +908,19 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     projectors or complements of pool sums.
     """
     group = tuple(group)
-    cache_key = ("pvms", _set_group_key(s, group), max_outcomes,
-                 nontrivial_for_set, max_pvms, max_exact_dim)
-    hit = _REPORT_CACHE.get(cache_key)
+    cache_key = ("pvms", group, max_outcomes, nontrivial_for_set, max_pvms,
+                 max_exact_dim, s.ray_key)
+    hit = _cache_get(cache_key)
     if hit is not None:
         return hit
-    compressed = _compressed_group_problem(s, group)
-    if compressed is not None:
-        small, coords = compressed
+    coords = computational_support(s, group)
+    if coords is not None:
         small_pvms = enumerate_op_pvms(
-            small, (0,), max_outcomes=max_outcomes,
-            nontrivial_for_set=nontrivial_for_set,
+            _compressed_group_problem(s, group, coords), (0,),
+            max_outcomes=max_outcomes, nontrivial_for_set=nontrivial_for_set,
             max_pvms=max_pvms, max_exact_dim=max_exact_dim)
-        out = [_lift_local_pvm(lp, coords, s, group) for lp in small_pvms]
-        if len(_REPORT_CACHE) > _CACHE_CAP:
-            _REPORT_CACHE.clear()
-        _REPORT_CACHE[cache_key] = out
-        return out
+        return _cache_put(cache_key, [_lift_local_pvm(lp, coords, s, group)
+                                      for lp in small_pvms])
     pool, report = op_projector_pool(s, group, max_exact_dim=max_exact_dim)
     idx = GroupIndexer(s.spec.dims, group)
     d = idx.group_dim
@@ -956,9 +930,6 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
 
     assemblies: list[tuple[Projector, ...]] = []
     seen: set = set()
-
-    def orthogonal(p: Projector, q: Projector) -> bool:
-        return p.orthogonal_to(q)
 
     def emit(elements: tuple[Projector, ...]):
         key = frozenset(e.mat.entries for e in elements)
@@ -979,16 +950,16 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
             if total_rank == d and len(chosen) <= cap:
                 emit(tuple(chosen))
             elif len(chosen) + 1 <= cap:
-                comp_mat = _complement_of(chosen, d)
-                if comp_mat is not None:
-                    emit(tuple(chosen) + (comp_mat,))
+                comp = complement(chosen, d)
+                if not comp.is_zero():
+                    emit(tuple(chosen) + (comp,))
         if len(chosen) >= cap:
             return
         for i in range(start, len(pool)):
             p = pool[i]
             if total_rank + p.rank() > d:
                 continue
-            if all(orthogonal(p, q) for q in chosen):
+            if all(p.orthogonal_to(q) for q in chosen):
                 extend(chosen + [p], total_rank + p.rank(), i + 1)
 
     extend([], 0, 0)
@@ -1006,26 +977,15 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
         out.append(lp)
     out.sort(key=lambda lp: (len(lp.pvm),
                              tuple(sorted(_pvm_key(lp.pvm)))))
-    if len(_REPORT_CACHE) > _CACHE_CAP:
-        _REPORT_CACHE.clear()
-    _REPORT_CACHE[cache_key] = out
-    return out
+    return _cache_put(cache_key, out)
 
 
-def _compressed_group_problem(s: StateSet, group: tuple[int, ...]):
-    """When the joint local support occupies a proper computational
-    subset of the group space, restate the problem as a two-party set
-    (compressed group coordinates x rest); None when not applicable."""
-    from .statesets import PartySpec as PS
+def _compressed_group_problem(s: StateSet, group: tuple[int, ...],
+                              coords: tuple[int, ...]) -> StateSet:
+    """Restate the problem as a two-party set (the group's computational
+    support coordinates x rest)."""
     idx = GroupIndexer(s.spec.dims, group)
-    support = local_support_vectors(s, group)
-    occupied = sorted({a for u in support for a in u.support()})
-    if len(occupied) >= idx.group_dim:
-        return None
-    if vectors_rank(support) != len(occupied):
-        return None
-    coords = tuple(occupied)
-    spec = PS((len(coords), idx.rest_dim))
+    spec = PartySpec((len(coords), idx.rest_dim))
     states = []
     for label, v in s.states:
         entries = []
@@ -1033,7 +993,7 @@ def _compressed_group_problem(s: StateSet, group: tuple[int, ...]):
             for r in range(idx.rest_dim):
                 entries.append(v.entries[idx.flat(k, r)])
         states.append((label, Vec(entries)))
-    return StateSet(spec, states, provenance=f"{s.provenance}#compressed"), coords
+    return StateSet(spec, states, provenance=f"{s.provenance}#compressed")
 
 
 def _lift_local_pvm(lp_small: LocalPVM, coords: tuple[int, ...],
@@ -1052,30 +1012,15 @@ def _lift_local_pvm(lp_small: LocalPVM, coords: tuple[int, ...],
             span = tuple(_lift(v, coords, d) for v in e.span)
         lifted.append(Projector(Mat(tuple(tuple(r) for r in rows)),
                                 _validated=True, span=span))
-    from .exact import identity
-    total = lifted[0].mat
-    for e in lifted[1:]:
-        total = total + e.mat
-    rest = identity(d) - total
+    rest = complement(lifted, d)
     if not rest.is_zero():
-        lifted.append(Projector(rest, _validated=True))
+        lifted.append(rest)
     return LocalPVM(PVM(lifted), group)
 
 
 def _pvm_key(pvm: PVM):
     return tuple(tuple(tuple((x.re, x.im) for x in row) for row in e.mat.entries)
                  for e in pvm.elements)
-
-
-def _complement_of(chosen: list[Projector], d: int) -> Projector | None:
-    from .exact import identity, nullspace
-    total = chosen[0].mat
-    for p in chosen[1:]:
-        total = total + p.mat
-    rest = identity(d) - total
-    if rest.is_zero():
-        return None
-    return Projector(rest, _validated=True, span=tuple(nullspace(total)))
 
 
 @dataclass
@@ -1112,8 +1057,8 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             status="two-state",
             trace=["two orthogonal states are always distinguishable; "
                    "no irreducibility certificate is possible"])
-    cache_key = ("irr", _set_group_key(s, ()), p.blocks, max_exact_dim)
-    hit = _REPORT_CACHE.get(cache_key)
+    cache_key = ("irr", p.blocks, max_exact_dim, s.ray_key)
+    hit = _cache_get(cache_key)
     if hit is not None:
         return hit
     verdict = IrreducibilityVerdict(status="irreducible")
@@ -1131,7 +1076,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
         witness_p = None
         for sub in diagonal_op_subsets(s, block):
             cand = Projector.diagonal(sub, idx.group_dim)
-            if not _set_trivial_element(cand, support):
+            if not acts_as_scalar_on(cand, support):
                 witness_p = cand
                 break
         report = None
@@ -1144,7 +1089,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
                 continue
             for theta in report.nontrivial_directions():
                 cand = Projector.from_ray(theta)
-                if not _set_trivial_element(cand, support):
+                if not acts_as_scalar_on(cand, support):
                     witness_p = cand
                     break
         if witness_p is not None:
@@ -1155,8 +1100,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             verdict.status = "reducible"
             verdict.witness = lp
             verdict.trace.append(f"block {block}: nontrivial OP-PVM exists")
-            _REPORT_CACHE[cache_key] = verdict
-            return verdict
+            return _cache_put(cache_key, verdict)
         d = idx.group_dim
         if k == d and d <= 3:
             verdict.block_levels[block] = "complete"
@@ -1166,12 +1110,4 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             verdict.block_levels[block] = "rank1-diagonal"
         verdict.trace.append(f"block {block}: no nontrivial OP-PVM "
                              f"[{verdict.block_levels[block]}]")
-    if len(_REPORT_CACHE) > _CACHE_CAP:
-        _REPORT_CACHE.clear()
-    _REPORT_CACHE[cache_key] = verdict
-    return verdict
-
-
-def _set_trivial_element(p: Projector, support: list[Vec]) -> bool:
-    from .measurements import acts_as_scalar_on
-    return acts_as_scalar_on(p, support)
+    return _cache_put(cache_key, verdict)

@@ -19,12 +19,13 @@ preservation at each node and the claimed rule at each leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from .exact import Vec, inner, rank, vectors_rank, Mat
+from dataclasses import dataclass, field, replace
+from .exact import Vec, gram_schmidt, inner, vectors_rank
 from .indexing import GroupIndexer
-from .measurements import (LocalPVM, PVM, Projector, apply,
+from .measurements import (LocalPVM, PVM, Projector, apply, complement,
                            local_support_vectors, preserves_orthogonality)
-from .opsolve import IrreducibilityVerdict, enumerate_op_pvms, is_pvm_irreducible
+from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
+                      enumerate_op_pvms, is_pvm_irreducible)
 from .statesets import Partition, PartySpec, StateSet
 
 LEAF_RULES = ("identified", "two-orthogonal", "lemma1-2xn", "three-product")
@@ -165,31 +166,6 @@ def _party_support_dims(s: StateSet) -> list[int]:
             for p in range(s.spec.n_parties)]
 
 
-def _factor_across(s: StateSet, party: int) -> list[tuple[Vec, Vec]]:
-    """Per state, the (party factor, rest factor) of a product across
-    party | rest; raises LemmaStructureError when some state is not."""
-    idx = GroupIndexer(s.spec.dims, (party,))
-    out = []
-    for label, v in s.states:
-        slices = idx.local_vectors(v)
-        m = Mat(tuple(tuple(u.entries[g] for u in slices)
-                      for g in range(idx.group_dim)))
-        if rank(m) != 1:
-            raise LemmaStructureError(
-                f"state {label!r} is not a product across party {party}")
-        g0, r0 = _first_nonzero_cell(m)
-        out.append((m.col(r0), m.row(g0)))
-    return out
-
-
-def _first_nonzero_cell(m: Mat) -> tuple[int, int]:
-    for i, row in enumerate(m.entries):
-        for j, a in enumerate(row):
-            if not a.is_zero():
-                return i, j
-    raise ValueError("zero matrix")
-
-
 def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
     """Constructive three-round tree for orthogonal product sets whose
     one side is (effectively) two-dimensional.
@@ -225,8 +201,14 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
         raise LemmaStructureError(
             "more than two states but only the two-dimensional side varies")
 
-    pairs = _factor_across(s, two_side)
-    alphas = [a for a, _ in pairs]
+    two_idx = GroupIndexer(dims, (two_side,))
+    alphas = []
+    for label, v in s.states:
+        factors = two_idx.factor(v)
+        if factors is None:
+            raise LemmaStructureError(
+                f"state {label!r} is not a product across party {two_side}")
+        alphas.append(factors[0])
     rest_idx = GroupIndexer(dims, rest)
     # inert parties factor out of every state, so any nonzero slice on the
     # live wide side is (a multiple of) that state's wide-side vector
@@ -237,7 +219,7 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
             raise LemmaStructureError(f"state {label!r} vanishes on the wide side")
         etas.append(eta)
 
-    v_basis = _support_basis(alphas)
+    v_basis = gram_schmidt(alphas)
     if len(v_basis) != 2:
         raise LemmaStructureError("two-side support is not two-dimensional")
 
@@ -266,10 +248,9 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
     def round3(members: list[int]) -> Node | Leaf:
         if len(members) == 1:
             return Leaf("identified")
-        projs = [Projector.from_ray(etas[m]) for m in members]
-        elements = list(projs)
-        comp = _complement(elements, rest_dim)
-        if comp is not None:
+        elements = [Projector.from_ray(etas[m]) for m in members]
+        comp = complement(elements, rest_dim)
+        if not comp.is_zero():
             elements.append(comp)
         children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                             for i in range(len(members))}
@@ -278,8 +259,8 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
     def round2(cls) -> Node | Leaf:
         d0, d1 = cls["dirs"]
         elements = [Projector.from_ray(d0), Projector.from_ray(d1)]
-        comp = _complement(elements, two_dim)
-        if comp is not None:
+        comp = complement(elements, two_dim)
+        if not comp.is_zero():
             elements.append(comp)
         children: dict[int, Node | Leaf] = {}
         for side in (0, 1):
@@ -287,13 +268,12 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
                 children[side] = round3(cls["members"][side])
         return Node((two_side,), PVM(elements), children)
 
-    block_projs = []
+    elements = []
     for cls in classes:
         vecs = [etas[m] for m in cls["members"][0] + cls["members"][1]]
-        block_projs.append(Projector.from_span(vecs, rest_dim))
-    elements = list(block_projs)
-    comp = _complement(elements, rest_dim)
-    if comp is not None:
+        elements.append(Projector.from_span(vecs, rest_dim))
+    comp = complement(elements, rest_dim)
+    if not comp.is_zero():
         elements.append(comp)
     children = {i: round2(cls) for i, cls in enumerate(classes)}
     return Node(rest, PVM(elements), children)
@@ -314,17 +294,12 @@ def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
                 raise LemmaStructureError(
                     "single varying party with non-orthogonal local factors")
     elements = [Projector.from_ray(r) for r in rays]
-    comp = _complement(elements, idx.group_dim)
-    if comp is not None:
+    comp = complement(elements, idx.group_dim)
+    if not comp.is_zero():
         elements.append(comp)
     children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                         for i in range(len(rays))}
     return Node((party,), PVM(elements), children)
-
-
-def _support_basis(vecs: list[Vec]) -> list[Vec]:
-    from .exact import gram_schmidt
-    return gram_schmidt(vecs)
 
 
 def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
@@ -379,17 +354,6 @@ def _orthocomplement_in(ray: Vec, v_basis: list[Vec]) -> Vec:
     return cand.normalized_leading()
 
 
-def _complement(elements: list[Projector], dim: int) -> Projector | None:
-    from .exact import identity
-    total = elements[0].mat
-    for e in elements[1:]:
-        total = total + e.mat
-    rest = identity(dim) - total
-    if rest.is_zero():
-        return None
-    return Projector(rest, _validated=True)
-
-
 def three_product_protocol(s: StateSet) -> ProtocolTree:
     """Separating-party protocol for three orthogonal fully product
     states: measure {P_alpha, 1 - P_alpha} on a party where the first two
@@ -397,18 +361,21 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
     orthogonal states."""
     if len(s) != 3:
         raise ValueError("exactly three states required")
-    factors = [_full_factors(v, s.spec) for v in s.vectors()]
-    if any(f is None for f in factors):
+    # a state is fully product exactly when it factors across every
+    # single party (each one-party marginal is pure)
+    idxs = [GroupIndexer(s.spec.dims, (p,)) for p in range(s.spec.n_parties)]
+    factors = [[idx.factor(v) for idx in idxs] for v in s.vectors()]
+    if any(f is None for fs in factors for f in fs):
         raise ValueError("all three states must be fully product")
     j = None
     for party in range(s.spec.n_parties):
-        if inner(factors[0][party], factors[1][party]).is_zero():
+        if inner(factors[0][party][0], factors[1][party][0]).is_zero():
             j = party
             break
     if j is None:
         raise AssertionError(
             "orthogonal product states with no orthogonal factor pair")
-    p0 = Projector.from_ray(factors[0][j])
+    p0 = Projector.from_ray(factors[0][j][0])
     pvm = PVM([p0, p0.complement()])
     branches = apply(s, LocalPVM(pvm, (j,)))
     children: dict[int, Node | Leaf] = {}
@@ -420,41 +387,20 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
     return Node((j,), pvm, children)
 
 
-def _full_factors(v: Vec, spec: PartySpec) -> list[Vec] | None:
-    """Per-party factors of a fully product state, else None."""
-    out: list[Vec] = []
-    dims = list(spec.dims)
-    current = v
-    remaining = list(range(len(dims)))
-    while len(remaining) > 1:
-        sub_dims = [dims[p] for p in remaining]
-        idx = GroupIndexer(sub_dims, (0,))
-        slices = idx.local_vectors(current)
-        m = Mat(tuple(tuple(u.entries[g] for u in slices)
-                      for g in range(idx.group_dim)))
-        if rank(m) != 1:
-            return None
-        g0, r0 = _first_nonzero_cell(m)
-        out.append(m.col(r0))
-        current = m.row(g0)
-        remaining = remaining[1:]
-    out.append(current)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bounded search
 
 @dataclass
 class SearchConfig:
+    """Bounds of the distinguishability search and of the activation
+    searches built on it (classify and is_m_activable run at depth 3)."""
+
     depth: int = 4
     max_candidates_per_node: int = 12
     max_pvms_per_block: int = 32
     max_exact_dim: int = 9
-
-
-_SEARCH_MEMO: dict = {}
-_SEARCH_MEMO_CAP = 8192
+    max_first_rounds: int = 24
+    joint_candidates: dict | None = None    # (i, j) -> list[LocalPVM]
 
 
 def lpcc_search(s: StateSet, p: Partition, depth: int | None = None,
@@ -469,48 +415,30 @@ def lpcc_search(s: StateSet, p: Partition, depth: int | None = None,
     """
     cfg = config or SearchConfig()
     if depth is not None:
-        cfg = SearchConfig(depth=depth,
-                           max_candidates_per_node=cfg.max_candidates_per_node,
-                           max_pvms_per_block=cfg.max_pvms_per_block,
-                           max_exact_dim=cfg.max_exact_dim)
+        cfg = replace(cfg, depth=depth)
     p.validate(s.spec)
-    if len(_SEARCH_MEMO) > _SEARCH_MEMO_CAP:
-        _SEARCH_MEMO.clear()
-    return _search(s, p, cfg.depth, cfg, _SEARCH_MEMO)
+    return _search(s, p, cfg.depth, cfg)
 
 
-def _ray_key(v: Vec):
-    return tuple((a.re, a.im) for a in v.normalized_leading().entries)
-
-
-def _signature(s: StateSet, p: Partition, cfg: SearchConfig | None = None):
-    rays = tuple(sorted(_ray_key(v) for v in s.vectors()))
-    caps = ((cfg.max_candidates_per_node, cfg.max_pvms_per_block,
-             cfg.max_exact_dim) if cfg else ())
-    return (s.spec.dims, p.blocks, rays, caps)
-
-
-def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig,
-            memo: dict) -> Verdict:
+def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict:
     if len(s) == 1:
         return Verdict("distinguishable", tree=Leaf("identified"))
     if len(s) == 2:
         return Verdict("distinguishable", tree=Leaf("two-orthogonal"))
-    sig = _signature(s, p, cfg)
-    if sig in memo:
-        status, payload, tried_depth = memo[sig]
-        if status == "distinguishable":
-            return payload
-        if status in ("indistinguishable",):
-            return payload
-        if tried_depth >= depth:
-            return payload
+    key = ("search", p.blocks, cfg.max_candidates_per_node,
+           cfg.max_pvms_per_block, cfg.max_exact_dim, s.ray_key)
+    hit = _cache_get(key)
+    # an unknown verdict is reused only if it was searched at least as deep
+    if hit is not None and (hit[0].status != "unknown" or hit[1] >= depth):
+        return hit[0]
+
+    def store(verdict: Verdict) -> Verdict:
+        _cache_put(key, (verdict, depth))
+        return verdict
 
     quick = _structural_leaf(s, p)
     if quick is not None:
-        verdict = Verdict("distinguishable", tree=quick)
-        memo[sig] = ("distinguishable", verdict, depth)
-        return verdict
+        return store(Verdict("distinguishable", tree=quick))
 
     candidates: list[LocalPVM] = []
     solver_unknown = False
@@ -526,21 +454,15 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig,
     if not candidates:
         cert = is_pvm_irreducible(s, p, max_exact_dim=cfg.max_exact_dim)
         if cert.irreducible:
-            verdict = Verdict("indistinguishable", certificate=cert,
-                              trace=["no block admits a nontrivial "
-                                     "orthogonality-preserving PVM"])
-            memo[sig] = ("indistinguishable", verdict, depth)
-            return verdict
-        verdict = Verdict("unknown",
-                          trace=[f"no usable candidates; certificate status "
-                                 f"{cert.status}"])
-        memo[sig] = ("unknown", verdict, depth)
-        return verdict
+            return store(Verdict("indistinguishable", certificate=cert,
+                                 trace=["no block admits a nontrivial "
+                                        "orthogonality-preserving PVM"]))
+        return store(Verdict("unknown",
+                             trace=[f"no usable candidates; certificate status "
+                                    f"{cert.status}"]))
 
     if depth <= 0:
-        verdict = Verdict("unknown", trace=["depth bound exhausted"])
-        memo[sig] = ("unknown", verdict, depth)
-        return verdict
+        return store(Verdict("unknown", trace=["depth bound exhausted"]))
 
     candidates = _order_candidates(s, candidates)[:cfg.max_candidates_per_node]
     for lp in candidates:
@@ -550,23 +472,19 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig,
         for o, br in branches.items():
             if br.states is None:
                 continue
-            if len(br.states) == len(s) and _same_rays(br.states, s):
+            if br.states.ray_key == s.ray_key:
                 ok = False      # measurement did nothing useful on this branch
                 break
-            sub = _search(br.states, p, depth - 1, cfg, memo)
+            sub = _search(br.states, p, depth - 1, cfg)
             if not sub.distinguishable:
                 ok = False
                 break
             children[o] = sub.tree
         if ok:
-            tree = Node(lp.group, lp.pvm, children)
-            verdict = Verdict("distinguishable", tree=tree)
-            memo[sig] = ("distinguishable", verdict, depth)
-            return verdict
-    verdict = Verdict("unknown", trace=["no candidate measurement led to a "
-                                        "full discrimination tree"])
-    memo[sig] = ("unknown", verdict, depth)
-    return verdict
+            return store(Verdict("distinguishable",
+                                 tree=Node(lp.group, lp.pvm, children)))
+    return store(Verdict("unknown", trace=["no candidate measurement led to a "
+                                           "full discrimination tree"]))
 
 
 def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:
@@ -594,12 +512,6 @@ def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]
                       lp))
     keyed.sort(key=lambda t: t[:3])
     return [t[3] for t in keyed]
-
-
-def _same_rays(a: StateSet, b: StateSet) -> bool:
-    ra = sorted(_ray_key(v) for v in a.vectors())
-    rb = sorted(_ray_key(v) for v in b.vectors())
-    return ra == rb
 
 
 def _structural_leaf(s: StateSet, p: Partition) -> Leaf | None:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import Mat, Scalar, Vec, ZERO, inner, rank
+from .exact import ONE, Scalar, Vec, ZERO, inner
 from .indexing import (GroupIndexer, digits_of, embed_with_offsets, index_of,
                        permute_axes, total_dim)
 
@@ -117,6 +118,26 @@ class StateSet:
 
     def vectors(self) -> tuple[Vec, ...]:
         return tuple(v for _, v in self.states)
+
+    @cached_property
+    def ray_key(self) -> tuple:
+        """Canonical key of the set up to state order and nonzero
+        per-state scalars: the dims plus the sorted rays, each ray
+        scaled so its first nonzero entry is 1 and kept as its nonzero
+        (index, re, im) cells. Computed once; the states never change."""
+        rays = []
+        for v in self.vectors():
+            cells = []
+            lead = None
+            for i, a in enumerate(v.entries):
+                if a.is_zero():
+                    continue
+                if lead is None:
+                    lead = ONE / a
+                x = a * lead
+                cells.append((i, x.re, x.im))
+            rays.append(tuple(cells))
+        return (self.spec.dims, tuple(sorted(rays)))
 
     def state(self, label: str) -> Vec:
         for l, v in self.states:
@@ -292,21 +313,10 @@ def _peel_minimal_factor(vec: Vec, dims: Sequence[int], parties: list[int]):
         for extra in combinations(others, size):
             block = (first,) + extra
             idx = GroupIndexer(sub_dims, [parties.index(p) for p in block])
-            mat = Mat(tuple(
-                tuple(vec.entries[idx.flat(g, r)] for r in range(idx.rest_dim))
-                for g in range(idx.group_dim)))
-            if rank(mat) == 1:
-                g0, r0 = _nonzero_cell(mat)
-                return block, mat.col(r0), mat.row(g0)
+            factors = idx.factor(vec)
+            if factors is not None:
+                return (block,) + factors
     return tuple(parties), None, None
-
-
-def _nonzero_cell(m: Mat) -> tuple[int, int]:
-    for i, row in enumerate(m.entries):
-        for j, a in enumerate(row):
-            if not a.is_zero():
-                return i, j
-    raise ValueError("zero matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +541,7 @@ def build_named_set(name: str, m: int | None = None) -> StateSet:
 
 def sets_equal_up_to_relabeling(a: StateSet, b: StateSet) -> bool:
     """Same rays: a bijection of states with nonzero per-state scalars."""
-    if a.spec.dims != b.spec.dims or len(a) != len(b):
-        return False
-    unmatched = list(b.vectors())
-    for v in a.vectors():
-        cv = v.normalized_leading()
-        hit = None
-        for i, w in enumerate(unmatched):
-            if w.normalized_leading() == cv:
-                hit = i
-                break
-        if hit is None:
-            return False
-        unmatched.pop(hit)
-    return True
+    return a.ray_key == b.ray_key
 
 
 def restrict_support(s: StateSet) -> StateSet:

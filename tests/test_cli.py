@@ -37,8 +37,7 @@ def test_measure_apply_matches_published_branch(capsys):
 
 
 def test_solve_rank1_exit_codes(capsys):
-    code, out = run(capsys, "solve", "rank1", "--name", "S2", "--group", "A",
-                    "--exact-only")
+    code, out = run(capsys, "solve", "rank1", "--name", "S2", "--group", "A")
     assert code == 0
     assert "no preserving rank-1 direction" in out
     code, out = run(capsys, "solve", "rank1", "--name", "S2", "--group", "C")
@@ -92,6 +91,16 @@ def test_diagram_svg(capsys):
     code, out = run(capsys, "--json", "diagram", "--name", "Domino",
                     "--format", "svg")
     assert code == 0
+
+
+def test_failed_self_check_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("solver emitted a direction failing re-verification")
+
+    monkeypatch.setattr("lpcckit.cli.rank1_op_directions", broken)
+    code = main(["solve", "rank1", "--name", "S2", "--group", "A"])
+    assert code == 70
+    assert "self-check" in capsys.readouterr().err
 
 
 def test_usage_error():

@@ -1,15 +1,19 @@
 """Orthogonality-preserving measurement solver."""
 
 import random
+from collections import OrderedDict
 
 from lpcckit.exact import Scalar, Vec, inner, tensor
 from lpcckit.generators import (planted_direction_set, random_orthogonal_set,
                                 random_product_set)
 from lpcckit.measurements import LocalPVM, PVM, Projector, preserves_orthogonality
-from lpcckit.opsolve import (constraint_matrices, diagonal_op_subsets,
-                             enumerate_op_pvms, form_value,
-                             is_pvm_irreducible, rank1_op_directions)
-from lpcckit.statesets import Partition, PartySpec, StateSet
+from lpcckit import opsolve
+from lpcckit.opsolve import (clear_caches, constraint_matrices,
+                             diagonal_op_subsets, enumerate_op_pvms,
+                             form_value, is_pvm_irreducible,
+                             rank1_op_directions)
+from lpcckit.statesets import (Partition, PartySpec, StateSet,
+                               sets_equal_up_to_relabeling)
 
 
 def ray(*xs):
@@ -207,3 +211,35 @@ def test_numeric_hunt_runs(s2):
                               numeric_starts=4)
     assert rep.numeric is not None
     assert rep.numeric["seed"] == 7
+
+
+def test_relabelled_rescaled_copy_reuses_stored_report(s2):
+    rng = random.Random(11)
+    states = list(s2.states)
+    rng.shuffle(states)
+    scalars = [Scalar(1, 1), Scalar(-2), Scalar(0, 3), Scalar(2, -1)]
+    copy = StateSet(s2.spec, [(label, v.scale(rng.choice(scalars)))
+                              for label, v in states])
+    assert sets_equal_up_to_relabeling(copy, s2)
+    original = rank1_op_directions(s2, (2,))
+    assert rank1_op_directions(copy, (2,)) is original
+
+
+def test_result_store_is_one_bounded_lru(monkeypatch):
+    monkeypatch.setattr(opsolve, "_CACHE_CAP", 2)
+    monkeypatch.setattr(opsolve, "_RESULTS", OrderedDict())
+    spec = PartySpec((2, 2))
+    s = StateSet(spec, [("a", tensor(Vec([1, 0]), Vec([1, 0]))),
+                        ("b", tensor(Vec([1, 0]), Vec([0, 1]))),
+                        ("c", tensor(Vec([0, 1]), Vec([1, 1])))])
+    on_a = rank1_op_directions(s, (0,))
+    on_b = rank1_op_directions(s, (1,))
+    assert rank1_op_directions(s, (0,)) is on_a     # on_b is now the oldest
+    verdict = is_pvm_irreducible(s, Partition.trivial(2))
+    assert verdict.status == "reducible"
+    assert len(opsolve._RESULTS) == 2
+    assert is_pvm_irreducible(s, Partition.trivial(2)) is verdict
+    assert rank1_op_directions(s, (0,)) is on_a
+    assert rank1_op_directions(s, (1,)) is not on_b
+    clear_caches()
+    assert len(opsolve._RESULTS) == 0
