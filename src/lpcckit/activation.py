@@ -19,14 +19,14 @@ from .exact import Scalar, Vec, vectors_rank
 from .indexing import GroupIndexer, digits_of, index_of
 from .measurements import (LocalPVM, PVM, Projector, apply,
                            computational_support, is_trivial_for_set,
-                           local_support_vectors, preserves_orthogonality)
+                           preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
 from .protocols import (ProtocolTree, SearchConfig, execute_and_verify,
                         lpcc_search)
 from .statesets import (Partition, StateSet, check_mutual_orthogonality,
-                        is_locally_redundant, merge_parties,
-                        separability_degree)
+                        is_locally_redundant, local_support_vectors,
+                        merge_parties, separability_degree)
 
 
 # ---------------------------------------------------------------------------

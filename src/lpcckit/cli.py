@@ -132,16 +132,14 @@ def cmd_solve(args, report: Report) -> int:
     s = _load_set(args)
     group = _parse_group(args.group, s)
     if args.action == "rank1":
-        rep = rank1_op_directions(s, group, exact_only=args.exact_only,
-                                  seed=args.seed)
+        rep = rank1_op_directions(s, group)
         report.data["verdicts"].append(rep.to_json())
         if rep.is_none_found:
             report.say(f"group {args.group}: no preserving rank-1 direction "
                        f"({rep.none_found['method']})")
             return OK
         for sol in rep.solutions:
-            report.say(f"direction: {sol.vector if sol.exact else sol.approx}"
-                       + ("" if sol.exact else "  [numeric]"))
+            report.say(f"direction: {sol.vector}")
         for fam in rep.families:
             report.say(f"family: {fam.kind}"
                        + (" (annihilating)" if fam.annihilating else ""))
@@ -293,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["rank1", "pvms"])
     add_set_args(p)
     p.add_argument("--group", required=True)
-    p.add_argument("--numeric", dest="exact_only", action="store_false",
-                   help="add seeded numeric corroboration")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-outcomes", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 

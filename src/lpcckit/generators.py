@@ -1,7 +1,7 @@
 """Seeded random constructions used by property tests and theorem replays.
 
 Everything is built over the Gaussian rationals so generated sets are
-exactly orthogonal by construction (asserted, never approximated).
+exactly orthogonal by construction (asserted, never rounded).
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 from .exact import (Mat, Scalar, Vec, ZERO, ONE, identity, inner, mat_mul,
                     mat_vec, nullspace, projector_onto, rank, vectors_rank)
 from .indexing import GroupIndexer, total_dim
-from .statesets import Partition, PartySpec, StateSet
+from .statesets import (Partition, PartySpec, StateSet, local_support_vectors,
+                        support_coordinates)
 
 
 class Projector:
@@ -283,30 +284,15 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
     return OPVerdict(True)
 
 
-def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
-    """All nonzero group-side slices of all states (they span the group's
-    joint local support)."""
-    idx = GroupIndexer(s.spec.dims, group)
-    out = []
-    for _, v in s.states:
-        for u in idx.local_vectors(v):
-            if not u.is_zero():
-                out.append(u)
-    return out
-
-
 def computational_support(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | None:
     """The computational coordinates the group's joint local support
     occupies, when they are fewer than the group dimension and that
     support is exactly their span (so the problem compresses onto them);
     None otherwise."""
-    support = local_support_vectors(s, group)
-    occupied = sorted({a for u in support for a in u.support()})
-    if len(occupied) >= total_dim([s.spec.dims[p] for p in group]):
+    coords = support_coordinates(s, group)
+    if coords is None or len(coords) == total_dim([s.spec.dims[p] for p in group]):
         return None
-    if vectors_rank(support) != len(occupied):
-        return None
-    return tuple(occupied)
+    return coords
 
 
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:

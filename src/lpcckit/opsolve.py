@@ -33,9 +33,8 @@ from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace_with_free,
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            complement, computational_support,
-                           is_trivial_for_set, local_support_vectors,
-                           preserves_orthogonality)
-from .statesets import Partition, PartySpec, StateSet
+                           is_trivial_for_set, preserves_orthogonality)
+from .statesets import Partition, PartySpec, StateSet, local_support_vectors
 
 MAX_EXACT_DIM = 9
 
@@ -87,16 +86,12 @@ def form_value(c: Mat, theta: Vec) -> Scalar:
 
 @dataclass(frozen=True)
 class RaySolution:
-    vector: Vec | None                 # canonical exact ray (leading entry 1)
-    exact: bool = True
-    approx: tuple[complex, ...] | None = None
+    vector: Vec                        # canonical exact ray (leading entry 1)
+    exact = True                       # every solution is exact
 
     def to_json(self) -> dict:
-        if self.exact:
-            return {"exact": True,
-                    "vector": [a.to_quad() for a in self.vector.entries]}
-        return {"exact": False,
-                "vector": [[z.real, z.imag] for z in self.approx]}
+        return {"exact": True,
+                "vector": [a.to_quad() for a in self.vector.entries]}
 
 
 @dataclass(frozen=True)
@@ -225,8 +220,6 @@ class SolutionReport:
     none_found: dict | None = None
     unresolved: list[dict] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
-    support_coords: tuple[int, ...] | None = None   # compression used, if any
-    numeric: dict | None = None
 
     @property
     def is_none_found(self) -> bool:
@@ -235,7 +228,7 @@ class SolutionReport:
     def nontrivial_directions(self) -> list[Vec]:
         """Exact directions with a component on the joint local support
         (annihilating families excluded)."""
-        out = [r.vector for r in self.solutions if r.exact]
+        out = [r.vector for r in self.solutions]
         for fam in self.families:
             if not fam.annihilating:
                 out.extend(fam.members())
@@ -251,7 +244,7 @@ class SolutionReport:
     def contains_ray(self, theta: Vec) -> bool:
         cv = theta.normalized_leading()
         for r in self.solutions:
-            if r.exact and r.vector == cv:
+            if r.vector == cv:
                 return True
         return any(f.contains(theta) for f in self.families)
 
@@ -263,8 +256,6 @@ class SolutionReport:
             "none_found": self.none_found,
             "unresolved": self.unresolved,
         }
-        if self.numeric:
-            data["numeric"] = self.numeric
         if self.trace:
             data["trace"] = self.trace
         return data
@@ -299,16 +290,11 @@ def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
     return Mat(rows)
 
 
-def _pattern_outcomes(cmats_s: list[Mat], size: int, trace: list[str],
-                      depth_left: int) -> list[tuple]:
-    """Solve one support pattern. cmats_s are already restricted to the
-    pattern's coordinates (size x size). Returns (tag, payload) outcomes
-    with tag in contradiction/solution/family/unresolved."""
-    return _recurse(cmats_s, size, [], depth_left, trace)
-
-
 def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
-             depth_left: int, trace: list[str]) -> list[tuple]:
+             depth_left: int) -> list[tuple]:
+    """Solve one support pattern: cmats are restricted to the pattern's k
+    coordinates. Returns (tag, payload) outcomes with tag in
+    contradiction/solution/family/unresolved."""
     # the l-th parameter equals theta's coordinate free[l]
     basis, free = nullspace_with_free(Mat(lin_rows or [[ZERO] * k]))
     f = len(basis)
@@ -355,13 +341,13 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
             new_row = [ZERO] * k
             for l in range(f):
                 new_row[free[l]] = m.entries[r][l].conj()
-            return _recurse(cmats, k, lin_rows + [new_row], depth_left - 1, trace)
+            return _recurse(cmats, k, lin_rows + [new_row], depth_left - 1)
         if len(nz_cols) == 1:
             cidx = nz_cols[0]
             new_row = [ZERO] * k
             for kk in range(f):
                 new_row[free[kk]] = m.entries[kk][cidx]
-            return _recurse(cmats, k, lin_rows + [new_row], depth_left - 1, trace)
+            return _recurse(cmats, k, lin_rows + [new_row], depth_left - 1)
 
     if f == 2:
         return _binary_endgame(cmats, k, basis, free, reduced)
@@ -379,8 +365,8 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
                 row_a[free[kk]] = m.entries[kk][c0]
             for ll in range(f):
                 row_b[free[ll]] = m.entries[r0][ll].conj()
-            out = _recurse(cmats, k, lin_rows + [row_a], depth_left - 1, trace)
-            out += _recurse(cmats, k, lin_rows + [row_b], depth_left - 1, trace)
+            out = _recurse(cmats, k, lin_rows + [row_a], depth_left - 1)
+            out += _recurse(cmats, k, lin_rows + [row_b], depth_left - 1)
             return out
 
     return [("unresolved",
@@ -442,9 +428,7 @@ def _binary_endgame(cmats: list[Mat], k: int, basis: list[Vec], free: list[int],
         if roots == "none":
             return [("contradiction", "endgame quadratic has no real roots on the line")]
         if roots == "irrational":
-            approx = _approx_roots(quad, base, direction, basis)
-            return [("numeric", a) for a in approx] or \
-                   [("unresolved", "irrational endgame roots")]
+            return [("unresolved", "irrational endgame roots")]
         out = []
         for x, y in roots:
             got = emit(Scalar(x, y))
@@ -551,28 +535,6 @@ def _quad_on_line(quad, base, direction):
     return out
 
 
-def _approx_roots(quad, base, direction, basis) -> list[tuple[complex, ...]]:
-    import math
-    g, a, b, c = quad
-    bx, by = base
-    dx, dy = direction
-    A = float(g * (dx * dx + dy * dy))
-    B = float(2 * g * (bx * dx + by * dy) + a * dx + b * dy)
-    C = float(g * (bx * bx + by * by) + a * bx + b * by + c)
-    disc = B * B - 4 * A * C
-    if disc < 0:          # A != 0, as in _quad_on_line
-        return []
-    out = []
-    for sgn in (1, -1):
-        s = (-B + sgn * math.sqrt(disc)) / (2 * A)
-        x, y = float(bx) + s * float(dx), float(by) + s * float(dy)
-        tau = complex(x, y)
-        theta = [complex(float(b0.re), float(b0.im)) + tau * complex(float(b1.re), float(b1.im))
-                 for b0, b1 in zip(basis[0].entries, basis[1].entries)]
-        out.append(tuple(theta))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public solver
 
@@ -606,25 +568,21 @@ def clear_caches() -> None:
 
 def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                         max_exact_dim: int = MAX_EXACT_DIM,
-                        exact_only: bool = True,
-                        seed: int = 0, tolerance: float = 1e-9,
-                        numeric_starts: int = 32,
-                        _cmats: list[ConstraintMatrix] | None = None,
-                        _verify: bool = True) -> SolutionReport:
+                        _cmats: list[ConstraintMatrix] | None = None) -> SolutionReport:
     """All rank-1 directions theta (up to phase/scale) with
     F_ij(theta) = 0 for every pair, via exact support-pattern case split.
 
     When the joint local support sits on a proper subset of computational
     coordinates, the solve happens in that compressed space: directions
     decompose as (support part) + (free part orthogonal to every state),
-    and only the support part is constrained.
+    and only the support part is constrained. Roots outside Q(i) are
+    reported as unresolved patterns, never as floating-point solutions.
     """
     group = tuple(group)
     cache_key = ("rank1", group, max_exact_dim, s.ray_key)
-    if exact_only:
-        hit = _cache_get(cache_key)
-        if hit is not None:
-            return hit
+    hit = _cache_get(cache_key)
+    if hit is not None:
+        return hit
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
     idx = GroupIndexer(s.spec.dims, group)
     d = idx.group_dim
@@ -632,7 +590,6 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
 
     compressed = computational_support(s, group)
     if compressed is not None:
-        report.support_coords = compressed
         report.trace.append(
             f"support compression to coordinates {compressed}")
         if not compressed:
@@ -654,8 +611,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     seen: set = set()
     for pattern in _support_patterns(k):
         sub = [_restrict(c, pattern) for c in cm_small]
-        outcomes = _pattern_outcomes(sub, len(pattern), report.trace, depth_left=k + 2)
-        for tag, payload in outcomes:
+        for tag, payload in _recurse(sub, len(pattern), [], k + 2):
             if tag == "contradiction":
                 continue
             if tag == "solution":
@@ -665,18 +621,13 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                 if cv.entries in seen:
                     continue
                 seen.add(cv.entries)
-                if _verify and not _direction_ok(s, group, cv, cmats):
+                if not _direction_ok(s, group, cv, cmats):
                     raise AssertionError(
                         "solver emitted a direction failing re-verification")
                 report.solutions.append(RaySolution(vector=cv))
             elif tag == "family":
                 fam = _lift_family(payload, pattern, k, compressed, d)
                 report.families.append(fam)
-            elif tag == "numeric":
-                theta = payload
-                full = _lift_numeric(theta, pattern, k, compressed, d)
-                report.solutions.append(RaySolution(vector=None, exact=False,
-                                                    approx=full))
             elif tag == "unresolved":
                 report.unresolved.append(
                     {"reason": payload, "pattern": [int(x) for x in pattern]})
@@ -693,10 +644,6 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
             and not report.unresolved):
         report.none_found = {"method": "exact-case-split",
                              "patterns": 2 ** k - 1}
-    if not exact_only:
-        report.numeric = _numeric_hunt(cm_small, k, seed, tolerance,
-                                       numeric_starts)
-        return report
     return _cache_put(cache_key, report)
 
 
@@ -716,18 +663,6 @@ def _lift(v: Vec, coords: Sequence[int] | None, dim: int) -> Vec:
     for x, a in zip(v.entries, coords):
         out[a] = x
     return Vec(out)
-
-
-def _lift_numeric(theta: tuple, pattern, k: int, compressed, d: int) -> tuple:
-    mid = [0j] * k
-    for x, a in zip(theta, pattern):
-        mid[a] = x
-    if compressed is None:
-        return tuple(mid)
-    full = [0j] * d
-    for x, a in zip(mid, compressed):
-        full[a] = x
-    return tuple(full)
 
 
 def _lift_family(fam: Family, pattern, k: int, compressed, d: int) -> Family:
@@ -771,40 +706,6 @@ def _direction_ok(s: StateSet, group: tuple[int, ...], theta: Vec,
     return bool(preserves_orthogonality(s, LocalPVM(pvm, group)))
 
 
-def _numeric_hunt(cmats: list[Mat], k: int, seed: int, tol: float,
-                  starts: int) -> dict:
-    """Seeded multi-start descent on sum |F_p|^2; heuristic corroboration
-    only, never a nonexistence certificate."""
-    import numpy as np
-    mats = [np.array([[complex(float(x.re), float(x.im)) for x in row]
-                      for row in c.entries]) for c in cmats]
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(starts):
-        theta = rng.normal(size=k) + 1j * rng.normal(size=k)
-        theta /= np.linalg.norm(theta)
-        for _ in range(400):
-            grad = np.zeros(k, dtype=complex)
-            val = 0.0
-            for m in mats:
-                f = theta @ m @ theta.conj()
-                val += abs(f) ** 2
-                grad += f.conjugate() * (m @ theta.conj()).conjugate() \
-                    + f * (m.T @ theta)
-            if val < tol ** 2:
-                break
-            theta = theta - 0.1 * grad
-            nrm = np.linalg.norm(theta)
-            if nrm < 1e-12:
-                break
-            theta /= nrm
-        residual = max((abs(theta @ m @ theta.conj()) for m in mats), default=0.0)
-        if residual < tol:
-            found.append([[z.real, z.imag] for z in theta])
-    return {"seed": seed, "tolerance": tol, "starts": starts,
-            "candidates_found": len(found), "candidates": found[:8]}
-
-
 # ---------------------------------------------------------------------------
 # PVM enumeration and irreducibility
 
@@ -845,15 +746,13 @@ def diagonal_op_subsets(s: StateSet, group: Sequence[int],
 
 
 def op_projector_pool(s: StateSet, group: Sequence[int], *,
-                      max_exact_dim: int = MAX_EXACT_DIM,
-                      report: SolutionReport | None = None) -> tuple[list[Projector], SolutionReport]:
+                      max_exact_dim: int = MAX_EXACT_DIM) -> tuple[list[Projector], SolutionReport]:
     """Candidate orthogonality-preserving projectors: exact rank-1
     directions (family representatives included) and diagonal subsets."""
     group = tuple(group)
     cmats = constraint_matrices(s, group)
-    if report is None:
-        report = rank1_op_directions(s, group, max_exact_dim=max_exact_dim,
-                                     _cmats=cmats)
+    report = rank1_op_directions(s, group, max_exact_dim=max_exact_dim,
+                                 _cmats=cmats)
     idx = GroupIndexer(s.spec.dims, group)
     d = idx.group_dim
     pool: list[Projector] = []

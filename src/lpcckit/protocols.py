@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, replace
 from .exact import Vec, gram_schmidt, inner, vectors_rank
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, apply, complement,
-                           local_support_vectors, preserves_orthogonality)
+                           preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
-from .statesets import Partition, PartySpec, StateSet
+from .statesets import Partition, PartySpec, StateSet, local_support_vectors
 
 LEAF_RULES = ("identified", "two-orthogonal", "lemma1-2xn", "three-product")
 

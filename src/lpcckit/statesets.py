@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import ONE, Scalar, Vec, ZERO, inner
+from .exact import ONE, Scalar, Vec, ZERO, inner, vectors_rank
 from .indexing import (GroupIndexer, digits_of, embed_with_offsets, index_of,
                        permute_axes, total_dim)
 
@@ -550,15 +550,11 @@ def restrict_support(s: StateSet) -> StateSet:
     Sound only when every party's joint local support is spanned by
     computational basis vectors; verified via an exact rank check.
     """
-    from .exact import vectors_rank
     dims = s.spec.dims
     keeps = []
     for party in range(s.spec.n_parties):
-        occupied = local_support_indices(s, party)
-        idx = GroupIndexer(dims, (party,))
-        slices = [u for _, v in s.states for u in idx.local_vectors(v)
-                  if not u.is_zero()]
-        if vectors_rank(slices) != len(occupied):
+        occupied = support_coordinates(s, (party,))
+        if occupied is None:
             raise ValueError(
                 f"party {party} support is not a computational subspace")
         keeps.append(occupied)
@@ -577,6 +573,27 @@ def restrict_support(s: StateSet) -> StateSet:
 
     return StateSet(new_spec, [(l, remap(v)) for l, v in s.states],
                     provenance=f"{s.provenance}|support")
+
+
+def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
+    """All nonzero group-side slices of all states (they span the group's
+    joint local support)."""
+    idx = GroupIndexer(s.spec.dims, group)
+    out = []
+    for _, v in s.states:
+        for u in idx.local_vectors(v):
+            if not u.is_zero():
+                out.append(u)
+    return out
+
+
+def support_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | None:
+    """The computational coordinates the group's joint local support
+    occupies, when that support is exactly their span (checked by an exact
+    rank test); None otherwise."""
+    support = local_support_vectors(s, group)
+    occupied = tuple(sorted({a for u in support for a in u.support()}))
+    return occupied if vectors_rank(support) == len(occupied) else None
 
 
 def local_support_indices(s: StateSet, party: int) -> tuple[int, ...]:

@@ -87,7 +87,7 @@ def lemma1_replay(samples: int = 200, seed: int = 0,
         leaves = _leaf_sets(s, tree)
         for path, branch in leaves:
             sub = lemma1_protocol(branch)
-            execute_and_verify(branch, sub if not isinstance(sub, Leaf) else sub)
+            execute_and_verify(branch, sub)
             res.add(f"{fixture} leaf {path}", True,
                     f"{len(branch)} states distinguished")
     rng = random.Random(seed)

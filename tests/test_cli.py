@@ -45,6 +45,19 @@ def test_solve_rank1_exit_codes(capsys):
     assert out.count("direction:") == 3
 
 
+def test_numeric_flag_is_gone():
+    assert main(["solve", "rank1", "--name", "S2", "--group", "C",
+                 "--numeric"]) == 64
+
+
+def test_search_unknown_on_irrational_rays(capsys, tmp_path, irrational_2x3):
+    path = tmp_path / "set.json"
+    path.write_text(irrational_2x3.dumps())
+    code, out = run(capsys, "--json", "search", "--file", str(path))
+    assert code == 2
+    assert json.loads(out)["verdicts"][1]["status"] == "unknown"
+
+
 def test_protocol_fixture(capsys):
     code, out = run(capsys, "protocol", "--fixture", "s1_discrimination")
     assert code == 0

@@ -12,6 +12,7 @@ from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              diagonal_op_subsets, enumerate_op_pvms,
                              form_value, is_pvm_irreducible,
                              rank1_op_directions)
+from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                sets_equal_up_to_relabeling)
 
@@ -206,11 +207,30 @@ def test_annihilating_family_reported():
     assert any(f.annihilating for f in rep.families)
 
 
-def test_numeric_hunt_runs(s2):
-    rep = rank1_op_directions(s2, (2,), exact_only=False, seed=7,
-                              numeric_starts=4)
-    assert rep.numeric is not None
-    assert rep.numeric["seed"] == 7
+def test_irrational_endgame_roots_are_unresolved(irrational_2x3):
+    rep = rank1_op_directions(irrational_2x3, (1,))
+    assert rep.solutions == []
+    assert rep.none_found is None
+    assert [u["reason"] for u in rep.unresolved] == ["irrational endgame roots"]
+    split = Partition(((0,), (1,)))
+    assert is_pvm_irreducible(irrational_2x3, split).status == "unknown"
+    assert lpcc_search(irrational_2x3, split).status == "unknown"
+
+
+def test_runs_without_numpy():
+    import os
+    import subprocess
+    import sys
+    import lpcckit
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lpcckit.__file__)))
+    code = ('import sys; sys.modules["numpy"] = None\n'
+            'from lpcckit.cli import main\n'
+            'sys.exit(main(["--json", "solve", "rank1", "--name", "S2", '
+            '"--group", "C"]))\n')
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_relabelled_rescaled_copy_reuses_stored_report(s2):
