@@ -363,7 +363,9 @@ def flatten(m: Mat) -> Vec:
 
 
 def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place fraction-exact row echelon; returns (rows, pivot columns)."""
+    """In-place fraction-exact reduced row echelon; returns (rows, pivot
+    columns). The row lists themselves are overwritten. Eliminating
+    touches only the pivot row's nonzero columns, since x - f*0 = x."""
     if not rows:
         return rows, []
     n_rows, n_cols = len(rows), len(rows[0])
@@ -378,12 +380,19 @@ def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        inv = ONE / prow[c]
+        # columns left of c are zero in the pivot row
+        nz = [j for j in range(c, n_cols) if not prow[j].is_zero()]
+        for j in nz:
+            prow[j] = prow[j] * inv
         for i in range(n_rows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i == r or row[c].is_zero():
+                continue
+            f = row[c]
+            for j in nz:
+                row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == n_rows:

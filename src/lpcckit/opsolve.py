@@ -16,8 +16,12 @@ the solution space (single-row/column rows of the reduced forms, and a
 two-way branch whenever a reduced form has rank 1, which is how the
 product structure of the paper-style sets always resolves); patterns that
 reach two free parameters drop to an exact binary-quadratic endgame in a
-single complex ratio. A nonexistence certificate is emitted only when
-every pattern ends in a contradiction.
+single complex ratio. Before any case split, one exact nullspace gives
+the space L of operators whose preservation value vanishes on every pair,
+and a pattern whose slice of L cannot hold a rank-1 element with that
+support is closed without one (`_live_patterns`). A nonexistence
+certificate is emitted only when every pattern is closed, by L or by a
+contradiction.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace_with_free,
-                    rank, rref, vectors_rank)
+from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
+                    nullspace_with_free, rank, rref, vectors_rank)
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            complement, computational_support,
@@ -609,7 +613,10 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
         return report
 
     seen: set = set()
+    live = _live_patterns(cm_small, k)
     for pattern in _support_patterns(k):
+        if pattern not in live:
+            continue
         sub = [_restrict(c, pattern) for c in cm_small]
         for tag, payload in _recurse(sub, len(pattern), [], k + 2):
             if tag == "contradiction":
@@ -650,6 +657,66 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
 def _support_patterns(k: int):
     for size in range(1, k + 1):
         yield from itertools.combinations(range(k), size)
+
+
+def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
+    """The support patterns that the operator space L leaves open.
+
+    L holds the k x k operators E with sum E[a][b] C[a][b] = 0 and
+    sum E[a][b] conj(C[b][a]) = 0 for every pair matrix C; over C it is
+    spanned by the Hermitian operators that preserve orthogonality. A
+    rank-1 solution theta with support exactly P puts theta theta^dagger
+    in L_P, the part of L vanishing outside P x P, with a nonzero diagonal
+    on all of P, and so does the generic member of any family on P. So P
+    can hold a solution only if each of its coordinates has a nonzero
+    diagonal in some basis element of L_P. Patterns are walked depth first
+    from the full set, removing coordinates in increasing order; since L_Q
+    lies inside L_P when Q lies inside P, an empty L_P closes its subtree.
+    """
+    rows = []
+    for c in cmats:
+        for row in ([x for r in c.entries for x in r],
+                    [c.entries[b][a].conj() for a in range(k) for b in range(k)]):
+            if any(not x.is_zero() for x in row):
+                rows.append(row)
+    space = [v.entries for v in nullspace(Mat(rows or [[ZERO] * (k * k)]))]
+    live: set[tuple[int, ...]] = set()
+
+    def walk(pattern: tuple[int, ...], space: list, start: int) -> None:
+        if all(any(not e[a * k + a].is_zero() for e in space) for a in pattern):
+            live.add(pattern)
+        if len(pattern) == 1:
+            return
+        for pos in range(start, len(pattern)):
+            sub = _vanishing_on(space, pattern[pos], pattern, k)
+            if sub:
+                walk(pattern[:pos] + pattern[pos + 1:], sub, pos)
+
+    if space:
+        walk(tuple(range(k)), space, 0)
+    return live
+
+
+def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
+                  k: int) -> list:
+    """Basis of the elements of span(space) whose row c and column c
+    vanish; space's elements already vanish outside pattern x pattern."""
+    rows = [[e[c * k + j] for e in space] for j in pattern]
+    rows += [[e[j * k + c] for e in space] for j in pattern if j != c]
+    rows = [r for r in rows if any(not x.is_zero() for x in r)]
+    if not rows:
+        return space
+    out = []
+    for coeffs in nullspace(Mat(rows)):
+        acc = [ZERO] * (k * k)
+        for x, e in zip(coeffs.entries, space):
+            if x.is_zero():
+                continue
+            for t, y in enumerate(e):
+                if not y.is_zero():
+                    acc[t] = acc[t] + x * y
+        out.append(acc)
+    return out
 
 
 def _restrict(c: Mat, coords: Sequence[int]) -> Mat:

@@ -459,7 +459,7 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
                                         "orthogonality-preserving PVM"]))
         return store(Verdict("unknown",
                              trace=[f"no usable candidates; certificate status "
-                                    f"{cert.status}"]))
+                                    f"{cert.status}"] + cert.trace))
 
     if depth <= 0:
         return store(Verdict("unknown", trace=["depth bound exhausted"]))

@@ -56,6 +56,7 @@ def test_search_unknown_on_irrational_rays(capsys, tmp_path, irrational_2x3):
     code, out = run(capsys, "--json", "search", "--file", str(path))
     assert code == 2
     assert json.loads(out)["verdicts"][1]["status"] == "unknown"
+    assert "irrational endgame roots" in out
 
 
 def test_protocol_fixture(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, kron_mat,
+from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, kron_mat, rref,
                            mat_mul, nullspace, outer, rank, reshape, tensor,
                            gram_schmidt, in_span, projector_onto, solve_linear)
 
@@ -163,3 +163,105 @@ def test_kron_mat_matches_tensor():
     big = kron_mat(outer(a, a), outer(b, b))
     got = mat_vec(big, tensor(a, b))
     assert got == tensor(a, b).scale(inner(a, a) * inner(b, b))
+
+
+# plain-Fraction reference elimination over Q(i): a complex number is a
+# (re, im) pair of Fractions, and every entry is touched on every row
+# operation, with no zero skipping
+
+def _c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _c_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _c_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _reference_rref(rows):
+    rows = [[(Fraction(re), Fraction(im)) for re, im in row] for row in rows]
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots, r = [], 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        p = next((i for i in range(r, n_rows) if rows[i][c] != (0, 0)), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = _c_inv(rows[r][c])
+        rows[r] = [_c_mul(x, inv) for x in rows[r]]
+        for i in range(n_rows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [_c_sub(x, _c_mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _reference_nullspace(rows):
+    red, pivots = _reference_rref(rows)
+    n_cols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        x = [(Fraction(0), Fraction(0))] * n_cols
+        x[fc] = (Fraction(1), Fraction(0))
+        for r, pc in enumerate(pivots):
+            x[pc] = (-red[r][fc][0], -red[r][fc][1])
+        basis.append(x)
+    return basis
+
+
+def _sparse_gaussian_rows(data, n_rows, n_cols):
+    """Gaussian-integer rows with at least half of the entries zero."""
+    cells = data.draw(st.sets(st.integers(0, n_rows * n_cols - 1),
+                              max_size=n_rows * n_cols // 2))
+    rows = [[(0, 0)] * n_cols for _ in range(n_rows)]
+    for cell in sorted(cells):
+        rows[cell // n_cols][cell % n_cols] = data.draw(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    return rows
+
+
+def _pairs(entries):
+    return [(x.re, x.im) for x in entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 10), st.data())
+def test_elimination_matches_plain_fraction_reference(n_rows, n_cols, data):
+    rows = _sparse_gaussian_rows(data, n_rows, n_cols)
+    a = Mat([[Scalar(re, im) for re, im in row] for row in rows])
+    before = [_pairs(row) for row in a.entries]
+    red, pivots = rref(a)
+    want_red, want_pivots = _reference_rref(rows)
+    assert pivots == want_pivots
+    assert [_pairs(row) for row in red.entries] == want_red
+    assert [_pairs(v.entries) for v in nullspace(a)] == _reference_nullspace(rows)
+
+    # v is a combination of the rows, perhaps nudged off their span, or a
+    # sparse row of its own
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n_rows,
+                                    max_size=n_rows))
+        entries = [sum((Scalar(c) * row[j] for c, row in zip(coeffs, a.entries)),
+                       Scalar(0)) for j in range(n_cols)]
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, n_cols - 1))
+            entries[j] = entries[j] + Scalar(1)
+    else:
+        entries = [Scalar(re, im)
+                   for re, im in _sparse_gaussian_rows(data, 1, n_cols)[0]]
+    v = Vec(entries)
+    vecs = [Vec(row) for row in a.entries]
+    v_before = _pairs(v.entries)
+    spanned = len(_reference_rref(rows + [_pairs(entries)])[1]) == len(want_pivots)
+    assert in_span(v, vecs) == spanned
+    assert _pairs(v.entries) == v_before
+    assert [_pairs(w.entries) for w in vecs] == before
+    assert [_pairs(row) for row in a.entries] == before

@@ -1,5 +1,6 @@
 """Orthogonality-preserving measurement solver."""
 
+import itertools
 import random
 from collections import OrderedDict
 
@@ -137,6 +138,7 @@ def test_dim2_groups_always_exact():
                                           n_states=3)
         rep = rank1_op_directions(s, (0,))
         assert all(sol.exact for sol in rep.solutions)
+        assert not rep.unresolved
     for _ in range(20):
         s = random_product_set(rng, (2, 4), 4)
         rep = rank1_op_directions(s, (0,))
@@ -263,3 +265,79 @@ def test_result_store_is_one_bounded_lru(monkeypatch):
     assert rank1_op_directions(s, (1,)) is not on_b
     clear_caches()
     assert len(opsolve._RESULTS) == 0
+
+
+def _pruned_matches_unpruned(monkeypatch, s, group):
+    """Solve with operator-space pruning and with every pattern open (the
+    reference); the reports must agree, and every pattern whose case split
+    ends in anything but a contradiction must have been left open."""
+    clear_caches()
+    pruned = rank1_op_directions(s, group)
+    real_live, real_recurse = opsolve._live_patterns, opsolve._recurse
+    walked = {}
+    top_outcomes = []
+
+    def every_pattern(cmats, k):
+        walked["live"], walked["k"] = real_live(cmats, k), k
+        return set(opsolve._support_patterns(k))
+
+    def recurse(cmats, k, lin_rows, depth_left):
+        out = real_recurse(cmats, k, lin_rows, depth_left)
+        if not lin_rows:                  # one top-level call per pattern
+            top_outcomes.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(opsolve, "_live_patterns", every_pattern)
+        m.setattr(opsolve, "_recurse", recurse)
+        clear_caches()
+        reference = rank1_op_directions(s, group)
+    clear_caches()
+    assert pruned.to_json() == reference.to_json()
+    assert pruned.unresolved == reference.unresolved
+    if walked:
+        patterns = list(opsolve._support_patterns(walked["k"]))
+        assert len(top_outcomes) == len(patterns)
+        for pattern, out in zip(patterns, top_outcomes):
+            if any(tag != "contradiction" for tag, _ in out):
+                assert pattern in walked["live"], pattern
+    return pruned
+
+
+def test_pruning_matches_unpruned_on_named_groups(monkeypatch, s1, s2, domino):
+    too_slow_unpruned = {("Domino", (0, 1)), ("S1", (0, 2)), ("S2", (0, 2))}
+    for name, s in (("Domino", domino), ("S1", s1), ("S2", s2)):
+        n = s.spec.n_parties
+        for size in range(1, n):
+            for group in itertools.combinations(range(n), size):
+                if (name, group) not in too_slow_unpruned:
+                    _pruned_matches_unpruned(monkeypatch, s, group)
+
+
+def test_pruning_matches_unpruned_on_random_sets(monkeypatch):
+    rng = random.Random(2024)
+    for _ in range(30):
+        s, theta = planted_direction_set(rng, group_dim=3, n_states=3)
+        rep = _pruned_matches_unpruned(monkeypatch, s, (0,))
+        assert rep.contains_ray(theta)
+    for i in range(20):
+        dims, group = (((3, 3), (0,)), ((3, 2, 2), (1, 2)))[i % 2]
+        s = random_product_set(rng, dims, 4)
+        _pruned_matches_unpruned(monkeypatch, s, group)
+
+
+def test_pruning_closes_most_domino_ab_patterns(monkeypatch, domino):
+    real_live = opsolve._live_patterns
+    sizes = []
+
+    def spy(cmats, k):
+        live = real_live(cmats, k)
+        sizes.append((len(live), 2 ** k - 1))
+        return live
+
+    monkeypatch.setattr(opsolve, "_live_patterns", spy)
+    clear_caches()
+    rep = rank1_op_directions(domino, (0, 1))
+    clear_caches()
+    assert sizes == [(31, 511)]
+    assert rep.none_found is None and not rep.unresolved
