@@ -17,16 +17,16 @@ from typing import Sequence
 
 from .exact import Scalar, Vec, vectors_rank
 from .indexing import GroupIndexer, digits_of, index_of
-from .measurements import (LocalPVM, PVM, Projector, apply,
-                           computational_support, is_trivial_for_set,
-                           preserves_orthogonality)
+from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
+                           is_trivial_for_set, preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
 from .protocols import (ProtocolTree, SearchConfig, execute_and_verify,
                         lpcc_search)
 from .statesets import (Partition, StateSet, check_mutual_orthogonality,
-                        is_locally_redundant, local_support_vectors,
-                        merge_parties, separability_degree)
+                        group_coordinates, is_locally_redundant,
+                        local_support_vectors, merge_parties,
+                        separability_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +424,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
         candidates = []
         supplied = (bounds.joint_candidates or {}).get(tuple(pair), [])
         candidates.extend(supplied)
-        coords = computational_support(s, pair)
-        eff = (len(coords) if coords is not None
-               else GroupIndexer(s.spec.dims, pair).group_dim)
+        eff = len(group_coordinates(s, pair))
         if eff <= bounds.max_exact_dim:
             candidates.extend(_activation_order(s, enumerate_op_pvms(
                 s, tuple(pair), nontrivial_for_set=True,
@@ -459,10 +457,7 @@ def _activation_order(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]
     alive, so sort by total branch survivals descending."""
     keyed = []
     for lp in candidates:
-        idx = GroupIndexer(s.spec.dims, lp.group)
-        count = sum(1 for e in lp.pvm.elements for v in s.vectors()
-                    if not idx.apply_operator(e.mat, v).is_zero())
-        keyed.append((-count, len(lp.pvm), lp))
+        keyed.append((-branch_survivals(s, lp), len(lp.pvm), lp))
     keyed.sort(key=lambda t: t[:2])
     return [t[2] for t in keyed]
 
@@ -549,10 +544,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
         for block in part.blocks:
             supplied = (bounds.joint_candidates or {}).get(tuple(block), [])
             candidates.extend(supplied)
-            coords = computational_support(s, block)
-            eff = (len(coords) if coords is not None
-                   else GroupIndexer(s.spec.dims, block).group_dim)
-            if eff <= bounds.max_exact_dim:
+            if len(group_coordinates(s, block)) <= bounds.max_exact_dim:
                 candidates.extend(enumerate_op_pvms(
                     s, block, nontrivial_for_set=True,
                     max_exact_dim=bounds.max_exact_dim))

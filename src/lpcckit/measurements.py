@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 from .exact import (Mat, Scalar, Vec, ZERO, ONE, identity, inner, mat_mul,
                     mat_vec, nullspace, projector_onto, rank, vectors_rank)
 from .indexing import GroupIndexer, total_dim
-from .statesets import (Partition, PartySpec, StateSet, local_support_vectors,
-                        support_coordinates)
+from .statesets import Partition, PartySpec, StateSet, local_support_vectors
 
 
 class Projector:
@@ -270,29 +269,33 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
     """ok iff <psi_i| (P tensor I) |psi_j> = 0 for every element and pair.
 
     For projectors this single sesquilinear value equals the post-
-    measurement inner product, so no Gram recomputation is needed.
+    measurement inner product, so no Gram recomputation is needed. It is
+    summed over the rest indices where both states have a nonzero group
+    slice, so its cost follows the states' support, not the dimension.
     """
     lp.validate(s.spec)
     idx = GroupIndexer(s.spec.dims, lp.group)
-    vecs = s.vectors()
+    slices = [{r: u for r, u in enumerate(idx.local_vectors(v))
+               if not u.is_zero()} for v in s.vectors()]
     for outcome, e in enumerate(lp.pvm.elements):
-        images = [idx.apply_operator(e.mat, v) for v in vecs]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if not inner(vecs[i], images[j]).is_zero():
+        images = [{r: mat_vec(e.mat, u) for r, u in sl.items()}
+                  for sl in slices]
+        for i in range(len(slices)):
+            for j in range(i + 1, len(slices)):
+                acc = ZERO
+                for r, u in slices[i].items():
+                    if r in images[j]:
+                        acc = acc + inner(u, images[j][r])
+                if not acc.is_zero():
                     return OPVerdict(False, (outcome, i, j))
     return OPVerdict(True)
 
 
-def computational_support(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | None:
-    """The computational coordinates the group's joint local support
-    occupies, when they are fewer than the group dimension and that
-    support is exactly their span (so the problem compresses onto them);
-    None otherwise."""
-    coords = support_coordinates(s, group)
-    if coords is None or len(coords) == total_dim([s.spec.dims[p] for p in group]):
-        return None
-    return coords
+def branch_survivals(s: StateSet, lp: LocalPVM) -> int:
+    """How many (outcome, state) pairs the measurement leaves nonzero."""
+    idx = GroupIndexer(s.spec.dims, lp.group)
+    return sum(1 for e in lp.pvm.elements for v in s.vectors()
+               if not idx.apply_operator(e.mat, v).is_zero())
 
 
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:

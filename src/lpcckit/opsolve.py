@@ -26,6 +26,7 @@ contradiction.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -36,9 +37,10 @@ from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
                     nullspace_with_free, rank, rref, vectors_rank)
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
-                           complement, computational_support,
-                           is_trivial_for_set, preserves_orthogonality)
-from .statesets import Partition, PartySpec, StateSet, local_support_vectors
+                           complement, is_trivial_for_set,
+                           preserves_orthogonality)
+from .statesets import (Partition, StateSet, group_coordinates,
+                        local_support_vectors)
 
 MAX_EXACT_DIM = 9
 
@@ -228,6 +230,14 @@ class SolutionReport:
     @property
     def is_none_found(self) -> bool:
         return self.none_found is not None
+
+    def copy(self) -> "SolutionReport":
+        """A report whose lists and dicts are the caller's own (solutions
+        and families are frozen, so they are shared)."""
+        return SolutionReport(self.group, list(self.solutions),
+                              list(self.families),
+                              copy.deepcopy(self.none_found),
+                              copy.deepcopy(self.unresolved), list(self.trace))
 
     def nontrivial_directions(self) -> list[Vec]:
         """Exact directions with a component on the joint local support
@@ -576,33 +586,30 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     """All rank-1 directions theta (up to phase/scale) with
     F_ij(theta) = 0 for every pair, via exact support-pattern case split.
 
-    When the joint local support sits on a proper subset of computational
-    coordinates, the solve happens in that compressed space: directions
-    decompose as (support part) + (free part orthogonal to every state),
-    and only the support part is constrained. Roots outside Q(i) are
-    reported as unresolved patterns, never as floating-point solutions.
+    The solve happens on the group's working coordinates
+    (`group_coordinates`): when the joint local support sits on a proper
+    subset of computational coordinates, directions decompose as (support
+    part) + (free part orthogonal to every state), and only the support
+    part is constrained. Roots outside Q(i) are reported as unresolved
+    patterns, never as floating-point solutions. The caller gets its own
+    copy of the stored report.
     """
     group = tuple(group)
     cache_key = ("rank1", group, max_exact_dim, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
-        return hit
+        return hit.copy()
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
-    idx = GroupIndexer(s.spec.dims, group)
-    d = idx.group_dim
+    d = GroupIndexer(s.spec.dims, group).group_dim
     report = SolutionReport(group=group)
 
-    compressed = computational_support(s, group)
-    if compressed is not None:
-        report.trace.append(
-            f"support compression to coordinates {compressed}")
-        if not compressed:
-            raise ValueError("state set has empty support on the group")
-        cm_small = [_restrict(c.mat, compressed) for c in cmats]
-        k = len(compressed)
-    else:
-        cm_small = [c.mat for c in cmats]
-        k = d
+    coords = group_coordinates(s, group)
+    if not coords:
+        raise ValueError("state set has empty support on the group")
+    k = len(coords)
+    if k < d:
+        report.trace.append(f"support compression to coordinates {coords}")
+    cm_small = [_restrict(c.mat, coords) for c in cmats]
 
     if k > max_exact_dim:
         report.unresolved.append(
@@ -618,13 +625,12 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
         if pattern not in live:
             continue
         sub = [_restrict(c, pattern) for c in cm_small]
+        on_group = tuple(coords[a] for a in pattern)
         for tag, payload in _recurse(sub, len(pattern), [], k + 2):
             if tag == "contradiction":
                 continue
             if tag == "solution":
-                theta = _lift(payload, pattern, k)
-                theta = _lift(theta, compressed, d) if compressed else theta
-                cv = theta.normalized_leading()
+                cv = _lift(payload, on_group, d).normalized_leading()
                 if cv.entries in seen:
                     continue
                 seen.add(cv.entries)
@@ -633,25 +639,24 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                         "solver emitted a direction failing re-verification")
                 report.solutions.append(RaySolution(vector=cv))
             elif tag == "family":
-                fam = _lift_family(payload, pattern, k, compressed, d)
-                report.families.append(fam)
+                report.families.append(_lift_family(payload, on_group, d))
             elif tag == "unresolved":
                 report.unresolved.append(
                     {"reason": payload, "pattern": [int(x) for x in pattern]})
 
-    if compressed is not None:
-        ann = tuple(basis_vec(d, a) for a in range(d) if a not in compressed)
+    if k < d:
+        ann = tuple(basis_vec(d, a) for a in range(d) if a not in coords)
         report.families.append(Family(kind="subspace", basis=ann,
                                       annihilating=True))
         report.trace.append(
-            f"{d - len(compressed)}-dimensional annihilating subspace off the support")
+            f"{d - k}-dimensional annihilating subspace off the support")
 
     report.families = _dedupe_families(report.families)
     if (not report.solutions and not report.families
             and not report.unresolved):
         report.none_found = {"method": "exact-case-split",
                              "patterns": 2 ** k - 1}
-    return _cache_put(cache_key, report)
+    return _cache_put(cache_key, report).copy()
 
 
 def _support_patterns(k: int):
@@ -723,8 +728,9 @@ def _restrict(c: Mat, coords: Sequence[int]) -> Mat:
     return Mat(tuple(c.entries[a][b] for b in coords) for a in coords)
 
 
-def _lift(v: Vec, coords: Sequence[int] | None, dim: int) -> Vec:
-    if coords is None or len(coords) == dim:
+def _lift(v: Vec, coords: Sequence[int], dim: int) -> Vec:
+    """Scatter v's entries to the (ascending) coordinates of a dim-space."""
+    if len(coords) == dim:
         return v
     out = [ZERO] * dim
     for x, a in zip(v.entries, coords):
@@ -732,12 +738,9 @@ def _lift(v: Vec, coords: Sequence[int] | None, dim: int) -> Vec:
     return Vec(out)
 
 
-def _lift_family(fam: Family, pattern, k: int, compressed, d: int) -> Family:
+def _lift_family(fam: Family, coords: Sequence[int], d: int) -> Family:
     def lift_vec(v: Vec | None) -> Vec | None:
-        if v is None:
-            return None
-        mid = _lift(v, pattern, k)
-        return _lift(mid, compressed, d) if compressed else mid
+        return None if v is None else _lift(v, coords, d)
 
     return Family(kind=fam.kind,
                   basis=tuple(lift_vec(b) for b in fam.basis),
@@ -812,44 +815,6 @@ def diagonal_op_subsets(s: StateSet, group: Sequence[int],
     return out
 
 
-def op_projector_pool(s: StateSet, group: Sequence[int], *,
-                      max_exact_dim: int = MAX_EXACT_DIM) -> tuple[list[Projector], SolutionReport]:
-    """Candidate orthogonality-preserving projectors: exact rank-1
-    directions (family representatives included) and diagonal subsets."""
-    group = tuple(group)
-    cmats = constraint_matrices(s, group)
-    report = rank1_op_directions(s, group, max_exact_dim=max_exact_dim,
-                                 _cmats=cmats)
-    idx = GroupIndexer(s.spec.dims, group)
-    d = idx.group_dim
-    pool: list[Projector] = []
-    seen: set = set()
-
-    def push(p: Projector):
-        if p.is_zero() or p.is_identity():
-            return
-        if p.mat.entries in seen:
-            return
-        seen.add(p.mat.entries)
-        pool.append(p)
-
-    for theta in report.nontrivial_directions():
-        push(Projector.from_ray(theta))
-    for fam in report.families:
-        if fam.annihilating and fam.basis:
-            push(Projector.from_span(list(fam.basis), d))
-    for sub in diagonal_op_subsets(s, group, _cmats=cmats):
-        push(Projector.diagonal(sub, d))
-    # keep only genuinely orthogonality-preserving elements (directions are
-    # verified already; diagonals were tested; this is a final guard)
-    verified = []
-    for p in pool:
-        value_ok = all(_g_value(c.mat, p).is_zero() for c in cmats)
-        if value_ok:
-            verified.append(p)
-    return verified, report
-
-
 def _g_value(c: Mat, p: Projector) -> Scalar:
     acc = ZERO
     for a, row in enumerate(p.mat.entries):
@@ -865,34 +830,53 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
                       nontrivial_for_set: bool = True,
                       max_pvms: int = 64,
                       max_exact_dim: int = MAX_EXACT_DIM) -> list[LocalPVM]:
-    """Nontrivial orthogonality-preserving PVMs on the group, assembled
-    from the projector pool; any orthogonal partial family completes with
-    its (automatically orthogonality-preserving) complement.
+    """Nontrivial orthogonality-preserving PVMs on the group, assembled on
+    the solver's working coordinates from a projector pool (exact rank-1
+    directions, family representatives included, and diagonal subsets);
+    any orthogonal partial family completes with its (automatically
+    orthogonality-preserving) complement. On a compressed support each
+    PVM is lifted to the whole group space, with the off-support
+    complement as one more outcome.
 
     Completeness is relative to the pool: PVMs whose rank-1 elements are
     solver directions and whose higher-rank elements are diagonal
-    projectors or complements of pool sums.
+    projectors or complements of pool sums. The caller gets its own copy
+    of the stored list.
     """
     group = tuple(group)
     cache_key = ("pvms", group, max_outcomes, nontrivial_for_set, max_pvms,
                  max_exact_dim, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
-        return hit
-    coords = computational_support(s, group)
-    if coords is not None:
-        small_pvms = enumerate_op_pvms(
-            _compressed_group_problem(s, group, coords), (0,),
-            max_outcomes=max_outcomes, nontrivial_for_set=nontrivial_for_set,
-            max_pvms=max_pvms, max_exact_dim=max_exact_dim)
-        return _cache_put(cache_key, [_lift_local_pvm(lp, coords, s, group)
-                                      for lp in small_pvms])
-    pool, report = op_projector_pool(s, group, max_exact_dim=max_exact_dim)
-    idx = GroupIndexer(s.spec.dims, group)
-    d = idx.group_dim
-    cap = max_outcomes if max_outcomes is not None else d
+        return list(hit)
+    cmats = constraint_matrices(s, group)
+    report = rank1_op_directions(s, group, max_exact_dim=max_exact_dim,
+                                 _cmats=cmats)
+    coords = group_coordinates(s, group)
+    k = len(coords)
+    d = GroupIndexer(s.spec.dims, group).group_dim
+    cap = max_outcomes if max_outcomes is not None else k
     if cap < 2:
         raise ValueError("max_outcomes must be at least 2")
+
+    small = [_restrict(c.mat, coords) for c in cmats]
+    at = {a: i for i, a in enumerate(coords)}
+    pool: list[Projector] = []
+    pooled: set = set()
+
+    def push(p: Projector):
+        if p.is_zero() or p.is_identity() or p.mat.entries in pooled:
+            return
+        pooled.add(p.mat.entries)
+        # directions are verified already and diagonals were tested; this
+        # is a final guard
+        if all(_g_value(c, p).is_zero() for c in small):
+            pool.append(p)
+
+    for theta in report.nontrivial_directions():
+        push(Projector.from_ray(Vec([theta.entries[a] for a in coords])))
+    for sub in diagonal_op_subsets(s, group, _cmats=cmats):
+        push(Projector.diagonal([at[a] for a in sub], k))
 
     assemblies: list[tuple[Projector, ...]] = []
     seen: set = set()
@@ -913,62 +897,46 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
         if len(assemblies) >= max_pvms:
             return
         if chosen:
-            if total_rank == d and len(chosen) <= cap:
+            if total_rank == k and len(chosen) <= cap:
                 emit(tuple(chosen))
             elif len(chosen) + 1 <= cap:
-                comp = complement(chosen, d)
+                comp = complement(chosen, k)
                 if not comp.is_zero():
                     emit(tuple(chosen) + (comp,))
         if len(chosen) >= cap:
             return
         for i in range(start, len(pool)):
             p = pool[i]
-            if total_rank + p.rank() > d:
+            if total_rank + p.rank() > k:
                 continue
             if all(p.orthogonal_to(q) for q in chosen):
                 extend(chosen + [p], total_rank + p.rank(), i + 1)
 
     extend([], 0, 0)
 
-    out: list[LocalPVM] = []
+    keyed = []
     for elements in assemblies:
         pvm = PVM(list(elements))
         if pvm.is_trivial():
             continue
-        lp = LocalPVM(pvm, group)
+        lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
         if nontrivial_for_set and is_trivial_for_set(lp, s):
             continue
         if not preserves_orthogonality(s, lp):
             continue
-        out.append(lp)
-    out.sort(key=lambda lp: (len(lp.pvm),
-                             tuple(sorted(_pvm_key(lp.pvm)))))
-    return _cache_put(cache_key, out)
+        keyed.append(((len(pvm), tuple(sorted(_pvm_key(pvm)))), lp))
+    keyed.sort(key=lambda t: t[0])
+    return list(_cache_put(cache_key, [lp for _, lp in keyed]))
 
 
-def _compressed_group_problem(s: StateSet, group: tuple[int, ...],
-                              coords: tuple[int, ...]) -> StateSet:
-    """Restate the problem as a two-party set (the group's computational
-    support coordinates x rest)."""
-    idx = GroupIndexer(s.spec.dims, group)
-    spec = PartySpec((len(coords), idx.rest_dim))
-    states = []
-    for label, v in s.states:
-        entries = []
-        for k in coords:
-            for r in range(idx.rest_dim):
-                entries.append(v.entries[idx.flat(k, r)])
-        states.append((label, Vec(entries)))
-    return StateSet(spec, states, provenance=f"{s.provenance}#compressed")
-
-
-def _lift_local_pvm(lp_small: LocalPVM, coords: tuple[int, ...],
-                    s: StateSet, group: tuple[int, ...]) -> LocalPVM:
-    """Scatter a compressed-group PVM back to the full group space; the
-    off-support complement is appended as an (all-annihilating) outcome."""
-    d = GroupIndexer(s.spec.dims, group).group_dim
+def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
+    """Scatter a PVM on the working coordinates to the whole group space;
+    off a compressed support, the complement is one more (all-
+    annihilating) outcome."""
+    if len(coords) == d:
+        return pvm
     lifted: list[Projector] = []
-    for e in lp_small.pvm.elements:
+    for e in pvm.elements:
         rows = [[ZERO] * d for _ in range(d)]
         for i, a in enumerate(coords):
             for j, b in enumerate(coords):
@@ -978,10 +946,7 @@ def _lift_local_pvm(lp_small: LocalPVM, coords: tuple[int, ...],
             span = tuple(_lift(v, coords, d) for v in e.span)
         lifted.append(Projector(Mat(tuple(tuple(r) for r in rows)),
                                 _validated=True, span=span))
-    rest = complement(lifted, d)
-    if not rest.is_zero():
-        lifted.append(rest)
-    return LocalPVM(PVM(lifted), group)
+    return PVM(lifted + [complement(lifted, d)])
 
 
 def _pvm_key(pvm: PVM):

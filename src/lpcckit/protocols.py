@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from .exact import Vec, gram_schmidt, inner, vectors_rank
 from .indexing import GroupIndexer
-from .measurements import (LocalPVM, PVM, Projector, apply, complement,
-                           preserves_orthogonality)
+from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
+                           complement, preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
 from .statesets import Partition, PartySpec, StateSet, local_support_vectors
@@ -490,23 +490,9 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
 def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:
     """Most informative first: fewest total survivals across outcomes,
     then fewer outcomes; deterministic tiebreak on the PVM itself."""
-    idx_cache: dict = {}
-
-    def survivals(lp: LocalPVM) -> int:
-        key = lp.group
-        if key not in idx_cache:
-            idx_cache[key] = GroupIndexer(s.spec.dims, lp.group)
-        idx = idx_cache[key]
-        count = 0
-        for e in lp.pvm.elements:
-            for v in s.vectors():
-                if not idx.apply_operator(e.mat, v).is_zero():
-                    count += 1
-        return count
-
     keyed = []
     for lp in candidates:
-        keyed.append((survivals(lp), len(lp.pvm),
+        keyed.append((branch_survivals(s, lp), len(lp.pvm),
                       tuple(tuple((x.re, x.im) for x in row)
                             for e in lp.pvm.elements for row in e.mat.entries),
                       lp))

@@ -596,6 +596,17 @@ def support_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | 
     return occupied if vectors_rank(support) == len(occupied) else None
 
 
+def group_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...]:
+    """The computational coordinates a problem on the group lives on: the
+    support coordinates when they span the joint local support, every
+    coordinate of the group otherwise. Directions off them annihilate
+    every state, so solvers and PVM assembly work on these alone."""
+    coords = support_coordinates(s, group)
+    if coords is None:
+        return tuple(range(total_dim([s.spec.dims[p] for p in group])))
+    return coords
+
+
 def local_support_indices(s: StateSet, party: int) -> tuple[int, ...]:
     """Computational-basis indices the set touches on one party."""
     out: set[int] = set()

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from lpcckit.exact import Mat, Scalar, Vec, identity, kron_mat, rank
+from lpcckit.exact import Mat, Scalar, Vec, identity, inner, kron_mat, rank
 from lpcckit.generators import random_orthogonal_set
-from lpcckit.indexing import index_of
+from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply, embed,
                                   is_trivial, is_trivial_for_set,
@@ -125,6 +125,43 @@ def test_preserves_witness_pair(s2):
 def test_preserves_trivial(s2):
     lp = LocalPVM(PVM([Projector.full(3)]), (0,))
     assert preserves_orthogonality(s2, lp)
+
+
+def _dense_preserves(s, lp):
+    """Reference: apply each element to every whole state vector and take
+    the inner product with every other state."""
+    idx = GroupIndexer(s.spec.dims, lp.group)
+    vecs = s.vectors()
+    for outcome, e in enumerate(lp.pvm.elements):
+        images = [idx.apply_operator(e.mat, v) for v in vecs]
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                if not inner(vecs[i], images[j]).is_zero():
+                    return False, (outcome, i, j)
+    return True, None
+
+
+def test_preservation_matches_dense_reference(s1, s2, union_s):
+    rng = random.Random(7)
+    sets = [s1, s2, union_s]
+    sets += [random_orthogonal_set(rng, (2, 3, 2), 4, complex_amps=True)
+             for _ in range(4)]
+    outcomes = set()
+    for s in sets:
+        n = s.spec.n_parties
+        for group in [(p,) for p in range(n)] + [(0, n - 1)]:
+            d = GroupIndexer(s.spec.dims, group).group_dim
+            rays = [Vec([Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+                         for _ in range(d)]) for _ in range(3)]
+            elements = [Projector.from_ray(v) for v in rays if not v.is_zero()]
+            elements += [Projector.diagonal([a], d) for a in range(min(d, 3))]
+            for p in elements:
+                lp = LocalPVM(PVM([p, p.complement()]), group)
+                verdict = preserves_orthogonality(s, lp)
+                want = _dense_preserves(s, lp)
+                assert (verdict.ok, verdict.witness) == want, (s.provenance, group)
+                outcomes.add(verdict.ok)
+    assert outcomes == {True, False}
 
 
 def test_is_trivial():

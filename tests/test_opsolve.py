@@ -4,10 +4,13 @@ import itertools
 import random
 from collections import OrderedDict
 
-from lpcckit.exact import Scalar, Vec, inner, tensor
+from lpcckit.exact import Mat, Scalar, Vec, ZERO, inner, tensor
 from lpcckit.generators import (planted_direction_set, random_orthogonal_set,
                                 random_product_set)
-from lpcckit.measurements import LocalPVM, PVM, Projector, preserves_orthogonality
+from lpcckit.indexing import GroupIndexer
+from lpcckit.kets import parse_pvm
+from lpcckit.measurements import (LocalPVM, PVM, Projector, apply, complement,
+                                  preserves_orthogonality)
 from lpcckit import opsolve
 from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              diagonal_op_subsets, enumerate_op_pvms,
@@ -15,7 +18,8 @@ from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              rank1_op_directions)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
-                               sets_equal_up_to_relabeling)
+                               group_coordinates, sets_equal_up_to_relabeling,
+                               support_coordinates)
 
 
 def ray(*xs):
@@ -235,7 +239,21 @@ def test_runs_without_numpy():
     assert done.returncode == 0, done.stderr.decode()
 
 
-def test_relabelled_rescaled_copy_reuses_stored_report(s2):
+def _count_solves(monkeypatch) -> list:
+    """Record every rank-1 solve (each one walks the support patterns);
+    a call served from the result store records nothing."""
+    solves = []
+    real_live = opsolve._live_patterns
+
+    def spy(cmats, k):
+        solves.append(k)
+        return real_live(cmats, k)
+
+    monkeypatch.setattr(opsolve, "_live_patterns", spy)
+    return solves
+
+
+def test_relabelled_rescaled_copy_reuses_stored_report(monkeypatch, s2):
     rng = random.Random(11)
     states = list(s2.states)
     rng.shuffle(states)
@@ -244,27 +262,50 @@ def test_relabelled_rescaled_copy_reuses_stored_report(s2):
                               for label, v in states])
     assert sets_equal_up_to_relabeling(copy, s2)
     original = rank1_op_directions(s2, (2,))
-    assert rank1_op_directions(copy, (2,)) is original
+    solves = _count_solves(monkeypatch)
+    assert rank1_op_directions(copy, (2,)) == original
+    assert solves == []
 
 
 def test_result_store_is_one_bounded_lru(monkeypatch):
     monkeypatch.setattr(opsolve, "_CACHE_CAP", 2)
     monkeypatch.setattr(opsolve, "_RESULTS", OrderedDict())
+    solves = _count_solves(monkeypatch)
     spec = PartySpec((2, 2))
     s = StateSet(spec, [("a", tensor(Vec([1, 0]), Vec([1, 0]))),
                         ("b", tensor(Vec([1, 0]), Vec([0, 1]))),
                         ("c", tensor(Vec([0, 1]), Vec([1, 1])))])
     on_a = rank1_op_directions(s, (0,))
     on_b = rank1_op_directions(s, (1,))
-    assert rank1_op_directions(s, (0,)) is on_a     # on_b is now the oldest
+    assert len(solves) == 2
+    assert rank1_op_directions(s, (0,)) == on_a     # on_b is now the oldest
+    assert len(solves) == 2
     verdict = is_pvm_irreducible(s, Partition.trivial(2))
     assert verdict.status == "reducible"
     assert len(opsolve._RESULTS) == 2
     assert is_pvm_irreducible(s, Partition.trivial(2)) is verdict
-    assert rank1_op_directions(s, (0,)) is on_a
-    assert rank1_op_directions(s, (1,)) is not on_b
+    assert rank1_op_directions(s, (0,)) == on_a
+    assert len(solves) == 2
+    assert rank1_op_directions(s, (1,)) == on_b     # evicted, so solved again
+    assert len(solves) == 3
     clear_caches()
     assert len(opsolve._RESULTS) == 0
+
+
+def test_stored_results_are_not_shared_with_callers(s2):
+    clear_caches()
+    pvms = enumerate_op_pvms(s2, (2,))
+    assert pvms
+    pvms.clear()
+    assert len(enumerate_op_pvms(s2, (2,))) > 0
+    report = rank1_op_directions(s2, (2,))
+    want = report.to_json()
+    report.solutions.clear()
+    report.trace.append("changed by the caller")
+    again = rank1_op_directions(s2, (2,))
+    assert again.to_json() == want
+    again.unresolved.append({"reason": "changed by the caller"})
+    assert rank1_op_directions(s2, (2,)).to_json() == want
 
 
 def _pruned_matches_unpruned(monkeypatch, s, group):
@@ -341,3 +382,113 @@ def test_pruning_closes_most_domino_ab_patterns(monkeypatch, domino):
     clear_caches()
     assert sizes == [(31, 511)]
     assert rep.none_found is None and not rep.unresolved
+
+
+def _set_3x2():
+    """{|0>|0>, |1>|1>, |0>|1>} in 3x2: A's support is levels 0 and 1."""
+    return StateSet(PartySpec((3, 2)), [
+        ("a", tensor(Vec([1, 0, 0]), Vec([1, 0]))),
+        ("b", tensor(Vec([0, 1, 0]), Vec([0, 1]))),
+        ("c", tensor(Vec([1, 0, 0]), Vec([0, 1])))])
+
+
+def _restated_pvms(s, group, **kwargs):
+    """Reference for a compressed group: restate the group as a two-party
+    set (support coordinates x rest), enumerate its PVMs there, and
+    scatter each back, appending the off-support complement."""
+    coords = support_coordinates(s, group)
+    idx = GroupIndexer(s.spec.dims, group)
+    d = idx.group_dim
+    small = StateSet(PartySpec((len(coords), idx.rest_dim)), [
+        (label, Vec([v.entries[idx.flat(a, r)]
+                     for a in coords for r in range(idx.rest_dim)]))
+        for label, v in s.states])
+
+    def lift(v):
+        out = [ZERO] * d
+        for x, a in zip(v.entries, coords):
+            out[a] = x
+        return Vec(out)
+
+    out = []
+    for lp in enumerate_op_pvms(small, (0,), **kwargs):
+        lifted = []
+        for e in lp.pvm.elements:
+            rows = [[ZERO] * d for _ in range(d)]
+            for i, a in enumerate(coords):
+                for j, b in enumerate(coords):
+                    rows[a][b] = e.mat.entries[i][j]
+            span = None if e.span is None else tuple(lift(v) for v in e.span)
+            lifted.append(Projector(Mat(tuple(tuple(r) for r in rows)),
+                                    _validated=True, span=span))
+        rest = complement(lifted, d)
+        if not rest.is_zero():
+            lifted.append(rest)
+        out.append(LocalPVM(PVM(lifted), group))
+    return out
+
+
+def _pvm_cells(enumerate_fn, s, group, kwargs):
+    """Every PVM's group, element matrices and spans, in order; or the
+    error the enumeration raised."""
+    clear_caches()
+    try:
+        pvms = enumerate_fn(s, group, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return [(lp.group, [(e.mat.entries,
+                         None if e.span is None
+                         else tuple(v.entries for v in e.span))
+                        for e in lp.pvm.elements])
+            for lp in pvms]
+
+
+def _compressed_groups(s):
+    n = s.spec.n_parties
+    for size in range(1, n):
+        for group in itertools.combinations(range(n), size):
+            if (len(group_coordinates(s, group))
+                    < GroupIndexer(s.spec.dims, group).group_dim):
+                yield group
+
+
+def _random_compressed_sets():
+    # the first 20 seeds of this sweep whose support compresses on some group
+    for seed in (57, 98, 107, 143, 182, 292, 353, 357, 358, 401, 442, 622,
+                 641, 754, 774, 899, 1006, 1056, 1063, 1131):
+        rng = random.Random(seed)
+        dims = ((3, 2), (3, 3), (4, 2), (3, 2, 2), (4, 3))[seed % 5]
+        yield random_product_set(rng, dims, rng.randrange(3, 6))
+
+
+def test_compressed_pvms_match_restated_reference(s1, s2):
+    sets = [_set_3x2()]
+    for s, group, text in ((s1, (1,), "0;1"), (s2, (2,), "2;0,1"),
+                           (s2, (2,), "0-1;0+1,2"), (s2, (2,), "0+1;0-1,2")):
+        lp = LocalPVM(parse_pvm(text, [s.spec.dims[p] for p in group]), group)
+        sets += [br.states for _, br in sorted(apply(s, lp).items())
+                 if br.states is not None]
+    sets += list(_random_compressed_sets())
+    variants = ({}, {"max_outcomes": 2}, {"nontrivial_for_set": False},
+                {"max_pvms": 3})
+    problems = nonempty = 0
+    for s in sets:
+        for group in _compressed_groups(s):
+            problems += 1
+            for kwargs in variants:
+                got = _pvm_cells(enumerate_op_pvms, s, group, kwargs)
+                assert got == _pvm_cells(_restated_pvms, s, group, kwargs), \
+                    (s.provenance, group, kwargs)
+                nonempty += bool(got) and got[0] != "ValueError"
+    clear_caches()
+    assert problems == 40 and nonempty >= 100
+
+
+def test_compressed_pvms_reuse_the_stored_rank1_report():
+    s = _set_3x2()
+    clear_caches()
+    report = rank1_op_directions(s, (0,))
+    assert any(f.annihilating for f in report.families)
+    assert enumerate_op_pvms(s, (0,))
+    assert sum(1 for key in opsolve._RESULTS if key[0] == "rank1") == 1
+    clear_caches()
