@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .exact import Scalar, Vec, vectors_rank
@@ -162,7 +162,9 @@ class ActivationError(Exception):
 def _cached_redundancy(s: StateSet):
     key = ("redundancy", s.ray_key)
     hit = _cache_get(key)
-    return hit if hit is not None else _cache_put(key, is_locally_redundant(s))
+    if hit is None:
+        hit = _cache_put(key, is_locally_redundant(s))
+    return replace(hit)
 
 
 def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,

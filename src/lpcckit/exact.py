@@ -10,52 +10,90 @@ Index convention for tensors: leftmost factor is slowest (row-major).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
 
 class Scalar:
-    """Complex number with exact rational real/imaginary parts."""
+    """Complex number with exact rational real/imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as three ints (a, b, d) with value (a + b*i)/d, d > 0 and
+    gcd(a, b, d) = 1. The form is canonical, so equality compares the
+    triples, and all arithmetic is plain int arithmetic; Gaussian
+    integers (d = 1) skip the gcd.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            if d == 1:
+                return _mk(a + c, b + e, 1)
+            return _reduced(a + c, b + e, d)
+        g = gcd(d, f)
+        if g == 1:
+            # coprime denominators leave the sum in canonical form
+            return _mk(a * f + c * d, b * f + e * d, d * f)
+        d, f = d // g, f // g
+        return _reduced(a * f + c * d, b * f + e * d, d * f * g)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        return self + _mk(-other._a, -other._b, other._d)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _mk(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == 1 and f == 1:
+            return _mk(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        c, e, f = other._a, other._b, other._d
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b, d = self._a, self._b, self._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _mk(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def norm2(self) -> Fraction:
         """|z|^2, always a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def inv(self) -> "Scalar":
         return ONE / self
@@ -63,31 +101,55 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
 
     def to_quad(self) -> list:
         """[re_num, re_den, im_num, im_den] for JSON round-trips."""
-        return [self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator]
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        return [a // g, d // g, b // h, d // h]
 
     @staticmethod
     def from_quad(q: Sequence[int]) -> "Scalar":
         return Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3]))
 
 
+_new = object.__new__
+
+
+def _mk(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d, which must already be canonical."""
+    z = _new(Scalar)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d for any d > 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _mk(a, b, d)
+    return _mk(a // g, b // g, d // g)
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
+_add, _sub, _neg, _conj = Scalar.__add__, Scalar.__sub__, Scalar.__neg__, Scalar.conj
 
 
 def sc(x) -> Scalar:
@@ -97,13 +159,42 @@ def sc(x) -> Scalar:
     return Scalar(x)
 
 
+def _coerced(entries: Iterable) -> tuple:
+    """entries as a tuple of Scalars; sc() runs only if one is not yet."""
+    t = tuple(entries)
+    if set(map(type, t)) <= {Scalar}:
+        return t
+    return tuple(map(sc, t))
+
+
+def _nonzeros(entries: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
+    return [(j, y) for j, y in enumerate(entries) if y._a or y._b]
+
+
+def _wrap(cls, entries: tuple):
+    """A Vec or Mat around entries (rows of) Scalars built by this module,
+    skipping the coercion and checks of the public constructors."""
+    obj = _new(cls)
+    obj.entries = entries
+    return obj
+
+
+def sort_keys(mats: Sequence["Mat"]) -> list[tuple]:
+    """Each matrix as rows of integer (re, im) pairs over one denominator
+    shared by all of them: these keys compare exactly as the matrices'
+    rows of rational (re, im) pairs would."""
+    den = lcm(*{x._d for m in mats for row in m.entries for x in row})
+    return [tuple(tuple((x._a * (den // x._d), x._b * (den // x._d))
+                        for x in row) for row in m.entries) for m in mats]
+
+
 class Vec:
     """Dense exact vector."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        self.entries = tuple(sc(e) for e in entries)
+        self.entries = _coerced(entries)
         if len(self.entries) < 1:
             raise ValueError("Vec needs at least one entry")
 
@@ -130,31 +221,30 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         _check_dim(self, other)
-        return Vec(a + b for a, b in zip(self.entries, other.entries))
+        return _wrap(Vec, tuple(map(_add, self.entries, other.entries)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         _check_dim(self, other)
-        return Vec(a - b for a, b in zip(self.entries, other.entries))
+        return _wrap(Vec, tuple(map(_sub, self.entries, other.entries)))
 
     def __neg__(self) -> "Vec":
-        return Vec(-a for a in self.entries)
+        return _wrap(Vec, tuple(map(_neg, self.entries)))
 
     def scale(self, c: Scalar) -> "Vec":
-        c = sc(c)
-        return Vec(c * a for a in self.entries)
+        return _wrap(Vec, tuple(map(sc(c).__mul__, self.entries)))
 
     def conj(self) -> "Vec":
-        return Vec(a.conj() for a in self.entries)
+        return _wrap(Vec, tuple(map(_conj, self.entries)))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.entries)
+        return not any(a._a or a._b for a in self.entries)
 
     def norm2(self) -> Fraction:
         """<v|v> as a rational."""
-        return sum((a.norm2() for a in self.entries), Fraction(0))
+        return inner(self, self).re
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.entries) if not a.is_zero())
+        return tuple(i for i, a in enumerate(self.entries) if a._a or a._b)
 
     def normalized_leading(self) -> "Vec":
         """Scale so the first nonzero entry is 1 (canonical ray form)."""
@@ -173,7 +263,7 @@ class Mat:
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.entries = tuple(tuple(sc(e) for e in row) for row in rows)
+        self.entries = tuple(map(_coerced, rows))
         if not self.entries or not self.entries[0]:
             raise ValueError("Mat needs at least one row and column")
         w = len(self.entries[0])
@@ -201,20 +291,20 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         _check_shape(self, other)
-        return Mat(tuple(a + b for a, b in zip(r1, r2))
-                   for r1, r2 in zip(self.entries, other.entries))
+        return _wrap(Mat, tuple(tuple(map(_add, r1, r2))
+                                for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         _check_shape(self, other)
-        return Mat(tuple(a - b for a, b in zip(r1, r2))
-                   for r1, r2 in zip(self.entries, other.entries))
+        return _wrap(Mat, tuple(tuple(map(_sub, r1, r2))
+                                for r1, r2 in zip(self.entries, other.entries)))
 
     def scale(self, c: Scalar) -> "Mat":
-        c = sc(c)
-        return Mat(tuple(c * a for a in row) for row in self.entries)
+        mul = sc(c).__mul__
+        return _wrap(Mat, tuple(tuple(map(mul, row)) for row in self.entries))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
+        return not any(a._a or a._b for row in self.entries for a in row)
 
     def first_nonzero(self) -> tuple[int, int]:
         """(row, column) of the first nonzero entry in row-major order."""
@@ -225,18 +315,17 @@ class Mat:
         raise ValueError("zero matrix")
 
     def row(self, i: int) -> Vec:
-        return Vec(self.entries[i])
+        return _wrap(Vec, self.entries[i])
 
     def col(self, j: int) -> Vec:
-        return Vec(r[j] for r in self.entries)
+        return _wrap(Vec, tuple(r[j] for r in self.entries))
 
     def conj_transpose(self) -> "Mat":
-        return Mat(tuple(self.entries[i][j].conj() for i in range(self.rows))
-                   for j in range(self.cols))
+        return _wrap(Mat, tuple(tuple(map(_conj, col))
+                                for col in zip(*self.entries)))
 
     def transpose(self) -> "Mat":
-        return Mat(tuple(self.entries[i][j] for i in range(self.rows))
-                   for j in range(self.cols))
+        return _wrap(Mat, tuple(zip(*self.entries)))
 
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
@@ -267,7 +356,7 @@ def inner(u: Vec, v: Vec) -> Scalar:
     _check_dim(u, v)
     acc = ZERO
     for a, b in zip(u.entries, v.entries):
-        if not a.is_zero() and not b.is_zero():
+        if (a._a or a._b) and (b._a or b._b):
             acc = acc + a.conj() * b
     return acc
 
@@ -279,7 +368,7 @@ def tensor(*vecs: Vec) -> Vec:
     out = list(vecs[0].entries)
     for v in vecs[1:]:
         out = [a * b for a in out for b in v.entries]
-    return Vec(out)
+    return _wrap(Vec, tuple(out))
 
 
 def kron_mat(*mats: Mat) -> Mat:
@@ -294,44 +383,47 @@ def kron_mat(*mats: Mat) -> Mat:
                 rows.append(tuple(acc.entries[i1][j1] * m.entries[i2][j2]
                                   for j1 in range(acc.cols)
                                   for j2 in range(m.cols)))
-        acc = Mat(rows)
+        acc = _wrap(Mat, tuple(rows))
     return acc
 
 
 def outer(u: Vec, v: Vec) -> Mat:
     """|u><v|, so entry (i, j) = u_i * conj(v_j)."""
-    cv = [b.conj() for b in v.entries]
-    return Mat(tuple(a * b for b in cv) for a in u.entries)
+    cv = tuple(map(_conj, v.entries))
+    return _wrap(Mat, tuple(tuple(map(a.__mul__, cv)) for a in u.entries))
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     if a.cols != v.dim:
         raise ValueError("shape mismatch in mat_vec")
+    nz = _nonzeros(v.entries)
     out = []
     for row in a.entries:
         acc = ZERO
-        for x, y in zip(row, v.entries):
-            if not x.is_zero() and not y.is_zero():
+        for j, y in nz:
+            x = row[j]
+            if x._a or x._b:
                 acc = acc + x * y
         out.append(acc)
-    return Vec(out)
+    return _wrap(Vec, tuple(out))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError("shape mismatch in mat_mul")
-    bt = list(zip(*b.entries))
+    bt = [_nonzeros(cb) for cb in zip(*b.entries)]
     rows = []
     for ra in a.entries:
         row = []
-        for cb in bt:
+        for nz in bt:
             acc = ZERO
-            for x, y in zip(ra, cb):
-                if not x.is_zero() and not y.is_zero():
+            for j, y in nz:
+                x = ra[j]
+                if x._a or x._b:
                     acc = acc + x * y
             row.append(acc)
         rows.append(tuple(row))
-    return Mat(rows)
+    return _wrap(Mat, tuple(rows))
 
 
 def identity(n: int) -> Mat:
@@ -354,12 +446,12 @@ def reshape(v: Vec, rows: int, cols: int) -> Mat:
     """View a flat vector as a rows x cols matrix (row index slowest)."""
     if rows * cols != v.dim:
         raise ValueError(f"cannot reshape dim {v.dim} into {rows}x{cols}")
-    return Mat(tuple(v.entries[r * cols + c] for c in range(cols))
-               for r in range(rows))
+    return _wrap(Mat, tuple(v.entries[r * cols:(r + 1) * cols]
+                            for r in range(rows)))
 
 
 def flatten(m: Mat) -> Vec:
-    return Vec(a for row in m.entries for a in row)
+    return _wrap(Vec, tuple(a for row in m.entries for a in row))
 
 
 def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
@@ -374,7 +466,8 @@ def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
     for c in range(n_cols):
         pivot_row = None
         for i in range(r, n_rows):
-            if not rows[i][c].is_zero():
+            x = rows[i][c]
+            if x._a or x._b:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -383,14 +476,14 @@ def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
         prow = rows[r]
         inv = ONE / prow[c]
         # columns left of c are zero in the pivot row
-        nz = [j for j in range(c, n_cols) if not prow[j].is_zero()]
+        nz = [j for j in range(c, n_cols) if prow[j]._a or prow[j]._b]
         for j in nz:
             prow[j] = prow[j] * inv
         for i in range(n_rows):
             row = rows[i]
-            if i == r or row[c].is_zero():
-                continue
             f = row[c]
+            if i == r or not (f._a or f._b):
+                continue
             for j in nz:
                 row[j] = row[j] - f * prow[j]
         pivots.append(c)
@@ -404,7 +497,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and pivot column list."""
     rows = [list(r) for r in a.entries]
     rows, pivots = _row_echelon(rows)
-    return Mat(tuple(r) for r in rows), pivots
+    return _wrap(Mat, tuple(map(tuple, rows))), pivots
 
 
 def rank(a: Mat) -> int:
@@ -430,20 +523,21 @@ def nullspace_with_free(a: Mat) -> tuple[list[Vec], list[int]]:
         x[fc] = ONE
         for r, pc in enumerate(pivots):
             x[pc] = -red.entries[r][fc]
-        basis.append(Vec(x))
+        basis.append(_wrap(Vec, tuple(x)))
     return basis, free
 
 
 def solve_linear(a: Mat, b: Vec) -> Vec | None:
     """One exact solution of a x = b, or None if inconsistent."""
-    aug = Mat(tuple(list(row) + [b.entries[i]]) for i, row in enumerate(a.entries))
+    aug = _wrap(Mat, tuple(row + (b.entries[i],)
+                           for i, row in enumerate(a.entries)))
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None
     x = [ZERO] * a.cols
     for r, pc in enumerate(pivots):
         x[pc] = red.entries[r][a.cols]
-    return Vec(x)
+    return _wrap(Vec, tuple(x))
 
 
 def vectors_rank(vecs: Sequence[Vec]) -> int:
@@ -470,7 +564,7 @@ def gram_schmidt(vecs: Sequence[Vec]) -> list[Vec]:
     for v in vecs:
         w = v
         for b in basis:
-            coeff = inner(b, w) / sc(b.norm2())
+            coeff = inner(b, w) / inner(b, b)
             w = w - b.scale(coeff)
         if not w.is_zero():
             basis.append(w)
@@ -482,5 +576,5 @@ def projector_onto(vecs: Sequence[Vec], dim: int) -> Mat:
     basis = gram_schmidt([v for v in vecs if not v.is_zero()])
     p = zero_mat(dim, dim)
     for b in basis:
-        p = p + outer(b, b).scale(ONE / sc(b.norm2()))
+        p = p + outer(b, b).scale(inner(b, b).inv())
     return p

@@ -34,11 +34,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
-                    nullspace_with_free, rank, rref, vectors_rank)
+                    nullspace_with_free, rank, rref, sort_keys, vectors_rank)
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
-                           complement, is_trivial_for_set,
-                           preserves_orthogonality)
+                           complement, preserves_orthogonality)
 from .statesets import (Partition, StateSet, group_coordinates,
                         local_support_vectors)
 
@@ -914,17 +913,25 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
 
     extend([], 0, 0)
 
-    keyed = []
+    # is_trivial_for_set, with the group's support and its rank built once
+    support = local_support_vectors(s, group)
+    flat = vectors_rank(support) <= 1
+    kept = []
     for elements in assemblies:
         pvm = PVM(list(elements))
         if pvm.is_trivial():
             continue
         lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
-        if nontrivial_for_set and is_trivial_for_set(lp, s):
+        if nontrivial_for_set and (flat or all(acts_as_scalar_on(e, support)
+                                               for e in lp.pvm.elements)):
             continue
         if not preserves_orthogonality(s, lp):
             continue
-        keyed.append(((len(pvm), tuple(sorted(_pvm_key(pvm)))), lp))
+        kept.append((pvm, lp))
+    # order by outcome count, then by the sorted element matrices
+    keys = iter(sort_keys([e.mat for pvm, _ in kept for e in pvm.elements]))
+    keyed = [((len(pvm), tuple(sorted(next(keys) for _ in pvm.elements))), lp)
+             for pvm, lp in kept]
     keyed.sort(key=lambda t: t[0])
     return list(_cache_put(cache_key, [lp for _, lp in keyed]))
 
@@ -949,11 +956,6 @@ def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
     return PVM(lifted + [complement(lifted, d)])
 
 
-def _pvm_key(pvm: PVM):
-    return tuple(tuple(tuple((x.re, x.im) for x in row) for row in e.mat.entries)
-                 for e in pvm.elements)
-
-
 @dataclass
 class IrreducibilityVerdict:
     status: str                       # irreducible | reducible | two-state | unknown
@@ -964,6 +966,12 @@ class IrreducibilityVerdict:
     @property
     def irreducible(self) -> bool:
         return self.status == "irreducible"
+
+    def copy(self) -> "IrreducibilityVerdict":
+        """A verdict whose dict and list are the caller's own (the
+        witness is frozen, so it is shared)."""
+        return IrreducibilityVerdict(self.status, self.witness,
+                                     dict(self.block_levels), list(self.trace))
 
     def to_json(self) -> dict:
         return {"status": self.status,
@@ -978,7 +986,8 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
     irreducibility, which in turn certifies indistinguishability).
 
     Two-state sets are never certified irreducible: any pair of orthogonal
-    states is distinguishable.
+    states is distinguishable. The caller gets its own copy of the stored
+    verdict.
     """
     if len(s) < 2:
         raise ValueError("irreducibility needs at least two states")
@@ -991,7 +1000,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
     cache_key = ("irr", p.blocks, max_exact_dim, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
-        return hit
+        return hit.copy()
     verdict = IrreducibilityVerdict(status="irreducible")
     for block in p.blocks:
         idx = GroupIndexer(s.spec.dims, block)
@@ -1031,7 +1040,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             verdict.status = "reducible"
             verdict.witness = lp
             verdict.trace.append(f"block {block}: nontrivial OP-PVM exists")
-            return _cache_put(cache_key, verdict)
+            return _cache_put(cache_key, verdict).copy()
         d = idx.group_dim
         if k == d and d <= 3:
             verdict.block_levels[block] = "complete"
@@ -1041,4 +1050,4 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             verdict.block_levels[block] = "rank1-diagonal"
         verdict.trace.append(f"block {block}: no nontrivial OP-PVM "
                              f"[{verdict.block_levels[block]}]")
-    return _cache_put(cache_key, verdict)
+    return _cache_put(cache_key, verdict).copy()

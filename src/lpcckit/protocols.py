@@ -20,7 +20,7 @@ preservation at each node and the claimed rule at each leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from .exact import Vec, gram_schmidt, inner, vectors_rank
+from .exact import Vec, gram_schmidt, inner, sort_keys, vectors_rank
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            complement, preserves_orthogonality)
@@ -82,6 +82,12 @@ class Verdict:
     def distinguishable(self) -> bool:
         return self.status == "distinguishable"
 
+    def copy(self) -> "Verdict":
+        """A verdict whose lists and dicts, the tree's included, are the
+        caller's own."""
+        cert = self.certificate.copy() if self.certificate is not None else None
+        return Verdict(self.status, _copy_tree(self.tree), cert, list(self.trace))
+
     def to_json(self) -> dict:
         out = {"status": self.status, "trace": self.trace}
         if self.tree is not None:
@@ -89,6 +95,13 @@ class Verdict:
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         return out
+
+
+def _copy_tree(tree: ProtocolTree | None) -> ProtocolTree | None:
+    if isinstance(tree, Node):
+        return Node(tree.group, tree.pvm,
+                    {o: _copy_tree(c) for o, c in tree.children.items()})
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +424,8 @@ def lpcc_search(s: StateSet, p: Partition, depth: int | None = None,
     terminal rules are the leaf rules of execute_and_verify. Returns an
     indistinguishability certificate when no block admits a nontrivial
     orthogonality-preserving PVM, and unknown when the bound bites.
-    Verdicts are memoized across calls (they depend only on exact data).
+    Verdicts are memoized across calls (they depend only on exact data);
+    the caller gets its own copy of the stored verdict.
     """
     cfg = config or SearchConfig()
     if depth is not None:
@@ -430,11 +444,11 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
     hit = _cache_get(key)
     # an unknown verdict is reused only if it was searched at least as deep
     if hit is not None and (hit[0].status != "unknown" or hit[1] >= depth):
-        return hit[0]
+        return hit[0].copy()
 
     def store(verdict: Verdict) -> Verdict:
         _cache_put(key, (verdict, depth))
-        return verdict
+        return verdict.copy()
 
     quick = _structural_leaf(s, p)
     if quick is not None:
@@ -490,11 +504,11 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
 def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:
     """Most informative first: fewest total survivals across outcomes,
     then fewer outcomes; deterministic tiebreak on the PVM itself."""
+    keys = iter(sort_keys([e.mat for lp in candidates for e in lp.pvm.elements]))
     keyed = []
     for lp in candidates:
         keyed.append((branch_survivals(s, lp), len(lp.pvm),
-                      tuple(tuple((x.re, x.im) for x in row)
-                            for e in lp.pvm.elements for row in e.mat.entries),
+                      tuple(row for _ in lp.pvm.elements for row in next(keys)),
                       lp))
     keyed.sort(key=lambda t: t[:3])
     return [t[3] for t in keyed]

@@ -124,7 +124,8 @@ class StateSet:
         """Canonical key of the set up to state order and nonzero
         per-state scalars: the dims plus the sorted rays, each ray
         scaled so its first nonzero entry is 1 and kept as its nonzero
-        (index, re, im) cells. Computed once; the states never change."""
+        cells: the index and the entry's canonical integer triple (a, b, d)
+        for (a + b*i)/d. Computed once; the states never change."""
         rays = []
         for v in self.vectors():
             cells = []
@@ -135,7 +136,7 @@ class StateSet:
                 if lead is None:
                     lead = ONE / a
                 x = a * lead
-                cells.append((i, x.re, x.im))
+                cells.append((i, x._a, x._b, x._d))
             rays.append(tuple(cells))
         return (self.spec.dims, tuple(sorted(rays)))
 

@@ -1,8 +1,23 @@
 """Command-line surface: exit codes, JSON reports, branch listings."""
 
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from lpcckit.cli import main
+
+# --json reports pinned byte for byte (elapsed_s aside), as the two-Fraction
+# kernel wrote them; a file changes only when its verdict is meant to
+GOLDEN = Path(__file__).with_name("golden")
+GOLDEN_COMMANDS = {
+    "theorem_3": "theorem 3",
+    "classify_S1": "classify --name S1",
+    "solve_pvms_S2_C": "solve pvms --name S2 --group C",
+    "solve_rank1_Domino_A": "solve rank1 --name Domino --group A",
+    "activate_S1_B_pvm_0_1": 'activate --name S1 --group B --pvm "0;1"',
+}
 
 
 def run(capsys, *argv):
@@ -133,3 +148,13 @@ def test_all_theorem_replays_green_and_timely(capsys):
     assert main(["lemma", "1", "--samples", "40"]) == 0
     capsys.readouterr()
     assert time.time() - t0 < 300.0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_json_report_matches_golden_file(capsys, name):
+    code, out = run(capsys, "--json", *shlex.split(GOLDEN_COMMANDS[name]))
+    data = json.loads(out)
+    assert data["exit_code"] == code
+    del data["elapsed_s"]
+    want = (GOLDEN / f"{name}.json").read_text()
+    assert json.dumps(data, indent=2) + "\n" == want

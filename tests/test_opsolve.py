@@ -1,5 +1,6 @@
 """Orthogonality-preserving measurement solver."""
 
+import copy
 import itertools
 import random
 from collections import OrderedDict
@@ -11,7 +12,7 @@ from lpcckit.indexing import GroupIndexer
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply, complement,
                                   preserves_orthogonality)
-from lpcckit import opsolve
+from lpcckit import activation, opsolve
 from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              diagonal_op_subsets, enumerate_op_pvms,
                              form_value, is_pvm_irreducible,
@@ -283,7 +284,8 @@ def test_result_store_is_one_bounded_lru(monkeypatch):
     verdict = is_pvm_irreducible(s, Partition.trivial(2))
     assert verdict.status == "reducible"
     assert len(opsolve._RESULTS) == 2
-    assert is_pvm_irreducible(s, Partition.trivial(2)) is verdict
+    assert is_pvm_irreducible(s, Partition.trivial(2)) == verdict
+    assert len(solves) == 2
     assert rank1_op_directions(s, (0,)) == on_a
     assert len(solves) == 2
     assert rank1_op_directions(s, (1,)) == on_b     # evicted, so solved again
@@ -306,6 +308,35 @@ def test_stored_results_are_not_shared_with_callers(s2):
     assert again.to_json() == want
     again.unresolved.append({"reason": "changed by the caller"})
     assert rank1_op_directions(s2, (2,)).to_json() == want
+
+
+def test_stored_verdicts_are_not_shared_with_callers(domino):
+    clear_caches()
+    both = Partition.trivial(2)
+    verdict = is_pvm_irreducible(domino, both)
+    want = copy.deepcopy(verdict.to_json())
+    assert want["trace"] and want["block_levels"]
+    verdict.trace.clear()
+    verdict.block_levels.clear()
+    assert is_pvm_irreducible(domino, both).to_json() == want
+
+    search = lpcc_search(domino, both, depth=2)
+    want = copy.deepcopy(search.to_json())
+    search.trace.append("changed by the caller")
+    search.certificate.trace.clear()
+    assert lpcc_search(domino, both, depth=2).to_json() == want
+
+    levels = [Vec([1, 0, 0]), Vec([0, 1, 0]), Vec([0, 0, 1])]
+    grid = StateSet(PartySpec((3, 3)), [(f"{i}{j}", tensor(levels[i], levels[j]))
+                                        for i in range(3) for j in range(3)])
+    search = lpcc_search(grid, both, depth=2)
+    want = copy.deepcopy(search.to_json())
+    search.tree.children.clear()
+    assert lpcc_search(grid, both, depth=2).to_json() == want
+
+    redundancy = activation._cached_redundancy(domino)
+    assert activation._cached_redundancy(domino) == redundancy
+    assert activation._cached_redundancy(domino) is not redundancy
 
 
 def _pruned_matches_unpruned(monkeypatch, s, group):
