@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
-                    nullspace_with_free, rank, rref, sort_keys, vectors_rank)
+from .exact import (ONE, Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
+                    nullspace_with_free, rank, rref, sort_keys, zero_vec)
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            complement, preserves_orthogonality)
 from .statesets import (Partition, StateSet, group_coordinates,
-                        local_support_vectors)
+                        group_support, local_support_vectors)
 
 MAX_EXACT_DIM = 9
 
@@ -633,7 +633,9 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                 if cv.entries in seen:
                     continue
                 seen.add(cv.entries)
-                if not _direction_ok(s, group, cv, cmats):
+                p = Projector.from_ray(cv)
+                if not preserves_orthogonality(
+                        s, LocalPVM(PVM([p, p.complement()]), group)):
                     raise AssertionError(
                         "solver emitted a direction failing re-verification")
                 report.solutions.append(RaySolution(vector=cv))
@@ -677,13 +679,8 @@ def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
     from the full set, removing coordinates in increasing order; since L_Q
     lies inside L_P when Q lies inside P, an empty L_P closes its subtree.
     """
-    rows = []
-    for c in cmats:
-        for row in ([x for r in c.entries for x in r],
-                    [c.entries[b][a].conj() for a in range(k) for b in range(k)]):
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    space = [v.entries for v in nullspace(Mat(rows or [[ZERO] * (k * k)]))]
+    cells = [(a, b) for a in range(k) for b in range(k)]
+    space = [v.entries for v in _operator_space(cmats, cells)]
     live: set[tuple[int, ...]] = set()
 
     def walk(pattern: tuple[int, ...], space: list, start: int) -> None:
@@ -699,6 +696,21 @@ def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
     if space:
         walk(tuple(range(k)), space, 0)
     return live
+
+
+def _operator_space(cmats: list[Mat], cells: Sequence[tuple[int, int]]
+                    ) -> list[Vec]:
+    """Basis of L on the unknowns E[a][b], (a, b) in cells, with every
+    other entry of E held at zero: sum E[a][b] C[a][b] = 0 and
+    sum E[a][b] conj(C[b][a]) = 0 for each pair matrix C."""
+    rows = []
+    for c in cmats:
+        e = c.entries
+        for row in ([e[a][b] for a, b in cells],
+                    [e[b][a].conj() for a, b in cells]):
+            if any(not x.is_zero() for x in row):
+                rows.append(row)
+    return nullspace(Mat(rows or [[ZERO] * len(cells)]))
 
 
 def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
@@ -766,62 +778,45 @@ def _dedupe_families(fams: list[Family]) -> list[Family]:
     return out
 
 
-def _direction_ok(s: StateSet, group: tuple[int, ...], theta: Vec,
-                  cmats: list[ConstraintMatrix]) -> bool:
-    if any(not form_value(c.mat, theta).is_zero() for c in cmats):
-        return False
-    p = Projector.from_ray(theta)
-    pvm = PVM([p, p.complement()])
-    return bool(preserves_orthogonality(s, LocalPVM(pvm, group)))
-
-
 # ---------------------------------------------------------------------------
 # PVM enumeration and irreducibility
 
-def diagonal_op_subsets(s: StateSet, group: Sequence[int],
-                        _cmats: list[ConstraintMatrix] | None = None,
-                        max_support: int = 12) -> list[tuple[int, ...]]:
-    """Computational-basis subsets (within the occupied support indices)
-    whose diagonal projector preserves orthogonality; the preservation
-    value of P_S is the S-diagonal sum of each constraint matrix.
+def diagonal_op_subsets(s: StateSet, group: Sequence[int]) -> list[tuple[int, ...]]:
+    """Computational-basis subsets S (within the occupied support indices,
+    short of the whole group space) whose diagonal projector P_S preserves
+    orthogonality, by size and then lexicographically.
 
     Indices off the joint support never change preservation or the action
-    on the set, so only occupied subsets are enumerated.
+    on the set, so only occupied indices are considered.
     """
     group = tuple(group)
-    cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
-    occupied = sorted({a for u in local_support_vectors(s, group)
-                       for a in u.support()})
-    if len(occupied) > max_support:
-        return []
-    group_dim = GroupIndexer(s.spec.dims, group).group_dim
-    diags = [[c.mat.entries[a][a] for a in occupied] for c in cmats]
+    return _diagonal_subsets(constraint_matrices(s, group),
+                             local_support_vectors(s, group),
+                             GroupIndexer(s.spec.dims, group).group_dim)
+
+
+def _diagonal_subsets(cmats: list[ConstraintMatrix], support: list[Vec],
+                      group_dim: int) -> list[tuple[int, ...]]:
+    """The 0/1 points of L restricted to diagonal operators on the
+    occupied indices. Its equations come in conjugate pairs, so its
+    reduced basis is rational, and each basis vector is 1 at its own free
+    unknown and 0 at the others: every 0/1 point is the sum of the basis
+    vectors whose free unknown it sets to 1."""
+    occupied = sorted({a for u in support for a in u.support()})
+    basis = _operator_space([c.mat for c in cmats], [(a, a) for a in occupied])
     out = []
-    for size in range(1, len(occupied) + 1):
-        for pick in itertools.combinations(range(len(occupied)), size):
-            ok = True
-            for dg in diags:
-                acc = ZERO
-                for a in pick:
-                    acc = acc + dg[a]
-                if not acc.is_zero():
-                    ok = False
-                    break
-            if ok:
-                sub = tuple(occupied[a] for a in pick)
-                if len(sub) < group_dim:
-                    out.append(sub)
-    return out
 
+    def walk(i: int, x: Vec) -> None:
+        if i < len(basis):
+            walk(i + 1, x)
+            walk(i + 1, x + basis[i])
+        elif all(e.is_zero() or e == ONE for e in x.entries):
+            sub = tuple(a for a, e in zip(occupied, x.entries) if e == ONE)
+            if 0 < len(sub) < group_dim:
+                out.append(sub)
 
-def _g_value(c: Mat, p: Projector) -> Scalar:
-    acc = ZERO
-    for a, row in enumerate(p.mat.entries):
-        crow = c.entries[a]
-        for b, x in enumerate(row):
-            if not x.is_zero() and not crow[b].is_zero():
-                acc = acc + x * crow[b]
-    return acc
+    walk(0, zero_vec(len(occupied)))
+    return sorted(out, key=lambda sub: (len(sub), sub))
 
 
 def enumerate_op_pvms(s: StateSet, group: Sequence[int],
@@ -851,31 +846,26 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     cmats = constraint_matrices(s, group)
     report = rank1_op_directions(s, group, max_exact_dim=max_exact_dim,
                                  _cmats=cmats)
-    coords = group_coordinates(s, group)
+    support, support_rank, coords = group_support(s, group)
     k = len(coords)
     d = GroupIndexer(s.spec.dims, group).group_dim
     cap = max_outcomes if max_outcomes is not None else k
     if cap < 2:
         raise ValueError("max_outcomes must be at least 2")
 
-    small = [_restrict(c.mat, coords) for c in cmats]
+    # every candidate lies in L already: solver rays were re-verified,
+    # family members solve every pair form, diagonals are points of L
     at = {a: i for i, a in enumerate(coords)}
+    candidates = [Projector.from_ray(Vec([theta.entries[a] for a in coords]))
+                  for theta in report.nontrivial_directions()]
+    candidates += [Projector.diagonal([at[a] for a in sub], k)
+                   for sub in _diagonal_subsets(cmats, support, d)]
     pool: list[Projector] = []
     pooled: set = set()
-
-    def push(p: Projector):
-        if p.is_zero() or p.is_identity() or p.mat.entries in pooled:
-            return
-        pooled.add(p.mat.entries)
-        # directions are verified already and diagonals were tested; this
-        # is a final guard
-        if all(_g_value(c, p).is_zero() for c in small):
+    for p in candidates:
+        if not (p.is_zero() or p.is_identity() or p.mat.entries in pooled):
+            pooled.add(p.mat.entries)
             pool.append(p)
-
-    for theta in report.nontrivial_directions():
-        push(Projector.from_ray(Vec([theta.entries[a] for a in coords])))
-    for sub in diagonal_op_subsets(s, group, _cmats=cmats):
-        push(Projector.diagonal([at[a] for a in sub], k))
 
     assemblies: list[tuple[Projector, ...]] = []
     seen: set = set()
@@ -913,9 +903,8 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
 
     extend([], 0, 0)
 
-    # is_trivial_for_set, with the group's support and its rank built once
-    support = local_support_vectors(s, group)
-    flat = vectors_rank(support) <= 1
+    # is_trivial_for_set, on the support and rank built above
+    flat = support_rank <= 1
     kept = []
     for elements in assemblies:
         pvm = PVM(list(elements))
@@ -926,7 +915,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
                                                for e in lp.pvm.elements)):
             continue
         if not preserves_orthogonality(s, lp):
-            continue
+            raise AssertionError("assembled PVM failed re-verification")
         kept.append((pvm, lp))
     # order by outcome count, then by the sorted element matrices
     keys = iter(sort_keys([e.mat for pvm, _ in kept for e in pvm.elements]))
@@ -1004,24 +993,25 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
     verdict = IrreducibilityVerdict(status="irreducible")
     for block in p.blocks:
         idx = GroupIndexer(s.spec.dims, block)
-        support = local_support_vectors(s, block)
-        k = vectors_rank(support)
+        support, k, _ = group_support(s, block)
         if k <= 1:
             verdict.block_levels[block] = "inert"
             verdict.trace.append(
                 f"block {block}: one-dimensional local support, no PVM can "
                 f"eliminate or distinguish")
             continue
-        # cheap witnesses first: diagonal subsets need only linear scans
+        # cheap witnesses first: the diagonal points of L
+        cmats = constraint_matrices(s, block)
         witness_p = None
-        for sub in diagonal_op_subsets(s, block):
+        for sub in _diagonal_subsets(cmats, support, idx.group_dim):
             cand = Projector.diagonal(sub, idx.group_dim)
             if not acts_as_scalar_on(cand, support):
                 witness_p = cand
                 break
         report = None
         if witness_p is None:
-            report = rank1_op_directions(s, block, max_exact_dim=max_exact_dim)
+            report = rank1_op_directions(s, block, max_exact_dim=max_exact_dim,
+                                         _cmats=cmats)
             if report.unresolved:
                 verdict.status = "unknown"
                 verdict.trace.append(f"block {block}: solver could not close "

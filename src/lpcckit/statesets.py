@@ -588,24 +588,30 @@ def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
     return out
 
 
+def group_support(s: StateSet, group: Sequence[int]
+                  ) -> tuple[list[Vec], int, tuple[int, ...]]:
+    """The group's support vectors, their exact rank, and the coordinates
+    a problem on the group lives on: the occupied ones when the support is
+    exactly their span, all of the group's otherwise. Directions off them
+    annihilate every state, so solvers and PVM assembly use these alone."""
+    support = local_support_vectors(s, group)
+    r = vectors_rank(support)
+    occupied = tuple(sorted({a for u in support for a in u.support()}))
+    if r == len(occupied):
+        return support, r, occupied
+    return support, r, tuple(range(total_dim([s.spec.dims[p] for p in group])))
+
+
 def support_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | None:
     """The computational coordinates the group's joint local support
-    occupies, when that support is exactly their span (checked by an exact
-    rank test); None otherwise."""
-    support = local_support_vectors(s, group)
-    occupied = tuple(sorted({a for u in support for a in u.support()}))
-    return occupied if vectors_rank(support) == len(occupied) else None
+    occupies, when that support is exactly their span; None otherwise."""
+    _, r, coords = group_support(s, group)
+    return coords if r == len(coords) else None
 
 
 def group_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...]:
-    """The computational coordinates a problem on the group lives on: the
-    support coordinates when they span the joint local support, every
-    coordinate of the group otherwise. Directions off them annihilate
-    every state, so solvers and PVM assembly work on these alone."""
-    coords = support_coordinates(s, group)
-    if coords is None:
-        return tuple(range(total_dim([s.spec.dims[p] for p in group])))
-    return coords
+    """The working coordinates of `group_support`."""
+    return group_support(s, group)[2]
 
 
 def local_support_indices(s: StateSet, party: int) -> tuple[int, ...]:

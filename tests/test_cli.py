@@ -17,6 +17,8 @@ GOLDEN_COMMANDS = {
     "solve_pvms_S2_C": "solve pvms --name S2 --group C",
     "solve_rank1_Domino_A": "solve rank1 --name Domino --group A",
     "activate_S1_B_pvm_0_1": 'activate --name S1 --group B --pvm "0;1"',
+    "theorem_5": "theorem 5",
+    "classify_S2_joint_BC": "classify --name S2 --joint BC",
 }
 
 

@@ -5,6 +5,8 @@ import itertools
 import random
 from collections import OrderedDict
 
+import pytest
+
 from lpcckit.exact import Mat, Scalar, Vec, ZERO, inner, tensor
 from lpcckit.generators import (planted_direction_set, random_orthogonal_set,
                                 random_product_set)
@@ -19,8 +21,8 @@ from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              rank1_op_directions)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
-                               group_coordinates, sets_equal_up_to_relabeling,
-                               support_coordinates)
+                               group_coordinates, local_support_vectors,
+                               sets_equal_up_to_relabeling, support_coordinates)
 
 
 def ray(*xs):
@@ -522,4 +524,103 @@ def test_compressed_pvms_reuse_the_stored_rank1_report():
     assert any(f.annihilating for f in report.families)
     assert enumerate_op_pvms(s, (0,))
     assert sum(1 for key in opsolve._RESULTS if key[0] == "rank1") == 1
+    clear_caches()
+
+
+def _scanned_subsets(s, group, _cmats=None, max_support=12):
+    """Reference: the subset scan diagonal_op_subsets ran before it walked
+    the 0/1 points of L restricted to the diagonal (kept verbatim)."""
+    group = tuple(group)
+    cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
+    occupied = sorted({a for u in local_support_vectors(s, group)
+                       for a in u.support()})
+    if len(occupied) > max_support:
+        return []
+    group_dim = GroupIndexer(s.spec.dims, group).group_dim
+    diags = [[c.mat.entries[a][a] for a in occupied] for c in cmats]
+    out = []
+    for size in range(1, len(occupied) + 1):
+        for pick in itertools.combinations(range(len(occupied)), size):
+            ok = True
+            for dg in diags:
+                acc = ZERO
+                for a in pick:
+                    acc = acc + dg[a]
+                if not acc.is_zero():
+                    ok = False
+                    break
+            if ok:
+                sub = tuple(occupied[a] for a in pick)
+                if len(sub) < group_dim:
+                    out.append(sub)
+    return out
+
+
+def _proper_groups(s):
+    n = s.spec.n_parties
+    for size in range(1, n):
+        yield from itertools.combinations(range(n), size)
+
+
+def test_diagonal_subsets_match_scanned_reference(s1, s2, domino, union_s):
+    problems = [(s, g) for s in (domino, s1, s2) for g in _proper_groups(s)]
+    problems += [(union_s, (p,)) for p in range(union_s.spec.n_parties)]
+    for s, group, text in ((s1, (1,), "0;1"), (s2, (2,), "2;0,1"),
+                           (s2, (2,), "0-1;0+1,2"), (s2, (2,), "0+1;0-1,2")):
+        lp = LocalPVM(parse_pvm(text, [s.spec.dims[p] for p in group]), group)
+        problems += [(br.states, g) for _, br in sorted(apply(s, lp).items())
+                     if br.states is not None for g in _proper_groups(br.states)]
+    rng = random.Random(7)
+    for i in range(40):
+        if i % 2:
+            dims, group = (((3, 3), (0,)), ((3, 2, 2), (1, 2)),
+                           ((2, 2, 2), (0, 1)))[i % 3]
+            problems.append((random_product_set(rng, dims, 4), group))
+        else:
+            s, _theta = planted_direction_set(rng, group_dim=3, n_states=3)
+            problems.append((s, (0,)))
+    found = 0
+    for s, group in problems:
+        d = GroupIndexer(s.spec.dims, group).group_dim
+        assert len({a for u in local_support_vectors(s, group)
+                    for a in u.support()}) <= 12
+        got = diagonal_op_subsets(s, group)
+        assert got == _scanned_subsets(s, group), (s.provenance, group)
+        for sub in got:
+            p = Projector.diagonal(sub, d)
+            assert preserves_orthogonality(s, LocalPVM(PVM([p, p.complement()]),
+                                                       group))
+        found += len(got)
+    assert len(problems) == 105 and found >= 700
+
+
+def test_diagonal_subsets_have_no_index_cap():
+    # 13 x 2 computational product set {|a>|0>}: every proper nonempty
+    # subset of A's levels is a diagonal orthogonality-preserving projector
+    s = StateSet(PartySpec((13, 2)), [
+        (str(a), tensor(Vec([int(b == a) for b in range(13)]), Vec([1, 0])))
+        for a in range(13)])
+    subs = diagonal_op_subsets(s, (0,))
+    assert len(subs) == 2 ** 13 - 2
+    assert subs[:2] == [(0,), (1,)] and subs[-1] == tuple(range(1, 13))
+    verdict = is_pvm_irreducible(s, Partition(((0,), (1,))))
+    assert verdict.status == "reducible"
+    assert verdict.witness.group == (0,)
+
+
+def test_assembled_pvm_failing_reverification_is_a_self_check(monkeypatch, s2):
+    # a ray outside L handed to the PVM assembly must not be dropped
+    # silently: the re-verification raises, and the CLI exits 70
+    from lpcckit.cli import main
+    from lpcckit.opsolve import RaySolution, SolutionReport
+
+    def broken(s, group, **kwargs):
+        return SolutionReport(group=tuple(group),
+                              solutions=[RaySolution(vector=ray(1, 2, 0))])
+
+    monkeypatch.setattr(opsolve, "rank1_op_directions", broken)
+    clear_caches()
+    with pytest.raises(AssertionError, match="re-verification"):
+        enumerate_op_pvms(s2, (2,))
+    assert main(["--json", "solve", "pvms", "--name", "S2", "--group", "C"]) == 70
     clear_caches()
