@@ -302,9 +302,9 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
     dims = s.spec.dims
     if len(dims) != 3 or dims[1] != 2 or dims[2] != 2:
         raise ValueError("expected a tripartite n x 2 x 2 system")
-    first = GroupIndexer(dims, (0,))
+    party_idx = [GroupIndexer(dims, (p,)) for p in range(3)]
     for label, v in s.states:
-        if first.factor(v) is None:
+        if party_idx[0].factor(v) is None:
             raise ValueError(f"state {label!r} is not biseparable across "
                              f"first party | rest")
     rng = random.Random(seed)
@@ -319,7 +319,6 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
     directions = directions[:max(probes, 6)]
     trace = []
     for party in (1, 2):
-        other = 2 if party == 1 else 1
         for theta in directions:
             proj = Projector.from_ray(theta)
             pvm = PVM([proj, proj.complement()])
@@ -328,7 +327,7 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
                 if br.states is None:
                     continue
                 for label, v in br.states.states:
-                    if not _fully_product_in(v, dims, (0,), (party,), (other,)):
+                    if any(idx.factor(v) is None for idx in party_idx):
                         return Dim2NogoReport(
                             False, (1, 2), len(directions), 0,
                             [f"party {party}, direction {theta}: state "
@@ -337,10 +336,6 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
                      f"product sets in effective {dims[0]}x2 form")
     trace.append("activation, if any, can only come from the first party")
     return Dim2NogoReport(True, (1, 2), len(directions), 0, trace)
-
-
-def _fully_product_in(v: Vec, dims, *blocks) -> bool:
-    return all(GroupIndexer(dims, b).factor(v) is not None for b in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Mixed-radix index plumbing for multiparty tensors.
 
 A state over parties with local dimensions (d_0, ..., d_{n-1}) is a flat
-vector of length prod(d_p), leftmost party slowest. Helpers here decode,
-permute, embed and split such indices so the rest of the package never
-does stride arithmetic by hand.
+vector of length prod(d_p), leftmost party slowest. A `GroupIndexer`'s
+`cells` table is the one index map: `cells[r][g]` is the flat index with
+group digits g and rest digits r, and every slice, scatter, group
+operator, factorization, permutation and merge reads its rows. Moving
+digits into other local spaces is the one `relabel_digits`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exact import Mat, Vec, ZERO, mat_vec, rank
 
@@ -39,15 +41,33 @@ def total_dim(dims: Sequence[int]) -> int:
     return t
 
 
+def _offsets(dims: Sequence[int], parties: Sequence[int]) -> list[int]:
+    """Flat offset of every digit tuple of `parties` in their listed
+    order (first slowest), expanded one party's stride at a time."""
+    st = strides(dims)
+    out = [0]
+    for p in parties:
+        out = [o + x * st[p] for o in out for x in range(dims[p])]
+    return out
+
+
 def permute_axes(v: Vec, dims: Sequence[int], perm: Sequence[int]) -> Vec:
     """Reorder parties: new party p is old party perm[p]."""
-    new_dims = [dims[p] for p in perm]
-    out = [ZERO] * v.dim
-    for i, amp in enumerate(v.entries):
-        if amp.is_zero():
-            continue
-        d = digits_of(i, dims)
-        out[index_of([d[p] for p in perm], new_dims)] = amp
+    return GroupIndexer(dims, perm).local_vectors(v)[0]
+
+
+def relabel_digits(v: Vec, dims: Sequence[int], new_dims: Sequence[int],
+                   maps: Sequence[Mapping[int, int]]) -> Vec:
+    """Move party p's digit x to maps[p][x] in the new local dimensions.
+    Amplitudes on digits a map leaves out are dropped."""
+    old_st, new_st = strides(dims), strides(new_dims)
+    moves = [(0, 0)]
+    for p, m in enumerate(maps):
+        moves = [(o + x * old_st[p], n + y * new_st[p])
+                 for o, n in moves for x, y in m.items()]
+    out = [ZERO] * total_dim(new_dims)
+    for o, n in moves:
+        out[n] = v.entries[o]
     return Vec(out)
 
 
@@ -57,13 +77,9 @@ def embed_with_offsets(v: Vec, old_dims: Sequence[int], new_dims: Sequence[int],
     for od, nd, off in zip(old_dims, new_dims, offsets):
         if off < 0 or off + od > nd:
             raise ValueError("offset pushes digits outside the new local space")
-    out = [ZERO] * total_dim(new_dims)
-    for i, amp in enumerate(v.entries):
-        if amp.is_zero():
-            continue
-        d = digits_of(i, old_dims)
-        out[index_of([x + off for x, off in zip(d, offsets)], new_dims)] = amp
-    return Vec(out)
+    return relabel_digits(v, old_dims, new_dims,
+                          [{x: x + off for x in range(od)}
+                           for od, off in zip(old_dims, offsets)])
 
 
 class GroupIndexer:
@@ -86,58 +102,38 @@ class GroupIndexer:
         self.rest_dims = tuple(dims[p] for p in self.rest)
         self.group_dim = total_dim(self.group_dims)
         self.rest_dim = total_dim(self.rest_dims)
-        st = strides(dims)
-        g_str = [st[p] for p in group]
-        r_str = [st[p] for p in self.rest]
-        # flat[g][r] = global index with group digits g and rest digits r
-        g_offsets = []
-        for g in range(self.group_dim):
-            gd = digits_of(g, self.group_dims) if group else ()
-            g_offsets.append(sum(x * s for x, s in zip(gd, g_str)))
-        r_offsets = []
-        for r in range(self.rest_dim):
-            rd = digits_of(r, self.rest_dims) if self.rest else ()
-            r_offsets.append(sum(x * s for x, s in zip(rd, r_str)))
-        self._g_offsets = g_offsets
-        self._r_offsets = r_offsets
+        g_offsets = _offsets(dims, group)
+        # cells[r][g] = global index with group digits g and rest digits r
+        self.cells = [[r + g for g in g_offsets] for r in _offsets(dims, self.rest)]
 
     def flat(self, g: int, r: int) -> int:
-        return self._g_offsets[g] + self._r_offsets[r]
+        return self.cells[r][g]
 
     def local_vectors(self, v: Vec) -> list[Vec]:
         """Group-side slices u^r: u^r[g] = v[flat(g, r)], one per rest index."""
-        out = []
-        for r in range(self.rest_dim):
-            out.append(Vec([v.entries[self.flat(g, r)] for g in range(self.group_dim)]))
-        return out
+        e = v.entries
+        return [Vec([e[i] for i in row]) for row in self.cells]
 
     def assemble(self, slices: Sequence[Vec]) -> Vec:
         out = [ZERO] * (self.group_dim * self.rest_dim)
-        for r, u in enumerate(slices):
-            for g in range(self.group_dim):
-                out[self.flat(g, r)] = u.entries[g]
+        for row, u in zip(self.cells, slices):
+            for i, x in zip(row, u.entries):
+                out[i] = x
         return Vec(out)
 
     def apply_operator(self, op: Mat, v: Vec) -> Vec:
         """(op on group) tensor (identity on rest) applied to v."""
         if op.rows != self.group_dim or op.cols != self.group_dim:
             raise ValueError("operator does not match group dimension")
-        out = [ZERO] * v.dim
-        for r in range(self.rest_dim):
-            sub = Vec([v.entries[self.flat(g, r)] for g in range(self.group_dim)])
-            if sub.is_zero():
-                continue
-            image = mat_vec(op, sub)
-            for g in range(self.group_dim):
-                out[self.flat(g, r)] = image.entries[g]
-        return Vec(out)
+        return self.assemble([u if u.is_zero() else mat_vec(op, u)
+                              for u in self.local_vectors(v)])
 
     def factor(self, v: Vec) -> tuple[Vec, Vec] | None:
         """(group factor, rest factor) when v is a product across
         group | rest, else None; their tensor product is a nonzero
         multiple of v."""
-        m = Mat(tuple(v.entries[self.flat(g, r)] for r in range(self.rest_dim))
-                for g in range(self.group_dim))
+        e = v.entries
+        m = Mat(zip(*([e[i] for i in row] for row in self.cells)))
         if rank(m) != 1:
             return None
         g0, r0 = m.first_nonzero()

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import Scalar, Vec, ZERO, identity
+from .exact import Scalar, Vec, ZERO
 from .indexing import index_of, total_dim
-from .measurements import PVM, Projector
+from .measurements import PVM, Projector, complement
 
 
 def parse_ket(text: str, dims: Sequence[int]) -> Vec:
@@ -76,9 +76,9 @@ def parse_pvm(text: str, dims: Sequence[int]) -> PVM:
         vecs = [parse_ket(k, dims) for k in part.split(",")]
         elements.append(Projector.from_span(vecs, dim))
     if tilde_at is not None:
-        total = identity(dim)
-        for e in elements:
-            if e is not None:
-                total = total - e.mat
-        elements[tilde_at] = Projector(total)
+        listed = [e for e in elements if e is not None]
+        if any(not p.orthogonal_to(q) for i, p in enumerate(listed)
+               for q in listed[i + 1:]):
+            raise ValueError("elements listed with '~' are not mutually orthogonal")
+        elements[tilde_at] = complement(listed or [Projector.zero(dim)], dim)
     return PVM([e for e in elements if e is not None])

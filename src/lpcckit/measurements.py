@@ -210,12 +210,11 @@ def embed(lp: LocalPVM, spec: PartySpec) -> list[Mat]:
     out = []
     for e in lp.pvm.elements:
         rows = [[ZERO] * spec.total_dim for _ in range(spec.total_dim)]
-        for r in range(idx.rest_dim):
-            for g_out in range(idx.group_dim):
-                for g_in in range(idx.group_dim):
-                    val = e.mat.entries[g_out][g_in]
-                    if not val.is_zero():
-                        rows[idx.flat(g_out, r)][idx.flat(g_in, r)] = val
+        for cell in idx.cells:
+            for i, e_row in zip(cell, e.mat.entries):
+                row = rows[i]
+                for j, val in zip(cell, e_row):
+                    row[j] = val
         out.append(Mat(tuple(tuple(row) for row in rows)))
     return out
 
@@ -293,9 +292,7 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
 
 def branch_survivals(s: StateSet, lp: LocalPVM) -> int:
     """How many (outcome, state) pairs the measurement leaves nonzero."""
-    idx = GroupIndexer(s.spec.dims, lp.group)
-    return sum(1 for e in lp.pvm.elements for v in s.vectors()
-               if not idx.apply_operator(e.mat, v).is_zero())
+    return sum(len(br.states) for br in apply(s, lp).values() if br.states)
 
 
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:

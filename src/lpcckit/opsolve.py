@@ -31,11 +31,11 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import (ONE, Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
                     nullspace_with_free, rank, rref, sort_keys, zero_vec)
-from .indexing import GroupIndexer
+from .indexing import GroupIndexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            complement, preserves_orthogonality)
 from .statesets import (Partition, StateSet, group_coordinates,
@@ -599,7 +599,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     if hit is not None:
         return hit.copy()
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
-    d = GroupIndexer(s.spec.dims, group).group_dim
+    d = total_dim([s.spec.dims[p] for p in group])
     report = SolutionReport(group=group)
 
     coords = group_coordinates(s, group)
@@ -790,33 +790,36 @@ def diagonal_op_subsets(s: StateSet, group: Sequence[int]) -> list[tuple[int, ..
     on the set, so only occupied indices are considered.
     """
     group = tuple(group)
-    return _diagonal_subsets(constraint_matrices(s, group),
-                             local_support_vectors(s, group),
-                             GroupIndexer(s.spec.dims, group).group_dim)
+    return sorted(_diagonal_subsets(constraint_matrices(s, group),
+                                    local_support_vectors(s, group),
+                                    total_dim([s.spec.dims[p] for p in group])),
+                  key=_by_size)
+
+
+def _by_size(sub: tuple[int, ...]) -> tuple:
+    return len(sub), sub
 
 
 def _diagonal_subsets(cmats: list[ConstraintMatrix], support: list[Vec],
-                      group_dim: int) -> list[tuple[int, ...]]:
+                      group_dim: int) -> Iterator[tuple[int, ...]]:
     """The 0/1 points of L restricted to diagonal operators on the
-    occupied indices. Its equations come in conjugate pairs, so its
-    reduced basis is rational, and each basis vector is 1 at its own free
-    unknown and 0 at the others: every 0/1 point is the sum of the basis
-    vectors whose free unknown it sets to 1."""
+    occupied indices, yielded lazily in walk order. Its equations come in
+    conjugate pairs, so its reduced basis is rational, and each basis
+    vector is 1 at its own free unknown and 0 at the others: every 0/1
+    point is the sum of the basis vectors whose free unknown it sets to 1."""
     occupied = sorted({a for u in support for a in u.support()})
     basis = _operator_space([c.mat for c in cmats], [(a, a) for a in occupied])
-    out = []
 
-    def walk(i: int, x: Vec) -> None:
+    def walk(i: int, x: Vec) -> Iterator[tuple[int, ...]]:
         if i < len(basis):
-            walk(i + 1, x)
-            walk(i + 1, x + basis[i])
+            yield from walk(i + 1, x)
+            yield from walk(i + 1, x + basis[i])
         elif all(e.is_zero() or e == ONE for e in x.entries):
             sub = tuple(a for a, e in zip(occupied, x.entries) if e == ONE)
             if 0 < len(sub) < group_dim:
-                out.append(sub)
+                yield sub
 
-    walk(0, zero_vec(len(occupied)))
-    return sorted(out, key=lambda sub: (len(sub), sub))
+    yield from walk(0, zero_vec(len(occupied)))
 
 
 def enumerate_op_pvms(s: StateSet, group: Sequence[int],
@@ -848,7 +851,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
                                  _cmats=cmats)
     support, support_rank, coords = group_support(s, group)
     k = len(coords)
-    d = GroupIndexer(s.spec.dims, group).group_dim
+    d = total_dim([s.spec.dims[p] for p in group])
     cap = max_outcomes if max_outcomes is not None else k
     if cap < 2:
         raise ValueError("max_outcomes must be at least 2")
@@ -858,8 +861,8 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     at = {a: i for i, a in enumerate(coords)}
     candidates = [Projector.from_ray(Vec([theta.entries[a] for a in coords]))
                   for theta in report.nontrivial_directions()]
-    candidates += [Projector.diagonal([at[a] for a in sub], k)
-                   for sub in _diagonal_subsets(cmats, support, d)]
+    diagonals = sorted(_diagonal_subsets(cmats, support, d), key=_by_size)
+    candidates += [Projector.diagonal([at[a] for a in sub], k) for sub in diagonals]
     pool: list[Projector] = []
     pooled: set = set()
     for p in candidates:
@@ -992,7 +995,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
         return hit.copy()
     verdict = IrreducibilityVerdict(status="irreducible")
     for block in p.blocks:
-        idx = GroupIndexer(s.spec.dims, block)
+        d = total_dim([s.spec.dims[q] for q in block])
         support, k, _ = group_support(s, block)
         if k <= 1:
             verdict.block_levels[block] = "inert"
@@ -1003,8 +1006,8 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
         # cheap witnesses first: the diagonal points of L
         cmats = constraint_matrices(s, block)
         witness_p = None
-        for sub in _diagonal_subsets(cmats, support, idx.group_dim):
-            cand = Projector.diagonal(sub, idx.group_dim)
+        for sub in _diagonal_subsets(cmats, support, d):
+            cand = Projector.diagonal(sub, d)
             if not acts_as_scalar_on(cand, support):
                 witness_p = cand
                 break
@@ -1031,7 +1034,6 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             verdict.witness = lp
             verdict.trace.append(f"block {block}: nontrivial OP-PVM exists")
             return _cache_put(cache_key, verdict).copy()
-        d = idx.group_dim
         if k == d and d <= 3:
             verdict.block_levels[block] = "complete"
         elif k <= 3:

@@ -14,8 +14,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exact import ONE, Scalar, Vec, ZERO, inner, vectors_rank
-from .indexing import (GroupIndexer, digits_of, embed_with_offsets, index_of,
-                       permute_axes, total_dim)
+from .indexing import (GroupIndexer, embed_with_offsets, index_of, permute_axes,
+                       relabel_digits, total_dim)
 
 NAMED_SETS = ("S1", "S2", "S2prime", "S2doubleprime", "S1m", "S2m",
               "Domino", "UnionS")
@@ -258,20 +258,11 @@ def merge_parties(s: StateSet, p: Partition) -> StateSet:
     new_dims = tuple(total_dim([old_dims[q] for q in b]) for b in p.blocks)
     new_labels = tuple(p.block_label(s.spec, i) for i in range(p.n_blocks))
     new_spec = PartySpec(new_dims, new_labels)
-    block_dims = [tuple(old_dims[q] for q in b) for b in p.blocks]
-
-    def remap(v: Vec) -> Vec:
-        out = [ZERO] * v.dim
-        for i, amp in enumerate(v.entries):
-            if amp.is_zero():
-                continue
-            d = digits_of(i, old_dims)
-            new_digits = [index_of([d[q] for q in b], bd)
-                          for b, bd in zip(p.blocks, block_dims)]
-            out[index_of(new_digits, new_dims)] = amp
-        return Vec(out)
-
-    return StateSet(new_spec, [(l, remap(v)) for l, v in s.states],
+    # a merged block's digit is its parties' digits in listed order, so the
+    # merged flat index is the old one read with the parties block by block:
+    # the one slice of the permutation indexer (see `permute_axes`)
+    idx = GroupIndexer(old_dims, [q for b in p.blocks for q in b])
+    return StateSet(new_spec, [(l, idx.local_vectors(v)[0]) for l, v in s.states],
                     provenance=f"{s.provenance} merged {p.describe(s.spec)}")
 
 
@@ -562,17 +553,8 @@ def restrict_support(s: StateSet) -> StateSet:
     new_dims = tuple(len(k) for k in keeps)
     maps = [{old: new for new, old in enumerate(k)} for k in keeps]
     new_spec = PartySpec(new_dims, s.spec.labels)
-
-    def remap(v: Vec) -> Vec:
-        out = [ZERO] * new_spec.total_dim
-        for i, amp in enumerate(v.entries):
-            if amp.is_zero():
-                continue
-            d = digits_of(i, dims)
-            out[index_of([maps[p][d[p]] for p in range(len(dims))], new_dims)] = amp
-        return Vec(out)
-
-    return StateSet(new_spec, [(l, remap(v)) for l, v in s.states],
+    return StateSet(new_spec, [(l, relabel_digits(v, dims, new_dims, maps))
+                               for l, v in s.states],
                     provenance=f"{s.provenance}|support")
 
 
@@ -616,10 +598,5 @@ def group_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...]:
 
 def local_support_indices(s: StateSet, party: int) -> tuple[int, ...]:
     """Computational-basis indices the set touches on one party."""
-    out: set[int] = set()
-    dims = s.spec.dims
-    for _, v in s.states:
-        for i, amp in enumerate(v.entries):
-            if not amp.is_zero():
-                out.add(digits_of(i, dims)[party])
-    return tuple(sorted(out))
+    return tuple(sorted({a for u in local_support_vectors(s, (party,))
+                         for a in u.support()}))

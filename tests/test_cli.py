@@ -53,6 +53,16 @@ def test_measure_apply_matches_published_branch(capsys):
     assert all(len(v["states"]) == 9 for v in outcomes)
 
 
+def test_complement_needs_mutually_orthogonal_elements():
+    from lpcckit.kets import parse_pvm
+    from lpcckit.measurements import Projector
+    assert parse_pvm("0;~", [3]).elements[1] == Projector.diagonal([1, 2], 3)
+    with pytest.raises(ValueError):
+        parse_pvm("0,1;1;~", [3])
+    assert main(["measure", "apply", "--name", "S1", "--group", "A",
+                 "--pvm", "0,1;1;~"]) == 64
+
+
 def test_solve_rank1_exit_codes(capsys):
     code, out = run(capsys, "solve", "rank1", "--name", "S2", "--group", "A")
     assert code == 0

@@ -608,6 +608,20 @@ def test_diagonal_subsets_have_no_index_cap():
     assert verdict.witness.group == (0,)
 
 
+def test_irreducibility_stops_at_the_first_diagonal_witness():
+    # 16 x 2 {|a>|0>} has 2^16 - 2 diagonal subsets; they are walked
+    # lazily, so the first witness comes without listing the rest
+    s = StateSet(PartySpec((16, 2)), [
+        (str(a), tensor(Vec([int(b == a) for b in range(16)]), Vec([1, 0])))
+        for a in range(16)])
+    walk = opsolve._diagonal_subsets(constraint_matrices(s, (0,)),
+                                     local_support_vectors(s, (0,)), 16)
+    assert 0 < len(next(walk)) < 16
+    verdict = is_pvm_irreducible(s, Partition(((0,), (1,))))
+    assert verdict.status == "reducible"
+    assert verdict.witness.group == (0,)
+
+
 def test_assembled_pvm_failing_reverification_is_a_self_check(monkeypatch, s2):
     # a ray outside L handed to the PVM assembly must not be dropped
     # silently: the re-verification raises, and the CLI exits 70

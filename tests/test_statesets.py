@@ -1,11 +1,15 @@
 """Named families, set predicates, partitions, serialization."""
 
+import itertools
 import random
 
 import pytest
 
-from lpcckit.exact import Scalar, Vec, inner
+from lpcckit.exact import Mat, Scalar, Vec, ZERO, inner, mat_vec, rank, tensor
 from lpcckit.generators import random_orthogonal_set
+from lpcckit.indexing import (GroupIndexer, digits_of, embed_with_offsets,
+                              index_of, permute_axes, relabel_digits, strides,
+                              total_dim)
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                build_named_set, check_mutual_orthogonality,
                                is_locally_redundant, local_support_indices,
@@ -200,3 +204,254 @@ def test_partition_validation():
     p = Partition(((0,), (1,)))
     with pytest.raises(ValueError):
         p.validate(PartySpec((2, 2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# differential test of the index map: the per-entry re-indexings as they
+# stood before every re-indexing read one GroupIndexer cell table or one
+# digit relabel, kept verbatim as the reference (closures lifted to
+# functions of what they captured)
+
+def ref_permute_axes(v: Vec, dims, perm) -> Vec:
+    """Reorder parties: new party p is old party perm[p]."""
+    new_dims = [dims[p] for p in perm]
+    out = [ZERO] * v.dim
+    for i, amp in enumerate(v.entries):
+        if amp.is_zero():
+            continue
+        d = digits_of(i, dims)
+        out[index_of([d[p] for p in perm], new_dims)] = amp
+    return Vec(out)
+
+
+def ref_embed_with_offsets(v: Vec, old_dims, new_dims, offsets) -> Vec:
+    """Shift every party's digits by an offset into larger local spaces."""
+    for od, nd, off in zip(old_dims, new_dims, offsets):
+        if off < 0 or off + od > nd:
+            raise ValueError("offset pushes digits outside the new local space")
+    out = [ZERO] * total_dim(new_dims)
+    for i, amp in enumerate(v.entries):
+        if amp.is_zero():
+            continue
+        d = digits_of(i, old_dims)
+        out[index_of([x + off for x, off in zip(d, offsets)], new_dims)] = amp
+    return Vec(out)
+
+
+class RefGroupIndexer:
+    """Splits flat indices into (group, rest) parts for a party group.
+
+    The group is an ordered tuple of party positions; its internal digit
+    order is the listed order, so non-contiguous and reordered groups
+    (e.g. measuring parties (2, 0) jointly) work uniformly.
+    """
+
+    def __init__(self, dims, group):
+        n = len(dims)
+        group = tuple(group)
+        if len(set(group)) != len(group) or any(p < 0 or p >= n for p in group):
+            raise ValueError(f"invalid party group {group} for {n} parties")
+        self.dims = tuple(dims)
+        self.group = group
+        self.rest = tuple(p for p in range(n) if p not in group)
+        self.group_dims = tuple(dims[p] for p in group)
+        self.rest_dims = tuple(dims[p] for p in self.rest)
+        self.group_dim = total_dim(self.group_dims)
+        self.rest_dim = total_dim(self.rest_dims)
+        st = strides(dims)
+        g_str = [st[p] for p in group]
+        r_str = [st[p] for p in self.rest]
+        # flat[g][r] = global index with group digits g and rest digits r
+        g_offsets = []
+        for g in range(self.group_dim):
+            gd = digits_of(g, self.group_dims) if group else ()
+            g_offsets.append(sum(x * s for x, s in zip(gd, g_str)))
+        r_offsets = []
+        for r in range(self.rest_dim):
+            rd = digits_of(r, self.rest_dims) if self.rest else ()
+            r_offsets.append(sum(x * s for x, s in zip(rd, r_str)))
+        self._g_offsets = g_offsets
+        self._r_offsets = r_offsets
+
+    def flat(self, g: int, r: int) -> int:
+        return self._g_offsets[g] + self._r_offsets[r]
+
+    def local_vectors(self, v: Vec) -> list[Vec]:
+        """Group-side slices u^r: u^r[g] = v[flat(g, r)], one per rest index."""
+        out = []
+        for r in range(self.rest_dim):
+            out.append(Vec([v.entries[self.flat(g, r)] for g in range(self.group_dim)]))
+        return out
+
+    def assemble(self, slices) -> Vec:
+        out = [ZERO] * (self.group_dim * self.rest_dim)
+        for r, u in enumerate(slices):
+            for g in range(self.group_dim):
+                out[self.flat(g, r)] = u.entries[g]
+        return Vec(out)
+
+    def apply_operator(self, op: Mat, v: Vec) -> Vec:
+        """(op on group) tensor (identity on rest) applied to v."""
+        if op.rows != self.group_dim or op.cols != self.group_dim:
+            raise ValueError("operator does not match group dimension")
+        out = [ZERO] * v.dim
+        for r in range(self.rest_dim):
+            sub = Vec([v.entries[self.flat(g, r)] for g in range(self.group_dim)])
+            if sub.is_zero():
+                continue
+            image = mat_vec(op, sub)
+            for g in range(self.group_dim):
+                out[self.flat(g, r)] = image.entries[g]
+        return Vec(out)
+
+    def factor(self, v: Vec):
+        """(group factor, rest factor) when v is a product across
+        group | rest, else None; their tensor product is a nonzero
+        multiple of v."""
+        m = Mat(tuple(v.entries[self.flat(g, r)] for r in range(self.rest_dim))
+                for g in range(self.group_dim))
+        if rank(m) != 1:
+            return None
+        g0, r0 = m.first_nonzero()
+        return m.col(r0), m.row(g0)
+
+
+def ref_merge_remap(v: Vec, old_dims, blocks) -> Vec:
+    new_dims = tuple(total_dim([old_dims[q] for q in b]) for b in blocks)
+    block_dims = [tuple(old_dims[q] for q in b) for b in blocks]
+    out = [ZERO] * v.dim
+    for i, amp in enumerate(v.entries):
+        if amp.is_zero():
+            continue
+        d = digits_of(i, old_dims)
+        new_digits = [index_of([d[q] for q in b], bd)
+                      for b, bd in zip(blocks, block_dims)]
+        out[index_of(new_digits, new_dims)] = amp
+    return Vec(out)
+
+
+def ref_restrict_remap(v: Vec, dims, new_dims, maps) -> Vec:
+    out = [ZERO] * total_dim(new_dims)
+    for i, amp in enumerate(v.entries):
+        if amp.is_zero():
+            continue
+        d = digits_of(i, dims)
+        out[index_of([maps[p][d[p]] for p in range(len(dims))], new_dims)] = amp
+    return Vec(out)
+
+
+def ref_local_support_indices(s: StateSet, party: int) -> tuple[int, ...]:
+    """Computational-basis indices the set touches on one party."""
+    out: set[int] = set()
+    dims = s.spec.dims
+    for _, v in s.states:
+        for i, amp in enumerate(v.entries):
+            if not amp.is_zero():
+                out.add(digits_of(i, dims)[party])
+    return tuple(sorted(out))
+
+
+INDEX_DIMS = [(3,), (2, 3), (3, 1, 2), (2, 3, 1, 2), (2, 2, 3, 2)]
+
+
+def _gauss(rng: random.Random) -> Scalar:
+    x = Scalar(0)
+    while x.is_zero():
+        x = Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+    return x
+
+
+def _sparse_vec(rng: random.Random, dim: int) -> Vec:
+    out = [ZERO] * dim
+    for i in rng.sample(range(dim), min(dim, rng.randint(1, 3))):
+        out[i] = _gauss(rng)
+    return Vec(out)
+
+
+def _basis_ray(rng: random.Random, dims) -> Vec:
+    out = [ZERO] * total_dim(dims)
+    out[rng.randrange(len(out))] = _gauss(rng)
+    return Vec(out)
+
+
+def _index_sample(rng: random.Random, dims) -> list[Vec]:
+    """Two sparse vectors, one fully product vector, one basis ray."""
+    product = tensor(*(_sparse_vec(rng, d) for d in dims))
+    return [_sparse_vec(rng, total_dim(dims)), _sparse_vec(rng, total_dim(dims)),
+            product, _basis_ray(rng, dims)]
+
+
+def _support_maps(s: StateSet):
+    """Local dimensions and digit maps that drop the unused basis indices."""
+    keeps = [ref_local_support_indices(s, p) for p in range(s.spec.n_parties)]
+    return (tuple(len(k) for k in keeps),
+            [{old: new for new, old in enumerate(k)} for k in keeps])
+
+
+def _ordered_groups(n: int):
+    for k in range(n + 1):
+        yield from itertools.permutations(range(n), k)
+
+
+def _ordered_partitions(n: int):
+    """Every list of ordered blocks covering range(n): a party order cut
+    into consecutive blocks."""
+    for order in itertools.permutations(range(n)):
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            blocks, cur = [], [order[0]]
+            for q, cut in zip(order[1:], cuts):
+                if cut:
+                    blocks.append(tuple(cur))
+                    cur = []
+                cur.append(q)
+            blocks.append(tuple(cur))
+            yield tuple(blocks)
+
+
+@pytest.mark.parametrize("dims", INDEX_DIMS)
+def test_index_map_matches_per_entry_reference(dims):
+    rng = random.Random(str(dims))
+    vecs = _index_sample(rng, dims)
+    n = len(dims)
+    for group in _ordered_groups(n):
+        new, ref = GroupIndexer(dims, group), RefGroupIndexer(dims, group)
+        assert (new.group_dim, new.rest_dim) == (ref.group_dim, ref.rest_dim)
+        assert all(new.flat(g, r) == ref.flat(g, r)
+                   for g in range(ref.group_dim) for r in range(ref.rest_dim))
+        op = Mat([[_gauss(rng) if rng.random() < 0.5 else ZERO
+                   for _ in range(ref.group_dim)] for _ in range(ref.group_dim)])
+        for v in vecs:
+            slices = ref.local_vectors(v)
+            assert new.local_vectors(v) == slices
+            assert new.assemble(slices) == ref.assemble(slices) == v
+            assert new.apply_operator(op, v) == ref.apply_operator(op, v)
+            assert new.factor(v) == ref.factor(v)
+        assert new.factor(vecs[2]) is not None
+    for perm in itertools.permutations(range(n)):
+        for v in vecs:
+            assert permute_axes(v, dims, perm) == ref_permute_axes(v, dims, perm)
+    s = StateSet(PartySpec(dims), [(str(i), v) for i, v in enumerate(vecs)])
+    for blocks in _ordered_partitions(n):
+        merged = merge_parties(s, Partition(blocks))
+        assert merged.vectors() == tuple(ref_merge_remap(v, dims, blocks)
+                                         for v in vecs)
+    assert all(local_support_indices(s, p) == ref_local_support_indices(s, p)
+               for p in range(n))
+    new_dims, maps = _support_maps(s)
+    for v in vecs:
+        assert (relabel_digits(v, dims, new_dims, maps)
+                == ref_restrict_remap(v, dims, new_dims, maps))
+    # basis rays have computational party supports, so restriction applies
+    rays = StateSet(s.spec, [(str(i), _basis_ray(rng, dims)) for i in range(3)])
+    new_dims, maps = _support_maps(rays)
+    assert restrict_support(rays).vectors() == tuple(
+        ref_restrict_remap(v, dims, new_dims, maps) for v in rays.vectors())
+    big = tuple(d + rng.randint(0, 3) for d in dims)
+    offsets = [rng.randint(0, b - d) for d, b in zip(dims, big)]
+    for v in vecs:
+        assert (embed_with_offsets(v, dims, big, offsets)
+                == ref_embed_with_offsets(v, dims, big, offsets))
+    bad = [b - d + 1 for d, b in zip(dims, big)]
+    for embed in (embed_with_offsets, ref_embed_with_offsets):
+        with pytest.raises(ValueError):
+            embed(vecs[0], dims, big, bad)
