@@ -351,6 +351,15 @@ def _check_shape(a: Mat, b: Mat) -> None:
         raise ValueError("shape mismatch")
 
 
+def products_equal(x: Scalar, y: Scalar, z: Scalar, w: Scalar) -> bool:
+    """x*y == z*w, compared on the integer numerators and denominators of
+    the two products without reducing or building either of them."""
+    re1, im1 = x._a * y._a - x._b * y._b, x._a * y._b + x._b * y._a
+    re2, im2 = z._a * w._a - z._b * w._b, z._a * w._b + z._b * w._a
+    d1, d2 = x._d * y._d, z._d * w._d
+    return re1 * d2 == re2 * d1 and im1 * d2 == im2 * d1
+
+
 def inner(u: Vec, v: Vec) -> Scalar:
     """<u|v> with conjugation on the first argument."""
     _check_dim(u, v)
@@ -574,7 +583,13 @@ def gram_schmidt(vecs: Sequence[Vec]) -> list[Vec]:
 def projector_onto(vecs: Sequence[Vec], dim: int) -> Mat:
     """Orthogonal projector onto span(vecs), exact over Q(i)."""
     basis = gram_schmidt([v for v in vecs if not v.is_zero()])
-    p = zero_mat(dim, dim)
+    # sum of b b^dagger / <b|b>, accumulated on each b's nonzero entries only
+    rows = [[ZERO] * dim for _ in range(dim)]
     for b in basis:
-        p = p + outer(b, b).scale(inner(b, b).inv())
-    return p
+        nz = _nonzeros(b.entries)
+        inv = inner(b, b).inv()
+        for i, x in nz:
+            row, xi = rows[i], x * inv
+            for j, y in nz:
+                row[j] = row[j] + xi * y.conj()
+    return _wrap(Mat, tuple(map(tuple, rows)))

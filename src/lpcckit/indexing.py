@@ -4,15 +4,18 @@ A state over parties with local dimensions (d_0, ..., d_{n-1}) is a flat
 vector of length prod(d_p), leftmost party slowest. A `GroupIndexer`'s
 `cells` table is the one index map: `cells[r][g]` is the flat index with
 group digits g and rest digits r, and every slice, scatter, group
-operator, factorization, permutation and merge reads its rows. Moving
-digits into other local spaces is the one `relabel_digits`.
+operator, factorization, permutation and merge reads its rows. States
+are sparse, so `nonzero_slices` is the one sparse slice read: it walks a
+state's nonzero entries through the inverse table `where` and returns
+only the slices they touch. Moving digits into other local spaces is the
+one `relabel_digits`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .exact import Mat, Vec, ZERO, mat_vec, rank
+from .exact import Mat, Vec, ZERO, mat_vec, products_equal
 
 
 def strides(dims: Sequence[int]) -> list[int]:
@@ -103,8 +106,15 @@ class GroupIndexer:
         self.group_dim = total_dim(self.group_dims)
         self.rest_dim = total_dim(self.rest_dims)
         g_offsets = _offsets(dims, group)
-        # cells[r][g] = global index with group digits g and rest digits r
-        self.cells = [[r + g for g in g_offsets] for r in _offsets(dims, self.rest)]
+        # cells[r][g] = global index with group digits g and rest digits r;
+        # where[i] = (r, g) inverts it
+        self.cells = []
+        self.where = [None] * (self.group_dim * self.rest_dim)
+        for r, ro in enumerate(_offsets(dims, self.rest)):
+            row = [ro + go for go in g_offsets]
+            self.cells.append(row)
+            for g, i in enumerate(row):
+                self.where[i] = (r, g)
 
     def flat(self, g: int, r: int) -> int:
         return self.cells[r][g]
@@ -114,27 +124,64 @@ class GroupIndexer:
         e = v.entries
         return [Vec([e[i] for i in row]) for row in self.cells]
 
-    def assemble(self, slices: Sequence[Vec]) -> Vec:
-        out = [ZERO] * (self.group_dim * self.rest_dim)
-        for row, u in zip(self.cells, slices):
-            for i, x in zip(row, u.entries):
+    def nonzero_slices(self, v: Vec) -> dict[int, Vec]:
+        """The nonzero slices u^r of `local_vectors`, keyed by ascending r,
+        read from v's nonzero entries alone."""
+        where = self.where
+        if v.dim != len(where):
+            raise ValueError(f"state dimension {v.dim} does not match "
+                             f"the indexer's {len(where)}")
+        rows: dict[int, list] = {}
+        nonzeros = [(where[i], x) for i, x in enumerate(v.entries) if x._a or x._b]
+        for (r, g), x in nonzeros:
+            row = rows.get(r)
+            if row is None:
+                row = rows[r] = [ZERO] * self.group_dim
+            row[g] = x
+        return {r: Vec(rows[r]) for r in sorted(rows)}
+
+    def scatter(self, slices: Mapping[int, Vec]) -> Vec:
+        """The state whose slice u^r is slices[r], zero on every other r."""
+        out = [ZERO] * len(self.where)
+        for r, u in slices.items():
+            for i, x in zip(self.cells[r], u.entries):
                 out[i] = x
         return Vec(out)
+
+    def assemble(self, slices: Sequence[Vec]) -> Vec:
+        return self.scatter(dict(enumerate(slices)))
 
     def apply_operator(self, op: Mat, v: Vec) -> Vec:
         """(op on group) tensor (identity on rest) applied to v."""
         if op.rows != self.group_dim or op.cols != self.group_dim:
             raise ValueError("operator does not match group dimension")
-        return self.assemble([u if u.is_zero() else mat_vec(op, u)
-                              for u in self.local_vectors(v)])
+        return self.scatter({r: mat_vec(op, u)
+                             for r, u in self.nonzero_slices(v).items()})
 
     def factor(self, v: Vec) -> tuple[Vec, Vec] | None:
         """(group factor, rest factor) when v is a product across
         group | rest, else None; their tensor product is a nonzero
-        multiple of v."""
-        e = v.entries
-        m = Mat(zip(*([e[i] for i in row] for row in self.cells)))
-        if rank(m) != 1:
+        multiple of v.
+
+        With M[g][r] = u^r[g] and (g0, r0) its first nonzero entry in
+        row-major order, M has rank 1 exactly when every nonzero slice
+        has u^r0's support and passes the cross-multiplication
+        u^r * M[g0][r0] == u^r0 * M[g0][r] there; the factors are M's
+        column r0 and row g0."""
+        slices = self.nonzero_slices(v)
+        if not slices:
             return None
-        g0, r0 = m.first_nonzero()
-        return m.col(r0), m.row(g0)
+        supports = {r: u.support() for r, u in slices.items()}
+        g0 = min(sup[0] for sup in supports.values())
+        r0 = next(r for r, sup in supports.items() if sup[0] == g0)
+        c, nz = slices[r0].entries, supports[r0]
+        p = c[g0]
+        for r, u in slices.items():
+            e = u.entries
+            if supports[r] != nz or not all(products_equal(e[g], p, c[g], e[g0])
+                                            for g in nz):
+                return None
+        row = [ZERO] * self.rest_dim
+        for r, u in slices.items():
+            row[r] = u.entries[g0]
+        return slices[r0], Vec(row)

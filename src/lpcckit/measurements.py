@@ -226,6 +226,22 @@ class OutcomeBranch:
     annihilated: tuple[str, ...]
 
 
+def _slice_images(s: StateSet, lp: LocalPVM, idx: GroupIndexer):
+    """Per outcome, per state: the nonzero images (P u^r) of the state's
+    nonzero group slices, keyed by r; empty when P annihilates it."""
+    slices = [idx.nonzero_slices(v) for v in s.vectors()]
+    for e in lp.pvm.elements:
+        per_state = []
+        for sl in slices:
+            images = {}
+            for r, u in sl.items():
+                w = mat_vec(e.mat, u)
+                if not w.is_zero():
+                    images[r] = w
+            per_state.append(images)
+        yield per_state
+
+
 def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
     """Unnormalized post-measurement branches, one per outcome.
 
@@ -235,17 +251,16 @@ def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
     """
     lp.validate(s.spec)
     idx = GroupIndexer(s.spec.dims, lp.group)
+    group_name = lp.describe(s.spec)
     branches: dict[int, OutcomeBranch] = {}
-    for outcome, e in enumerate(lp.pvm.elements):
+    for outcome, per_state in enumerate(_slice_images(s, lp, idx)):
         survivors: list[tuple[str, Vec]] = []
         killed: list[str] = []
-        for label, v in s.states:
-            image = idx.apply_operator(e.mat, v)
-            if image.is_zero():
-                killed.append(label)
+        for (label, _), images in zip(s.states, per_state):
+            if images:
+                survivors.append((label, idx.scatter(images)))
             else:
-                survivors.append((label, image))
-        group_name = lp.describe(s.spec)
+                killed.append(label)
         branch_set = None
         if survivors:
             branch_set = StateSet(
@@ -274,8 +289,7 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
     """
     lp.validate(s.spec)
     idx = GroupIndexer(s.spec.dims, lp.group)
-    slices = [{r: u for r, u in enumerate(idx.local_vectors(v))
-               if not u.is_zero()} for v in s.vectors()]
+    slices = [idx.nonzero_slices(v) for v in s.vectors()]
     for outcome, e in enumerate(lp.pvm.elements):
         images = [{r: mat_vec(e.mat, u) for r, u in sl.items()}
                   for sl in slices]
@@ -291,8 +305,12 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
 
 
 def branch_survivals(s: StateSet, lp: LocalPVM) -> int:
-    """How many (outcome, state) pairs the measurement leaves nonzero."""
-    return sum(len(br.states) for br in apply(s, lp).values() if br.states)
+    """How many (outcome, state) pairs the measurement leaves nonzero:
+    `apply`'s survivors, counted without building the branches."""
+    lp.validate(s.spec)
+    idx = GroupIndexer(s.spec.dims, lp.group)
+    return sum(1 for per_state in _slice_images(s, lp, idx)
+               for images in per_state if images)
 
 
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:

@@ -54,14 +54,16 @@ class ConstraintMatrix:
 def constraint_matrices(s: StateSet, group: Sequence[int]) -> list[ConstraintMatrix]:
     """One matrix per unordered state pair; exact entries."""
     idx = GroupIndexer(s.spec.dims, group)
-    slices = [idx.local_vectors(v) for v in s.vectors()]
+    slices = [idx.nonzero_slices(v) for v in s.vectors()]
     d = idx.group_dim
     out = []
     for i in range(len(slices)):
         for j in range(i + 1, len(slices)):
             rows = [[ZERO] * d for _ in range(d)]
-            for ui, uj in zip(slices[i], slices[j]):
-                if ui.is_zero() or uj.is_zero():
+            sj = slices[j]
+            for r, ui in slices[i].items():
+                uj = sj.get(r)
+                if uj is None:
                     continue
                 for a in range(d):
                     ca = ui.entries[a].conj()

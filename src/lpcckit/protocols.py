@@ -227,7 +227,7 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
     # live wide side is (a multiple of) that state's wide-side vector
     etas = []
     for label, v in s.states:
-        eta = next((u for u in rest_idx.local_vectors(v) if not u.is_zero()), None)
+        eta = next(iter(rest_idx.nonzero_slices(v).values()), None)
         if eta is None:
             raise LemmaStructureError(f"state {label!r} vanishes on the wide side")
         etas.append(eta)
@@ -297,7 +297,7 @@ def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
     idx = GroupIndexer(s.spec.dims, (party,))
     rays = []
     for label, v in s.states:
-        u = next((u for u in idx.local_vectors(v) if not u.is_zero()), None)
+        u = next(iter(idx.nonzero_slices(v).values()), None)
         if u is None:
             raise LemmaStructureError(f"state {label!r} has no local weight")
         rays.append(u)

@@ -226,7 +226,7 @@ def is_locally_redundant(s: StateSet) -> RedundancyVerdict:
         for discard in combinations(range(n), k):
             kept = tuple(p for p in range(n) if p not in discard)
             idx = GroupIndexer(s.spec.dims, kept)
-            slices = [idx.local_vectors(v) for v in vecs]
+            slices = [list(idx.nonzero_slices(v).values()) for v in vecs]
             if _all_pairs_slice_orthogonal(slices):
                 return RedundancyVerdict(True, discard)
     return RedundancyVerdict(False)
@@ -237,11 +237,7 @@ def _all_pairs_slice_orthogonal(slices: list[list[Vec]]) -> bool:
     for i in range(m):
         for j in range(i + 1, m):
             for u in slices[i]:
-                if u.is_zero():
-                    continue
                 for w in slices[j]:
-                    if w.is_zero():
-                        continue
                     if not inner(u, w).is_zero():
                         return False
     return True
@@ -562,12 +558,7 @@ def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
     """All nonzero group-side slices of all states (they span the group's
     joint local support)."""
     idx = GroupIndexer(s.spec.dims, group)
-    out = []
-    for _, v in s.states:
-        for u in idx.local_vectors(v):
-            if not u.is_zero():
-                out.append(u)
-    return out
+    return [u for _, v in s.states for u in idx.nonzero_slices(v).values()]
 
 
 def group_support(s: StateSet, group: Sequence[int]

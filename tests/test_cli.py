@@ -19,6 +19,9 @@ GOLDEN_COMMANDS = {
     "activate_S1_B_pvm_0_1": 'activate --name S1 --group B --pvm "0;1"',
     "theorem_5": "theorem 5",
     "classify_S2_joint_BC": "classify --name S2 --joint BC",
+    "theorem_1": "theorem 1",
+    "search_Domino_depth_2": "search --name Domino --depth 2",
+    "protocol_s2_discrimination": "protocol --fixture s2_discrimination",
 }
 
 

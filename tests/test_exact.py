@@ -425,3 +425,33 @@ def test_sort_keys_order_matrices_as_their_rationals_do(cells):
     for i in range(len(mats)):
         for j in range(len(mats)):
             assert (keys[i] == keys[j]) == (mats[i] == mats[j])
+
+
+def _dense_projector_onto(vecs, dim):
+    """The dense outer-product sum that `projector_onto` replaced."""
+    from lpcckit.exact import zero_mat
+    basis = gram_schmidt([v for v in vecs if not v.is_zero()])
+    p = zero_mat(dim, dim)
+    for b in basis:
+        p = p + outer(b, b).scale(inner(b, b).inv())
+    return p
+
+
+_gaussian_rationals = st.builds(Scalar, _parts, _parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.data())
+def test_projector_onto_matches_dense_outer_sum(dim, n_vecs, data):
+    # sparse spans: each vector has at most three nonzero entries
+    vecs = []
+    for _ in range(n_vecs):
+        out = [Scalar(0)] * dim
+        for i in data.draw(st.sets(st.integers(0, dim - 1), max_size=3)):
+            out[i] = data.draw(_gaussian_rationals)
+        vecs.append(Vec(out))
+    p = projector_onto(vecs, dim)
+    assert p == _dense_projector_onto(vecs, dim)
+    for row in p.entries:
+        for z in row:
+            assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1

@@ -1,17 +1,20 @@
 """Local PVMs: embedding, application, orthogonality preservation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from lpcckit.exact import Mat, Scalar, Vec, identity, inner, kron_mat, rank
+from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, kron_mat,
+                           mat_vec, rank)
 from lpcckit.generators import random_orthogonal_set
 from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
-from lpcckit.measurements import (LocalPVM, PVM, Projector, apply, embed,
-                                  is_trivial, is_trivial_for_set,
-                                  preserves_orthogonality)
+from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
+                                  branch_survivals, embed, is_trivial,
+                                  is_trivial_for_set, preserves_orthogonality)
+from lpcckit.opsolve import enumerate_op_pvms
 from lpcckit.statesets import (Partition, check_mutual_orthogonality,
                                merge_parties)
 
@@ -162,6 +165,57 @@ def test_preservation_matches_dense_reference(s1, s2, union_s):
                 assert (verdict.ok, verdict.witness) == want, (s.provenance, group)
                 outcomes.add(verdict.ok)
     assert outcomes == {True, False}
+
+
+def _dense_apply(s, lp):
+    """Reference: each element embedded as a dense (P tensor 1) matrix and
+    applied to every whole state; (survivors, annihilated) per outcome."""
+    out = {}
+    for outcome, big in enumerate(embed(lp, s.spec)):
+        images = [(label, mat_vec(big, v)) for label, v in s.states]
+        out[outcome] = ([(l, w) for l, w in images if not w.is_zero()],
+                        tuple(l for l, w in images if w.is_zero()))
+    return out
+
+
+# every case but S2's (1, 2) has outcomes that annihilate states
+APPLY_CASES = [
+    ("S1", (0,), "0,1;2"), ("S1", (1,), "0-1;0+1"), ("S1", (2,), "0-1;0+1;2"),
+    ("S1", (2, 0), "00,11;~"),
+    ("S2", (0,), "0;1,2"), ("S2", (1, 2), "00,02,11;01,10,12"),
+    ("S2", (2,), "1-2;1+2;0"),
+    ("UnionS", (0,), "0,1,2;3,4,5;6,7"), ("UnionS", (1,), "0+1;0-1;~"),
+    ("UnionS", (2,), "7;~"), ("UnionS", (0, 1), "00+11,22;34;~"),
+]
+
+
+@pytest.mark.parametrize("name,group,text", APPLY_CASES)
+def test_apply_matches_dense_reference(s1, s2, union_s, name, group, text):
+    s = {"S1": s1, "S2": s2, "UnionS": union_s}[name]
+    lp = LocalPVM(parse_pvm(text, [s.spec.dims[p] for p in group]), group)
+    branches = apply(s, lp)
+    want = _dense_apply(s, lp)
+    assert sorted(branches) == sorted(want)
+    for outcome, br in branches.items():
+        survivors, killed = want[outcome]
+        assert br.annihilated == killed
+        assert (list(br.states.states) if br.states else []) == survivors
+    assert branch_survivals(s, lp) == sum(len(v[0]) for v in want.values())
+
+
+def test_branch_survivals_counts_apply_survivors(domino, s1, s2):
+    # Domino has no nontrivial OP PVM on one party; S1 and S2 have several
+    checked = {}
+    for s in (domino, s1, s2):
+        n = s.spec.n_parties
+        for k in range(1, n):
+            for group in itertools.combinations(range(n), k):
+                for lp in enumerate_op_pvms(s, group):
+                    want = sum(len(br.states) for br in apply(s, lp).values()
+                               if br.states)
+                    assert branch_survivals(s, lp) == want
+                    checked[s.provenance] = checked.get(s.provenance, 0) + 1
+    assert len(checked) == 2
 
 
 def test_is_trivial():

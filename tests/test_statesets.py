@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -381,6 +382,29 @@ def _index_sample(rng: random.Random, dims) -> list[Vec]:
             product, _basis_ray(rng, dims)]
 
 
+def _rational(rng: random.Random) -> Scalar:
+    """A nonzero Gaussian rational, mostly with a denominator above 1."""
+    x = Scalar(0)
+    while x.is_zero():
+        x = Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return x
+
+
+def _rational_sample(rng: random.Random, dims) -> list[Vec]:
+    """A fully product vector, a vector that is a product across no cut
+    (all of its entries are nonzero and entry 0 is perturbed off the
+    product), and a sparse vector, all with non-unit denominators."""
+    factors = [Vec([_rational(rng) for _ in range(d)]) for d in dims]
+    product = tensor(*factors)
+    bent = list(product.entries)
+    bent[0] = bent[0] * Scalar(2)
+    sparse = [ZERO] * total_dim(dims)
+    for i in rng.sample(range(len(sparse)), min(len(sparse), 3)):
+        sparse[i] = _rational(rng)
+    return [product, Vec(bent), Vec(sparse)]
+
+
 def _support_maps(s: StateSet):
     """Local dimensions and digit maps that drop the unused basis indices."""
     keeps = [ref_local_support_indices(s, p) for p in range(s.spec.n_parties)]
@@ -412,6 +436,7 @@ def _ordered_partitions(n: int):
 def test_index_map_matches_per_entry_reference(dims):
     rng = random.Random(str(dims))
     vecs = _index_sample(rng, dims)
+    rational = _rational_sample(rng, dims)
     n = len(dims)
     for group in _ordered_groups(n):
         new, ref = GroupIndexer(dims, group), RefGroupIndexer(dims, group)
@@ -423,10 +448,18 @@ def test_index_map_matches_per_entry_reference(dims):
         for v in vecs:
             slices = ref.local_vectors(v)
             assert new.local_vectors(v) == slices
+            nonzero = new.nonzero_slices(v)
+            assert list(nonzero.items()) == [(r, u) for r, u in enumerate(slices)
+                                             if not u.is_zero()]
             assert new.assemble(slices) == ref.assemble(slices) == v
             assert new.apply_operator(op, v) == ref.apply_operator(op, v)
             assert new.factor(v) == ref.factor(v)
         assert new.factor(vecs[2]) is not None
+        for v in rational:
+            assert new.factor(v) == ref.factor(v)
+        assert new.factor(rational[0]) is not None
+        if ref.group_dim > 1 and ref.rest_dim > 1:
+            assert new.factor(rational[1]) is None
     for perm in itertools.permutations(range(n)):
         for v in vecs:
             assert permute_axes(v, dims, perm) == ref_permute_axes(v, dims, perm)
@@ -455,3 +488,15 @@ def test_index_map_matches_per_entry_reference(dims):
     for embed in (embed_with_offsets, ref_embed_with_offsets):
         with pytest.raises(ValueError):
             embed(vecs[0], dims, big, bad)
+
+
+def test_indexer_rejects_states_of_another_dimension():
+    # a too-long state used to be read through the first rows only
+    idx = GroupIndexer((2, 3), (0,))
+    op = Mat([[1, 0], [0, 0]])
+    for dim in (7, 5):
+        v = Vec([Scalar(1)] * dim)
+        for read in (idx.factor, lambda v: idx.apply_operator(op, v),
+                     idx.nonzero_slices):
+            with pytest.raises(ValueError):
+                read(v)
