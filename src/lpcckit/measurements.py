@@ -71,7 +71,8 @@ class Projector:
         return self.mat.rows
 
     def rank(self) -> int:
-        return rank(self.mat)
+        # a stored span is always a linearly independent basis of the range
+        return len(self.span) if self.span is not None else rank(self.mat)
 
     def complement(self) -> "Projector":
         return complement([self], self.dim)

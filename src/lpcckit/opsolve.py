@@ -22,6 +22,11 @@ and a pattern whose slice of L cannot hold a rank-1 element with that
 support is closed without one (`_live_patterns`). A nonexistence
 certificate is emitted only when every pattern is closed, by L or by a
 contradiction.
+
+The pair matrices restricted to an open pattern are filtered once,
+before its case split: zero ones and later copies of equal ones are
+dropped. Each reduced form is N C N^dagger over the nullspace basis N of
+the linear constraints so far (`_reduced_form`).
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import (ONE, Mat, Scalar, Vec, ZERO, basis_vec, nullspace,
-                    nullspace_with_free, rank, rref, sort_keys, zero_vec)
+from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, basis_vec,
+                    nullspace, nullspace_with_free, rank, rref, sort_keys,
+                    zero_vec)
 from .indexing import GroupIndexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            complement, preserves_orthogonality)
@@ -284,22 +290,33 @@ class _Contradiction(Exception):
 
 
 def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
-    """M[k][l] = sum_{a,b} N_k[a] C[a][b] conj(N_l[b])."""
-    f = len(basis)
-    rows = []
-    for kk in range(f):
-        row = []
-        nk = basis[kk]
-        for ll in range(f):
-            nl = basis[ll]
+    """M = N C N^dagger, M[k][l] = sum_{a,b} N_k[a] C[a][b] conj(N_l[b]):
+    w_l = C conj(N_l) once per l, then M[k][l] = sum_a N_k[a] w_l[a], each
+    over nonzero entries only."""
+    nz = [_nonzeros(n.entries) for n in basis]
+    crows = [(a, row) for a, row in enumerate(map(_nonzeros, c.entries)) if row]
+    ws = []
+    for nl in nz:
+        conj_l = {b: x.conj() for b, x in nl}
+        w = {}
+        for a, row in crows:
             acc = ZERO
-            for a, na in enumerate(nk.entries):
-                if na.is_zero():
-                    continue
-                crow = c.entries[a]
-                for b, nb in enumerate(nl.entries):
-                    if not nb.is_zero() and not crow[b].is_zero():
-                        acc = acc + na * crow[b] * nb.conj()
+            for b, x in row:
+                y = conj_l.get(b)
+                if y is not None:
+                    acc = acc + x * y
+            if not acc.is_zero():
+                w[a] = acc
+        ws.append(w)
+    rows = []
+    for nk in nz:
+        row = []
+        for w in ws:
+            acc = ZERO
+            for a, x in nk:
+                y = w.get(a)
+                if y is not None:
+                    acc = acc + x * y
             row.append(acc)
         rows.append(tuple(row))
     return Mat(rows)
@@ -625,7 +642,10 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     for pattern in _support_patterns(k):
         if pattern not in live:
             continue
+        # zero pair matrices add nothing, and a copy of an earlier one adds
+        # only rows that every later step meets after the first copy's
         sub = [_restrict(c, pattern) for c in cm_small]
+        sub = list(dict.fromkeys(m for m in sub if not m.is_zero()))
         on_group = tuple(coords[a] for a in pattern)
         for tag, payload in _recurse(sub, len(pattern), [], k + 2):
             if tag == "contradiction":

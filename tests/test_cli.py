@@ -22,6 +22,10 @@ GOLDEN_COMMANDS = {
     "theorem_1": "theorem 1",
     "search_Domino_depth_2": "search --name Domino --depth 2",
     "protocol_s2_discrimination": "protocol --fixture s2_discrimination",
+    "solve_rank1_Domino_AB": "solve rank1 --name Domino --group AB",
+    "solve_rank1_S2_AC": "solve rank1 --name S2 --group AC",
+    "solve_rank1_S1_AC": "solve rank1 --name S1 --group AC",
+    "solve_pvms_Domino_AB": "solve pvms --name Domino --group AB",
 }
 
 

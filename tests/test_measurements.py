@@ -290,3 +290,25 @@ def test_pvm_json_round_trip():
     pvm = parse_pvm("0-1;0+1,2", [3])
     back = PVM.from_json(pvm.to_json())
     assert back == pvm
+
+
+def test_rank_from_span_matches_dense_rank():
+    from lpcckit.opsolve import _lift_pvm
+    i = Scalar(0, 1)
+    a, b = Vec([1, i, 0, 2]), Vec([0, 1, Fraction(1, 3), -1])
+    dependent = [a, b, a + b.scale(i), Vec([0, 0, 0, 0]), b.scale(Fraction(5, 2))]
+    ray = Projector.from_ray(a)
+    wide = Projector.from_span(dependent, 4)
+    projectors = [ray, wide, Projector.from_span([a, a.scale(i)], 4),
+                  Projector.diagonal([0, 2, 2], 4), Projector.diagonal([], 4),
+                  Projector.zero(4), Projector.full(4), ray.complement(),
+                  wide.complement(), Projector.full(4).complement()]
+    pvm = PVM([Projector.from_ray(Vec([1, i])), Projector.from_ray(Vec([i, 1]))])
+    lifted = _lift_pvm(pvm, (1, 3), 4)
+    projectors += list(lifted.elements)
+    # every projector but full(4) takes its rank from the stored span
+    assert [p.span is None for p in projectors].count(True) == 1
+    projectors += [Projector.from_json(p.to_json()) for p in projectors]
+    assert [p.rank() for p in projectors[:4]] == [1, 2, 1, 2]
+    for p in projectors:
+        assert p.rank() == rank(p.mat)

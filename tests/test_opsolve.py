@@ -4,6 +4,7 @@ import copy
 import itertools
 import random
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -379,13 +380,11 @@ def _pruned_matches_unpruned(monkeypatch, s, group):
 
 
 def test_pruning_matches_unpruned_on_named_groups(monkeypatch, s1, s2, domino):
-    too_slow_unpruned = {("Domino", (0, 1)), ("S1", (0, 2)), ("S2", (0, 2))}
-    for name, s in (("Domino", domino), ("S1", s1), ("S2", s2)):
+    for s in (domino, s1, s2):
         n = s.spec.n_parties
         for size in range(1, n):
             for group in itertools.combinations(range(n), size):
-                if (name, group) not in too_slow_unpruned:
-                    _pruned_matches_unpruned(monkeypatch, s, group)
+                _pruned_matches_unpruned(monkeypatch, s, group)
 
 
 def test_pruning_matches_unpruned_on_random_sets(monkeypatch):
@@ -638,3 +637,109 @@ def test_assembled_pvm_failing_reverification_is_a_self_check(monkeypatch, s2):
         enumerate_op_pvms(s2, (2,))
     assert main(["--json", "solve", "pvms", "--name", "S2", "--group", "C"]) == 70
     clear_caches()
+
+
+def _reference_reduced_form(c: Mat, basis: list[Vec]) -> Mat:
+    """The per-entry reduced form the solver used before it formed C N^dagger
+    (kept verbatim as the reference)."""
+    f = len(basis)
+    rows = []
+    for kk in range(f):
+        row = []
+        nk = basis[kk]
+        for ll in range(f):
+            nl = basis[ll]
+            acc = ZERO
+            for a, na in enumerate(nk.entries):
+                if na.is_zero():
+                    continue
+                crow = c.entries[a]
+                for b, nb in enumerate(nl.entries):
+                    if not nb.is_zero() and not crow[b].is_zero():
+                        acc = acc + na * crow[b] * nb.conj()
+            row.append(acc)
+        rows.append(tuple(row))
+    return Mat(rows)
+
+
+def _top_level_solves(monkeypatch, s, group):
+    """(restricted pair matrices as built, as handed to _recurse, depth)
+    for every live pattern of the group, with every reduced form the solve
+    computed recorded as (pair matrix, basis)."""
+    real_recurse, real_reduced = opsolve._recurse, opsolve._reduced_form
+    handed, forms = [], []
+
+    def recurse(cmats, k, lin_rows, depth_left):
+        if not lin_rows:                  # one top-level call per pattern
+            handed.append((cmats, depth_left))
+        return real_recurse(cmats, k, lin_rows, depth_left)
+
+    def reduced(c, basis):
+        forms.append((c, basis))
+        return real_reduced(c, basis)
+
+    with monkeypatch.context() as m:
+        m.setattr(opsolve, "_recurse", recurse)
+        m.setattr(opsolve, "_reduced_form", reduced)
+        clear_caches()
+        rank1_op_directions(s, group)
+    clear_caches()
+    coords = group_coordinates(s, group)
+    cm_small = [opsolve._restrict(c.mat, coords)
+                for c in constraint_matrices(s, group)]
+    live = opsolve._live_patterns(cm_small, len(coords))
+    patterns = [p for p in opsolve._support_patterns(len(coords)) if p in live]
+    assert len(handed) == len(patterns)
+    built = [[opsolve._restrict(c, p) for c in cm_small] for p in patterns]
+    return [(b, h, d) for b, (h, d) in zip(built, handed)], forms
+
+
+def _named_proper_groups(s1, s2, domino):
+    return [(s, g) for s in (domino, s1, s2) for g in _proper_groups(s)]
+
+
+def test_reduced_form_matches_reference_on_named_solves(monkeypatch, s1, s2,
+                                                         domino):
+    count = 0
+    for s, group in _named_proper_groups(s1, s2, domino):
+        _, forms = _top_level_solves(monkeypatch, s, group)
+        for c, basis in forms:
+            assert opsolve._reduced_form(c, basis) == _reference_reduced_form(c, basis)
+        count += len(forms)
+    assert count > 1000
+
+
+def _random_gaussian_rational(rng, zero_share):
+    if rng.random() < zero_share:
+        return ZERO
+    den = rng.choice((1, 1, 2, 3, 6, 35))
+    return Scalar(Fraction(rng.randint(-9, 9), den),
+                  Fraction(rng.randint(-9, 9), rng.choice((1, den))))
+
+
+def test_reduced_form_matches_reference_on_random_inputs():
+    rng = random.Random(10)
+    for _ in range(300):
+        k, f = rng.randint(1, 6), rng.randint(1, 4)
+        zero_share = rng.choice((0.0, 0.3, 0.6, 0.9, 1.0))
+        c = Mat([[_random_gaussian_rational(rng, zero_share) for _ in range(k)]
+                 for _ in range(k)])
+        basis = [Vec([_random_gaussian_rational(rng, zero_share)
+                      for _ in range(k)]) for _ in range(f)]
+        assert opsolve._reduced_form(c, basis) == _reference_reduced_form(c, basis)
+
+
+def test_recurse_gets_each_distinct_nonzero_pair_matrix_once(monkeypatch, s1,
+                                                            s2, domino):
+    dropped = 0
+    for s, group in _named_proper_groups(s1, s2, domino):
+        solves, _ = _top_level_solves(monkeypatch, s, group)
+        for built, handed, depth in solves:
+            kept = [m for i, m in enumerate(built)
+                    if not m.is_zero() and m not in built[:i]]
+            assert handed == kept
+            k = built[0].rows
+            assert (opsolve._recurse(built, k, [], depth)
+                    == opsolve._recurse(handed, k, [], depth))
+            dropped += len(built) - len(handed)
+    assert dropped > 0
