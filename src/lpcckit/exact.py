@@ -179,13 +179,18 @@ def _wrap(cls, entries: tuple):
     return obj
 
 
-def sort_keys(mats: Sequence["Mat"]) -> list[tuple]:
-    """Each matrix as rows of integer (re, im) pairs over one denominator
-    shared by all of them: these keys compare exactly as the matrices'
-    rows of rational (re, im) pairs would."""
+def int_rows(mats: Sequence["Mat"]) -> tuple[int, list[tuple]]:
+    """(D, rows): one denominator D shared by the matrices, and each of
+    them as rows of integer (re, im) numerator pairs over D."""
     den = lcm(*{x._d for m in mats for row in m.entries for x in row})
-    return [tuple(tuple((x._a * (den // x._d), x._b * (den // x._d))
-                        for x in row) for row in m.entries) for m in mats]
+    return den, [tuple(tuple((x._a * (den // x._d), x._b * (den // x._d))
+                             for x in row) for row in m.entries) for m in mats]
+
+
+def sort_keys(mats: Sequence["Mat"]) -> list[tuple]:
+    """The rows of `int_rows`: these keys compare exactly as the matrices'
+    rows of rational (re, im) pairs would."""
+    return int_rows(mats)[1]
 
 
 class Vec:
@@ -324,9 +329,6 @@ class Mat:
         return _wrap(Mat, tuple(tuple(map(_conj, col))
                                 for col in zip(*self.entries)))
 
-    def transpose(self) -> "Mat":
-        return _wrap(Mat, tuple(zip(*self.entries)))
-
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -349,15 +351,6 @@ def _check_dim(u: Vec, v: Vec) -> None:
 def _check_shape(a: Mat, b: Mat) -> None:
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("shape mismatch")
-
-
-def products_equal(x: Scalar, y: Scalar, z: Scalar, w: Scalar) -> bool:
-    """x*y == z*w, compared on the integer numerators and denominators of
-    the two products without reducing or building either of them."""
-    re1, im1 = x._a * y._a - x._b * y._b, x._a * y._b + x._b * y._a
-    re2, im2 = z._a * w._a - z._b * w._b, z._a * w._b + z._b * w._a
-    d1, d2 = x._d * y._d, z._d * w._d
-    return re1 * d2 == re2 * d1 and im1 * d2 == im2 * d1
 
 
 def inner(u: Vec, v: Vec) -> Scalar:

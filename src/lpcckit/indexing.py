@@ -5,17 +5,23 @@ vector of length prod(d_p), leftmost party slowest. A `GroupIndexer`'s
 `cells` table is the one index map: `cells[r][g]` is the flat index with
 group digits g and rest digits r, and every slice, scatter, group
 operator, factorization, permutation and merge reads its rows. States
-are sparse, so `nonzero_slices` is the one sparse slice read: it walks a
+are sparse, so `int_slices` is the one sparse slice read: it walks a
 state's nonzero entries through the inverse table `where` and returns
-only the slices they touch. Moving digits into other local spaces is the
-one `relabel_digits`.
+only the slices they touch, as Gaussian-integer numerators over one
+denominator per state. Measurement application, the orthogonality-
+preservation test and `factor` run on those integers; `nonzero_slices`
+is the `Vec` view of the same read for the readers that need `Scalar`s
+(the solver's constraint matrices, support vectors, redundancy, the
+protocols' first-slice reads and `apply_operator`). Moving digits into
+other local spaces is the one `relabel_digits`.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Mapping, Sequence
 
-from .exact import Mat, Vec, ZERO, mat_vec, products_equal
+from .exact import Mat, Vec, ZERO, mat_vec
 
 
 def strides(dims: Sequence[int]) -> list[int]:
@@ -124,27 +130,36 @@ class GroupIndexer:
         e = v.entries
         return [Vec([e[i] for i in row]) for row in self.cells]
 
-    def nonzero_slices(self, v: Vec) -> dict[int, Vec]:
-        """The nonzero slices u^r of `local_vectors`, keyed by ascending r,
-        read from v's nonzero entries alone."""
+    def int_slices(self, v: Vec) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
+        """(F, slices): v's nonzero slices u^r, keyed by ascending r, each
+        the list of (g, a, b) with u^r[g] = (a + b*i)/F over ascending g,
+        where F is the lcm of v's denominators; read from v's nonzero
+        entries alone."""
         where = self.where
         if v.dim != len(where):
             raise ValueError(f"state dimension {v.dim} does not match "
                              f"the indexer's {len(where)}")
-        rows: dict[int, list] = {}
-        nonzeros = [(where[i], x) for i, x in enumerate(v.entries) if x._a or x._b]
+        # sorted by (r, g): a reordered group's g does not grow with i
+        nonzeros = sorted([(where[i], x) for i, x in enumerate(v.entries)
+                           if x._a or x._b])
+        den = lcm(*{x._d for _, x in nonzeros})
+        slices: dict[int, list] = {}
         for (r, g), x in nonzeros:
-            row = rows.get(r)
-            if row is None:
-                row = rows[r] = [ZERO] * self.group_dim
-            row[g] = x
-        return {r: Vec(rows[r]) for r in sorted(rows)}
+            m = den // x._d
+            slices.setdefault(r, []).append((g, x._a * m, x._b * m))
+        return den, slices
 
-    def scatter(self, slices: Mapping[int, Vec]) -> Vec:
-        """The state whose slice u^r is slices[r], zero on every other r."""
+    def nonzero_slices(self, v: Vec) -> dict[int, Vec]:
+        """The slices of `int_slices` as `Vec`s of v's own entries."""
+        e, cells = v.entries, self.cells
+        return {r: Vec([e[i] for i in cells[r]]) for r in self.int_slices(v)[1]}
+
+    def scatter(self, slices: Mapping[int, Sequence]) -> Vec:
+        """The state whose slice u^r is slices[r] (a `Vec` or a list of
+        `Scalar`s), zero on every other r."""
         out = [ZERO] * len(self.where)
         for r, u in slices.items():
-            for i, x in zip(self.cells[r], u.entries):
+            for i, x in zip(self.cells[r], u):
                 out[i] = x
         return Vec(out)
 
@@ -166,22 +181,26 @@ class GroupIndexer:
         With M[g][r] = u^r[g] and (g0, r0) its first nonzero entry in
         row-major order, M has rank 1 exactly when every nonzero slice
         has u^r0's support and passes the cross-multiplication
-        u^r * M[g0][r0] == u^r0 * M[g0][r] there; the factors are M's
-        column r0 and row g0."""
-        slices = self.nonzero_slices(v)
+        u^r * M[g0][r0] == u^r0 * M[g0][r] there, which holds for the
+        integer numerators of `int_slices` alike, since F cancels; the
+        factors are M's column r0 and row g0, read from v's entries."""
+        slices = self.int_slices(v)[1]
         if not slices:
             return None
-        supports = {r: u.support() for r, u in slices.items()}
-        g0 = min(sup[0] for sup in supports.values())
-        r0 = next(r for r, sup in supports.items() if sup[0] == g0)
-        c, nz = slices[r0].entries, supports[r0]
-        p = c[g0]
-        for r, u in slices.items():
-            e = u.entries
-            if supports[r] != nz or not all(products_equal(e[g], p, c[g], e[g0])
-                                            for g in nz):
+        g0 = min(u[0][0] for u in slices.values())
+        r0 = next(r for r, u in slices.items() if u[0][0] == g0)
+        c = slices[r0]
+        _, pa, pb = c[0]
+        for u in slices.values():
+            if len(u) != len(c):
                 return None
+            _, qa, qb = u[0]
+            for (g, a, b), (h, ca, cb) in zip(u, c):
+                if (g != h or a * pa - b * pb != ca * qa - cb * qb
+                        or a * pb + b * pa != ca * qb + cb * qa):
+                    return None
+        e, cells = v.entries, self.cells
         row = [ZERO] * self.rest_dim
-        for r, u in slices.items():
-            row[r] = u.entries[g0]
-        return slices[r0], Vec(row)
+        for r in slices:
+            row[r] = e[cells[r][g0]]
+        return Vec([e[i] for i in cells[r0]]), Vec(row)

@@ -3,7 +3,9 @@
 A LocalPVM carries a PVM together with the ordered party group it acts
 on; `apply` produces the exact unnormalized post-measurement branches and
 `preserves_orthogonality` decides the orthogonality-preservation property
-with one sesquilinear zero test per (element, pair).
+with one sesquilinear zero test per (element, pair). Both, and
+`branch_survivals`, run on integers: each state's `int_slices` over its
+one denominator F and each element's rows over one denominator D.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, ONE, identity, inner, mat_mul,
-                    mat_vec, nullspace, projector_onto, rank, vectors_rank)
+from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, inner,
+                    int_rows, mat_mul, mat_vec, nullspace, projector_onto,
+                    rank, vectors_rank)
 from .indexing import GroupIndexer, total_dim
 from .statesets import Partition, PartySpec, StateSet, local_support_vectors
 
@@ -20,9 +23,11 @@ from .statesets import Partition, PartySpec, StateSet, local_support_vectors
 class Projector:
     """Exact orthogonal projector; square, Hermitian, idempotent.
 
-    When built from an explicit span, an orthogonal basis of the range is
-    kept alongside the dense matrix; it makes pairwise-orthogonality
-    tests linear instead of cubic in the dimension.
+    A projector may keep `span`, a linearly independent spanning set of
+    its range, alongside the dense matrix; it makes pairwise-orthogonality
+    tests linear instead of cubic in the dimension. The span is orthogonal
+    only from `from_span` and `diagonal`: `complement` stores the
+    nullspace of the other elements' sum, which need not be.
     """
 
     def __init__(self, mat: Mat, *, _validated: bool = False,
@@ -227,20 +232,27 @@ class OutcomeBranch:
     annihilated: tuple[str, ...]
 
 
-def _slice_images(s: StateSet, lp: LocalPVM, idx: GroupIndexer):
-    """Per outcome, per state: the nonzero images (P u^r) of the state's
-    nonzero group slices, keyed by r; empty when P annihilates it."""
-    slices = [idx.nonzero_slices(v) for v in s.vectors()]
-    for e in lp.pvm.elements:
-        per_state = []
-        for sl in slices:
-            images = {}
-            for r, u in sl.items():
-                w = mat_vec(e.mat, u)
-                if not w.is_zero():
-                    images[r] = w
-            per_state.append(images)
-        yield per_state
+def _int_rows(lp: LocalPVM) -> tuple[int, list[list]]:
+    """One denominator D for the PVM's elements, and each element's
+    nonzero rows as (h, row of integer (re, im) numerator pairs over D)."""
+    den, mats = int_rows([e.mat for e in lp.pvm.elements])
+    return den, [[(h, row) for h, row in enumerate(m) if any(x or y for x, y in row)]
+                 for m in mats]
+
+
+def _image(rows, u) -> list[tuple[int, int, int]]:
+    """P u on integers: the nonzero (h, re, im) in ascending h, over D*F,
+    for P's nonzero rows from `_int_rows` and a slice u of (g, a, b) over F."""
+    out = []
+    for h, row in rows:
+        re = im = 0
+        for g, a, b in u:
+            x, y = row[g]
+            re += x * a - y * b
+            im += x * b + y * a
+        if re or im:
+            out.append((h, re, im))
+    return out
 
 
 def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
@@ -253,11 +265,21 @@ def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
     lp.validate(s.spec)
     idx = GroupIndexer(s.spec.dims, lp.group)
     group_name = lp.describe(s.spec)
+    den, mats = _int_rows(lp)
+    reads = [idx.int_slices(v) for v in s.vectors()]
     branches: dict[int, OutcomeBranch] = {}
-    for outcome, per_state in enumerate(_slice_images(s, lp, idx)):
+    for outcome, rows in enumerate(mats):
         survivors: list[tuple[str, Vec]] = []
         killed: list[str] = []
-        for (label, _), images in zip(s.states, per_state):
+        for (label, _), (f, sl) in zip(s.states, reads):
+            # Scalars only for the nonzero entries of nonzero images
+            images = {}
+            for r, u in sl.items():
+                w = _image(rows, u)
+                if w:
+                    images[r] = out = [ZERO] * idx.group_dim
+                    for h, a, b in w:
+                        out[h] = _reduced(a, b, den * f)
             if images:
                 survivors.append((label, idx.scatter(images)))
             else:
@@ -287,31 +309,44 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
     measurement inner product, so no Gram recomputation is needed. It is
     summed over the rest indices where both states have a nonzero group
     slice, so its cost follows the states' support, not the dimension.
+    The sum runs on integer numerators over the one denominator
+    F_i*D*F_j, so the value is 0 exactly when both integer sums are.
     """
     lp.validate(s.spec)
     idx = GroupIndexer(s.spec.dims, lp.group)
-    slices = [idx.nonzero_slices(v) for v in s.vectors()]
-    for outcome, e in enumerate(lp.pvm.elements):
-        images = [{r: mat_vec(e.mat, u) for r, u in sl.items()}
-                  for sl in slices]
+    _, mats = _int_rows(lp)
+    slices = [idx.int_slices(v)[1] for v in s.vectors()]
+    for outcome, rows in enumerate(mats):
+        images = [{r: {h: (x, y) for h, x, y in _image(rows, u)}
+                   for r, u in sl.items()} for sl in slices]
         for i in range(len(slices)):
             for j in range(i + 1, len(slices)):
-                acc = ZERO
+                re = im = 0
                 for r, u in slices[i].items():
-                    if r in images[j]:
-                        acc = acc + inner(u, images[j][r])
-                if not acc.is_zero():
+                    w = images[j].get(r)
+                    if not w:
+                        continue
+                    for g, a, b in u:
+                        p = w.get(g)
+                        if p:
+                            x, y = p
+                            re += a * x + b * y
+                            im += a * y - b * x
+                if re or im:
                     return OPVerdict(False, (outcome, i, j))
     return OPVerdict(True)
 
 
 def branch_survivals(s: StateSet, lp: LocalPVM) -> int:
     """How many (outcome, state) pairs the measurement leaves nonzero:
-    `apply`'s survivors, counted without building the branches."""
+    `apply`'s survivors, counted on integers without building the
+    branches, and stopping at each state's first nonzero image."""
     lp.validate(s.spec)
     idx = GroupIndexer(s.spec.dims, lp.group)
-    return sum(1 for per_state in _slice_images(s, lp, idx)
-               for images in per_state if images)
+    _, mats = _int_rows(lp)
+    slices = [idx.int_slices(v)[1] for v in s.vectors()]
+    return sum(1 for rows in mats for sl in slices
+               if any(_image(rows, u) for u in sl.values()))
 
 
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:

@@ -26,6 +26,9 @@ GOLDEN_COMMANDS = {
     "solve_rank1_S2_AC": "solve rank1 --name S2 --group AC",
     "solve_rank1_S1_AC": "solve rank1 --name S1 --group AC",
     "solve_pvms_Domino_AB": "solve pvms --name Domino --group AB",
+    "lemma_1_samples_40": "lemma 1 --samples 40",
+    "theorem_2": "theorem 2",
+    "theorem_4": "theorem 4",
 }
 
 
