@@ -5,7 +5,10 @@ which every surviving branch is certified locally indistinguishable (via
 PVM-irreducibility), on a set that is free from local redundancy. Sets
 are then classified by who can activate: a single party (TYPE-I), only a
 joint measurement of two parties (TYPE-II), or nobody that the bounded
-search can find (strong-local evidence).
+search can find (strong-local evidence); m-activability asks the same
+across m-partitions. Both searches take their candidates on a block from
+one rule (`_first_rounds`) and decide each through `verify_activation`,
+the one branch walk.
 """
 
 from __future__ import annotations
@@ -120,10 +123,14 @@ def support_triple_labels(s_before_merge: StateSet, p: Partition,
 @dataclass
 class BranchReport:
     outcome: int
-    n_states: int
+    states: StateSet
     certificate: IrreducibilityVerdict | None
     domino: DominoMatch | None = None
     domino_blocks: tuple[int, int] | None = None    # bipartition used
+
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
 
     @property
     def certified(self) -> bool:
@@ -156,7 +163,12 @@ class ActivationReport:
 
 
 class ActivationError(Exception):
-    pass
+    """An invalid first round: the claim is refuted."""
+
+
+class _SourceUndecided(ActivationError):
+    """The search could not establish the source set's distinguishability:
+    the claim is undecided, not refuted."""
 
 
 def _cached_redundancy(s: StateSet):
@@ -209,7 +221,7 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
         verdict = lpcc_search(s, p, depth=search_depth)
         before = verdict.status
         if verdict.status != "distinguishable":
-            raise ActivationError(
+            raise _SourceUndecided(
                 f"could not establish LPCC-distinguishability of the source "
                 f"set (search says {verdict.status}); pass a protocol fixture")
     trace.append(f"source distinguishability: {before}")
@@ -225,7 +237,7 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
         if br.states is None:
             continue
         if len(br.states) < 2:
-            branches.append(BranchReport(outcome, len(br.states), None))
+            branches.append(BranchReport(outcome, br.states, None))
             if fail_fast:
                 trace.append(f"outcome {outcome}: state count dropped to "
                              f"{len(br.states)}, stopping early")
@@ -236,7 +248,7 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
         if match is not None and not cert.irreducible:
             raise AssertionError(
                 "domino-matched branch failed the irreducibility cross-check")
-        branches.append(BranchReport(outcome, len(br.states), cert, match, blocks))
+        branches.append(BranchReport(outcome, br.states, cert, match, blocks))
         trace.append(f"outcome {outcome}: {len(br.states)} states, "
                      f"certificate {cert.status}"
                      + (", domino matched" if match else ""))
@@ -387,66 +399,53 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     # coarsening, so activation checks below need not re-search
     assume = "distinguishable (finest partition)"
 
+    pairs = [tuple(pair) for pair in
+             joint_pairs or itertools.combinations(range(n), 2)]
+    # (class, who, prefix of the winning trace line, (name, block, partition))
+    phases = (
+        ("TYPE-I", "single party", "",
+         [(f"party {q}", (q,), singles) for q in range(n)]),
+        ("TYPE-II", "joint pair", "joint ",
+         [(f"pair {pair}", pair,
+           Partition((pair,) + tuple((q,) for q in range(n) if q not in pair)))
+          for pair in pairs]))
     exhaustive = True
-    for party in range(n):
-        try:
-            candidates = enumerate_op_pvms(
-                s, (party,), nontrivial_for_set=True,
-                max_exact_dim=bounds.max_exact_dim)
-        except ValueError:
-            exhaustive = False
-            continue
-        candidates = _activation_order(s, candidates)
-        for lp in candidates[:bounds.max_first_rounds]:
-            try:
-                report = verify_activation(s, lp, singles,
-                                           assume_distinguishable=assume,
-                                           search_depth=bounds.depth,
-                                           max_exact_dim=bounds.max_exact_dim,
-                                           fail_fast=True)
-            except ActivationError:
+    for klass, kind, prefix, blocks in phases:
+        for name, block, part in blocks:
+            candidates = _first_rounds(s, block, bounds)
+            if candidates is None:
+                exhaustive = False
+                trace.append(f"{name}: effective dimension "
+                             f"{len(group_coordinates(s, block))} beyond "
+                             f"enumeration bound")
                 continue
-            if report.asserted:
-                trace.append(f"party {party} activates")
-                return LocalityClass("TYPE-I", witness=report, trace=trace)
-        if len(candidates) > bounds.max_first_rounds:
-            exhaustive = False
-    trace.append("no single party activates"
-                 + ("" if exhaustive else " (bounded search)"))
-
-    pairs = list(joint_pairs) if joint_pairs else list(itertools.combinations(range(n), 2))
-    for pair in pairs:
-        others = tuple((q,) for q in range(n) if q not in pair)
-        part = Partition((tuple(pair),) + others)
-        candidates = []
-        supplied = (bounds.joint_candidates or {}).get(tuple(pair), [])
-        candidates.extend(supplied)
-        eff = len(group_coordinates(s, pair))
-        if eff <= bounds.max_exact_dim:
-            candidates.extend(_activation_order(s, enumerate_op_pvms(
-                s, tuple(pair), nontrivial_for_set=True,
-                max_exact_dim=bounds.max_exact_dim)))
-        else:
-            exhaustive = False
-            trace.append(f"pair {pair}: effective dimension {eff} beyond "
-                         f"enumeration bound, verifying supplied candidates only")
-        for lp in candidates[:bounds.max_first_rounds]:
-            try:
-                report = verify_activation(s, lp, part,
-                                           assume_distinguishable=assume,
-                                           search_depth=bounds.depth,
-                                           max_exact_dim=bounds.max_exact_dim,
-                                           fail_fast=True)
-            except ActivationError:
-                continue
-            if report.asserted:
-                trace.append(f"joint pair {pair} activates")
-                return LocalityClass("TYPE-II", witness=report, trace=trace)
-        if len(candidates) > bounds.max_first_rounds:
-            exhaustive = False
-    trace.append("no joint pair activates"
-                 + ("" if exhaustive else " (bounded search)"))
+            for lp in _activation_order(s, candidates)[:bounds.max_first_rounds]:
+                try:
+                    report = verify_activation(
+                        s, lp, part, assume_distinguishable=assume,
+                        search_depth=bounds.depth,
+                        max_exact_dim=bounds.max_exact_dim, fail_fast=True)
+                except ActivationError:
+                    continue
+                if report.asserted:
+                    trace.append(f"{prefix}{name} activates")
+                    return LocalityClass(klass, witness=report, trace=trace)
+            if len(candidates) > bounds.max_first_rounds:
+                exhaustive = False
+        trace.append(f"no {kind} activates"
+                     + ("" if exhaustive else " (bounded search)"))
     return LocalityClass("strong-local-evidence", exact=False, trace=trace)
+
+
+def _first_rounds(s: StateSet, block: tuple[int, ...],
+                  bounds: SearchConfig) -> list[LocalPVM] | None:
+    """The candidate first rounds on one block: every nontrivial
+    orthogonality-preserving PVM the solver pool assembles, or None when
+    the block's effective dimension is beyond the enumeration bound."""
+    if len(group_coordinates(s, block)) > bounds.max_exact_dim:
+        return None
+    return enumerate_op_pvms(s, block, nontrivial_for_set=True,
+                             max_exact_dim=bounds.max_exact_dim)
 
 
 def _activation_order(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:
@@ -539,68 +538,50 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
     for part in iter_m_partitions(n, m):
         candidates: list[LocalPVM] = []
         for block in part.blocks:
-            supplied = (bounds.joint_candidates or {}).get(tuple(block), [])
-            candidates.extend(supplied)
-            if len(group_coordinates(s, block)) <= bounds.max_exact_dim:
-                candidates.extend(enumerate_op_pvms(
-                    s, block, nontrivial_for_set=True,
-                    max_exact_dim=bounds.max_exact_dim))
-            else:
+            found = _first_rounds(s, block, bounds)
+            if found is None:
                 exhaustive = False
                 trace.append(f"{part.describe(s.spec)}: block {block} beyond "
                              f"enumeration bound")
-        candidates = _activation_order(s, candidates)
-        for lp in candidates:
-            outcome_reports = []
-            all_irreducible = True
-            refuted = False
-            for outcome, br in sorted(apply(s, lp).items()):
-                if br.states is None:
-                    continue
-                if len(br.states) < 2:
-                    all_irreducible = False
-                    refuted = True
-                    break
-                cert = is_pvm_irreducible(br.states, part,
-                                          max_exact_dim=bounds.max_exact_dim)
-                outcome_reports.append((outcome, br.states, cert))
-                if not cert.irreducible:
-                    all_irreducible = False
-                    sub = lpcc_search(br.states, part, config=bounds)
-                    if sub.status == "distinguishable":
-                        refuted = True
-                    else:
-                        any_unknown = True
-                    break
-            if not all_irreducible:
-                if not refuted:
+            else:
+                candidates.extend(found)
+        for lp in _activation_order(s, candidates):
+            try:
+                report = verify_activation(s, lp, part,
+                                           assume_distinguishable=assume,
+                                           search_depth=bounds.depth,
+                                           max_exact_dim=bounds.max_exact_dim,
+                                           fail_fast=True)
+            except ActivationError:
+                any_unknown = True
+                continue
+            gap = next((b for b in report.branches if not b.certified), None)
+            if gap is not None:
+                # the candidate is refuted when the uncertified branch is
+                # distinguishable within the partition (one state always is)
+                if len(gap.states) >= 2 and lpcc_search(
+                        gap.states, part, config=bounds).status != "distinguishable":
                     any_unknown = True
                 continue
-            red = _cached_redundancy(s)
-            if red.redundant:
+            if not report.genuine:
                 trace.append("activation found but set is locally redundant")
                 continue
             weaker = None
             if strong:
                 for q in iter_m_partitions(n, m - 1):
-                    if all(is_pvm_irreducible(st, q,
+                    if all(is_pvm_irreducible(b.states, q,
                                               max_exact_dim=bounds.max_exact_dim).irreducible
-                           for _, st, _ in outcome_reports):
+                           for b in report.branches):
                         weaker = q
                         break
                 if weaker is None:
                     continue
-            report = verify_activation(s, lp, part,
-                                       assume_distinguishable=assume,
-                                       search_depth=bounds.depth,
-                                       max_exact_dim=bounds.max_exact_dim)
-            if report.asserted:
-                trace.append(f"activation in {part.describe(s.spec)} via "
-                             f"group {lp.group}")
-                return MActivabilityVerdict(
-                    "activable", m, strong, witness=report,
-                    witness_partition=part, weaker_partition=weaker,
-                    exact=True, trace=trace)
+            trace.append(f"activation in {part.describe(s.spec)} via "
+                         f"group {lp.group}")
+            return MActivabilityVerdict(
+                "activable", m, strong, witness=report,
+                witness_partition=part, weaker_partition=weaker,
+                exact=True, trace=trace)
     if exhaustive and not any_unknown:
         return MActivabilityVerdict(
             "not-activable", m, strong, exact=True,

@@ -14,7 +14,8 @@ import sys
 import time
 
 from . import __version__
-from .activation import classify, is_m_activable, verify_activation
+from .activation import (ActivationError, _SourceUndecided, classify,
+                         is_m_activable, verify_activation)
 from .diagram import render_ascii, render_svg
 from .kets import parse_pvm
 from .measurements import LocalPVM, apply, preserves_orthogonality
@@ -194,7 +195,12 @@ def cmd_activate(args, report: Report) -> int:
     lp = LocalPVM(parse_pvm(args.pvm, dims), group)
     p = (_parse_partition(args.partition, s) if args.partition
          else Partition.trivial(s.spec.n_parties))
-    rep = verify_activation(s, lp, p, search_depth=args.depth)
+    try:
+        rep = verify_activation(s, lp, p, search_depth=args.depth)
+    except ActivationError as exc:
+        report.say(f"activation not verified: {exc}", asserted=False,
+                   reason=str(exc))
+        return UNKNOWN if isinstance(exc, _SourceUndecided) else REFUTED
     report.data["verdicts"].append(rep.to_json())
     report.say(f"activation asserted: {rep.asserted}")
     for line in rep.trace:

@@ -874,9 +874,11 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     support, support_rank, coords = group_support(s, group)
     k = len(coords)
     d = total_dim([s.spec.dims[p] for p in group])
-    cap = max_outcomes if max_outcomes is not None else k
-    if cap < 2:
+    if max_outcomes is not None and max_outcomes < 2:
         raise ValueError("max_outcomes must be at least 2")
+    if k < 2:
+        return []                   # a one-dimensional support is inert
+    cap = max_outcomes if max_outcomes is not None else k
 
     # every candidate lies in L already: solver rays were re-verified,
     # family members solve every pair form, diagonals are points of L

@@ -406,14 +406,16 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
 @dataclass
 class SearchConfig:
     """Bounds of the distinguishability search and of the activation
-    searches built on it (classify and is_m_activable run at depth 3)."""
+    searches built on it (classify and is_m_activable run at depth 3).
+    `max_exact_dim` also bounds the blocks whose first rounds those
+    searches enumerate, and `max_first_rounds` caps how many classify
+    tries per block."""
 
     depth: int = 4
     max_candidates_per_node: int = 12
     max_pvms_per_block: int = 32
     max_exact_dim: int = 9
     max_first_rounds: int = 24
-    joint_candidates: dict | None = None    # (i, j) -> list[LocalPVM]
 
 
 def lpcc_search(s: StateSet, p: Partition, depth: int | None = None,
@@ -455,16 +457,11 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
         return store(Verdict("distinguishable", tree=quick))
 
     candidates: list[LocalPVM] = []
-    solver_unknown = False
     for block in p.blocks:
-        try:
-            found = enumerate_op_pvms(
-                s, block, nontrivial_for_set=True,
-                max_pvms=cfg.max_pvms_per_block,
-                max_exact_dim=cfg.max_exact_dim)
-        except ValueError:
-            continue
-        candidates.extend(found)
+        candidates.extend(enumerate_op_pvms(
+            s, block, nontrivial_for_set=True,
+            max_pvms=cfg.max_pvms_per_block,
+            max_exact_dim=cfg.max_exact_dim))
     if not candidates:
         cert = is_pvm_irreducible(s, p, max_exact_dim=cfg.max_exact_dim)
         if cert.irreducible:

@@ -29,6 +29,9 @@ GOLDEN_COMMANDS = {
     "lemma_1_samples_40": "lemma 1 --samples 40",
     "theorem_2": "theorem 2",
     "theorem_4": "theorem 4",
+    "classify_S2_joint_BC_activable_m_3":
+        "classify --name S2 --joint BC --activable-m 3",
+    "classify_S1_activable_m_3_strong": "classify --name S1 --activable-m 3 --strong",
 }
 
 
