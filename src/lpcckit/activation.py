@@ -22,14 +22,16 @@ from .exact import Scalar, Vec, vectors_rank
 from .indexing import GroupIndexer, digits_of, index_of
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            is_trivial_for_set, preserves_orthogonality)
-from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
-                      enumerate_op_pvms, is_pvm_irreducible)
-from .protocols import (ProtocolTree, SearchConfig, execute_and_verify,
-                        lpcc_search)
+from .opsolve import (MAX_EXACT_DIM, IrreducibilityVerdict, _cache_get,
+                      _cache_put, enumerate_op_pvms, is_pvm_irreducible)
+from .protocols import ProtocolTree, execute_and_verify, lpcc_search
 from .statesets import (Partition, StateSet, check_mutual_orthogonality,
                         group_coordinates, is_locally_redundant,
                         local_support_vectors, merge_parties,
                         separability_degree)
+
+# first rounds classify tries on each block, most promising first
+MAX_FIRST_ROUNDS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,6 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
                       protocol: ProtocolTree | None = None,
                       assume_distinguishable: str | None = None,
                       search_depth: int = 3,
-                      max_exact_dim: int = 9,
                       fail_fast: bool = False) -> ActivationReport:
     """Check a claimed activation: the first-round PVM must be nontrivial
     for the set and orthogonality-preserving; every surviving branch must
@@ -243,7 +244,7 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
                              f"{len(br.states)}, stopping early")
                 break
             continue
-        cert = is_pvm_irreducible(br.states, p, max_exact_dim=max_exact_dim)
+        cert = is_pvm_irreducible(br.states, p)
         match, blocks = _domino_in_some_bipartition(br.states, p)
         if match is not None and not cert.irreducible:
             raise AssertionError(
@@ -368,12 +369,11 @@ class LocalityClass:
 
 
 def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
-             bounds: SearchConfig | None = None) -> LocalityClass:
+             depth: int = 3) -> LocalityClass:
     """Place a set on the locality line: already indistinguishable, a
     single party can hide the information (TYPE-I), only a joint pair can
     (TYPE-II), or no activation was found (strong-local evidence; labeled
     exact only for the structurally recognized theorem cases)."""
-    bounds = bounds or SearchConfig(depth=3)
     n = s.spec.n_parties
     trace: list[str] = []
 
@@ -388,7 +388,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                              trace=[structural])
 
     singles = Partition.trivial(n)
-    verdict = lpcc_search(s, singles, config=bounds)
+    verdict = lpcc_search(s, singles, depth=depth)
     if verdict.status == "indistinguishable":
         return LocalityClass("indistinguishable-already",
                              trace=["set is already locally indistinguishable"])
@@ -412,40 +412,37 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     exhaustive = True
     for klass, kind, prefix, blocks in phases:
         for name, block, part in blocks:
-            candidates = _first_rounds(s, block, bounds)
+            candidates = _first_rounds(s, block)
             if candidates is None:
                 exhaustive = False
                 trace.append(f"{name}: effective dimension "
                              f"{len(group_coordinates(s, block))} beyond "
                              f"enumeration bound")
                 continue
-            for lp in _activation_order(s, candidates)[:bounds.max_first_rounds]:
+            for lp in _activation_order(s, candidates)[:MAX_FIRST_ROUNDS]:
                 try:
                     report = verify_activation(
                         s, lp, part, assume_distinguishable=assume,
-                        search_depth=bounds.depth,
-                        max_exact_dim=bounds.max_exact_dim, fail_fast=True)
+                        search_depth=depth, fail_fast=True)
                 except ActivationError:
                     continue
                 if report.asserted:
                     trace.append(f"{prefix}{name} activates")
                     return LocalityClass(klass, witness=report, trace=trace)
-            if len(candidates) > bounds.max_first_rounds:
+            if len(candidates) > MAX_FIRST_ROUNDS:
                 exhaustive = False
         trace.append(f"no {kind} activates"
                      + ("" if exhaustive else " (bounded search)"))
     return LocalityClass("strong-local-evidence", exact=False, trace=trace)
 
 
-def _first_rounds(s: StateSet, block: tuple[int, ...],
-                  bounds: SearchConfig) -> list[LocalPVM] | None:
+def _first_rounds(s: StateSet, block: tuple[int, ...]) -> list[LocalPVM] | None:
     """The candidate first rounds on one block: every nontrivial
     orthogonality-preserving PVM the solver pool assembles, or None when
     the block's effective dimension is beyond the enumeration bound."""
-    if len(group_coordinates(s, block)) > bounds.max_exact_dim:
+    if len(group_coordinates(s, block)) > MAX_EXACT_DIM:
         return None
-    return enumerate_op_pvms(s, block, nontrivial_for_set=True,
-                             max_exact_dim=bounds.max_exact_dim)
+    return enumerate_op_pvms(s, block)
 
 
 def _activation_order(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:
@@ -518,27 +515,36 @@ def iter_m_partitions(n: int, m: int):
 
 
 def is_m_activable(s: StateSet, m: int, strong: bool = False,
-                   bounds: SearchConfig | None = None) -> MActivabilityVerdict:
+                   depth: int = 3) -> MActivabilityVerdict:
     """Search all m-partitions for a first-round OP-PVM on one block that
     leaves every branch certified irreducible within that partition; the
     strong variant additionally needs every branch irreducible in some
     (m-1)-partition. Negative verdicts are exact only when every branch
     of every candidate was refuted by an explicit discrimination tree;
-    bounded gaps surface as unknown, never as a silent negative."""
-    bounds = bounds or SearchConfig(depth=3)
+    bounded gaps surface as unknown, never as a silent negative. Strong
+    2-activability never holds, so it is refuted without a search."""
     n = s.spec.n_parties
     if m < 2 or m > n:
         raise ValueError(f"m must be between 2 and {n}")
+    if strong and m == 2:
+        # the projector onto one state preserves orthogonality and is
+        # nontrivial for any two or more orthogonal states, so no branch
+        # is ever irreducible in the one-block partition
+        return MActivabilityVerdict(
+            "not-activable", m, strong, exact=True,
+            trace=["strong 2-activation needs branches irreducible as one "
+                   "block, and the projector onto one state reduces any "
+                   "two or more orthogonal states"])
     exhaustive = True
     any_unknown = False
     trace: list[str] = []
-    finest = lpcc_search(s, Partition.trivial(n), config=bounds)
+    finest = lpcc_search(s, Partition.trivial(n), depth=depth)
     assume = ("distinguishable (finest partition)"
               if finest.status == "distinguishable" else None)
     for part in iter_m_partitions(n, m):
         candidates: list[LocalPVM] = []
         for block in part.blocks:
-            found = _first_rounds(s, block, bounds)
+            found = _first_rounds(s, block)
             if found is None:
                 exhaustive = False
                 trace.append(f"{part.describe(s.spec)}: block {block} beyond "
@@ -549,9 +555,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
             try:
                 report = verify_activation(s, lp, part,
                                            assume_distinguishable=assume,
-                                           search_depth=bounds.depth,
-                                           max_exact_dim=bounds.max_exact_dim,
-                                           fail_fast=True)
+                                           search_depth=depth, fail_fast=True)
             except ActivationError:
                 any_unknown = True
                 continue
@@ -560,7 +564,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
                 # the candidate is refuted when the uncertified branch is
                 # distinguishable within the partition (one state always is)
                 if len(gap.states) >= 2 and lpcc_search(
-                        gap.states, part, config=bounds).status != "distinguishable":
+                        gap.states, part, depth=depth).status != "distinguishable":
                     any_unknown = True
                 continue
             if not report.genuine:
@@ -569,8 +573,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
             weaker = None
             if strong:
                 for q in iter_m_partitions(n, m - 1):
-                    if all(is_pvm_irreducible(b.states, q,
-                                              max_exact_dim=bounds.max_exact_dim).irreducible
+                    if all(is_pvm_irreducible(b.states, q).irreducible
                            for b in report.branches):
                         weaker = q
                         break

@@ -20,8 +20,8 @@ from .diagram import render_ascii, render_svg
 from .kets import parse_pvm
 from .measurements import LocalPVM, apply, preserves_orthogonality
 from .opsolve import enumerate_op_pvms, rank1_op_directions
-from .protocols import (ProtocolError, SearchConfig, execute_and_verify,
-                        lpcc_search, tree_from_script)
+from .protocols import (ProtocolError, execute_and_verify, lpcc_search,
+                        tree_from_script)
 from .statesets import (NAMED_SETS, Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, is_locally_redundant)
 from .theorems import lemma1_replay, theorem_replay
@@ -213,15 +213,14 @@ def cmd_classify(args, report: Report) -> int:
     pairs = None
     if args.joint:
         pairs = [tuple(_parse_group(args.joint, s))]
-    bounds = SearchConfig(depth=args.depth)
-    out = classify(s, joint_pairs=pairs, bounds=bounds)
+    out = classify(s, joint_pairs=pairs, depth=args.depth)
     report.data["verdicts"].append(out.to_json())
     report.say(f"class: {out.klass}" + (" [exact]" if out.exact else ""))
     for line in out.trace:
         report.say("  " + line)
     if args.activable_m is not None:
         verdict = is_m_activable(s, args.activable_m, strong=args.strong,
-                                 bounds=bounds)
+                                 depth=args.depth)
         report.data["verdicts"].append(verdict.to_json())
         report.say(f"{args.activable_m}-activable: {verdict.status}"
                    + (" [exact]" if verdict.exact else ""))

@@ -47,6 +47,8 @@ from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
 from .statesets import (Partition, StateSet, group_coordinates,
                         group_support, local_support_vectors)
 
+# the largest effective block dimension the rank-1 case split enumerates;
+# a larger block is reported unresolved ("dimension-bound")
 MAX_EXACT_DIM = 9
 
 
@@ -143,8 +145,8 @@ class Family:
             return False
         return False
 
-    def members(self, count: int = 4) -> list[Vec]:
-        """A few exact representative rays, for PVM assembly."""
+    def members(self) -> list[Vec]:
+        """Up to four exact representative rays, for PVM assembly."""
         out: list[Vec] = []
         if self.kind == "subspace":
             out.extend(self.basis)
@@ -174,7 +176,7 @@ class Family:
             if cv.entries not in seen:
                 seen.add(cv.entries)
                 clean.append(cv)
-            if len(clean) >= count:
+            if len(clean) == 4:
                 break
         return clean
 
@@ -599,7 +601,6 @@ def clear_caches() -> None:
 
 
 def rank1_op_directions(s: StateSet, group: Sequence[int], *,
-                        max_exact_dim: int = MAX_EXACT_DIM,
                         _cmats: list[ConstraintMatrix] | None = None) -> SolutionReport:
     """All rank-1 directions theta (up to phase/scale) with
     F_ij(theta) = 0 for every pair, via exact support-pattern case split.
@@ -613,7 +614,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     copy of the stored report.
     """
     group = tuple(group)
-    cache_key = ("rank1", group, max_exact_dim, s.ray_key)
+    cache_key = ("rank1", group, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
         return hit.copy()
@@ -629,12 +630,12 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
         report.trace.append(f"support compression to coordinates {coords}")
     cm_small = [_restrict(c.mat, coords) for c in cmats]
 
-    if k > max_exact_dim:
+    if k > MAX_EXACT_DIM:
         report.unresolved.append(
             {"reason": "dimension-bound", "effective_dim": k,
-             "bound": max_exact_dim})
+             "bound": MAX_EXACT_DIM})
         report.trace.append(
-            f"effective dimension {k} exceeds exact enumeration bound {max_exact_dim}")
+            f"effective dimension {k} exceeds exact enumeration bound {MAX_EXACT_DIM}")
         return report
 
     seen: set = set()
@@ -846,16 +847,14 @@ def _diagonal_subsets(cmats: list[ConstraintMatrix], support: list[Vec],
 
 def enumerate_op_pvms(s: StateSet, group: Sequence[int],
                       max_outcomes: int | None = None, *,
-                      nontrivial_for_set: bool = True,
-                      max_pvms: int = 64,
-                      max_exact_dim: int = MAX_EXACT_DIM) -> list[LocalPVM]:
-    """Nontrivial orthogonality-preserving PVMs on the group, assembled on
-    the solver's working coordinates from a projector pool (exact rank-1
-    directions, family representatives included, and diagonal subsets);
-    any orthogonal partial family completes with its (automatically
-    orthogonality-preserving) complement. On a compressed support each
-    PVM is lifted to the whole group space, with the off-support
-    complement as one more outcome.
+                      max_pvms: int = 64) -> list[LocalPVM]:
+    """Orthogonality-preserving PVMs on the group that are nontrivial for
+    the set, assembled on the solver's working coordinates from a
+    projector pool (exact rank-1 directions, family representatives
+    included, and diagonal subsets); any orthogonal partial family
+    completes with its (automatically orthogonality-preserving)
+    complement. On a compressed support each PVM is lifted to the whole
+    group space, with the off-support complement as one more outcome.
 
     Completeness is relative to the pool: PVMs whose rank-1 elements are
     solver directions and whose higher-rank elements are diagonal
@@ -863,14 +862,12 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     of the stored list.
     """
     group = tuple(group)
-    cache_key = ("pvms", group, max_outcomes, nontrivial_for_set, max_pvms,
-                 max_exact_dim, s.ray_key)
+    cache_key = ("pvms", group, max_outcomes, max_pvms, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
         return list(hit)
     cmats = constraint_matrices(s, group)
-    report = rank1_op_directions(s, group, max_exact_dim=max_exact_dim,
-                                 _cmats=cmats)
+    report = rank1_op_directions(s, group, _cmats=cmats)
     support, support_rank, coords = group_support(s, group)
     k = len(coords)
     d = total_dim([s.spec.dims[p] for p in group])
@@ -938,8 +935,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
         if pvm.is_trivial():
             continue
         lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
-        if nontrivial_for_set and (flat or all(acts_as_scalar_on(e, support)
-                                               for e in lp.pvm.elements)):
+        if flat or all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
             continue
         if not preserves_orthogonality(s, lp):
             raise AssertionError("assembled PVM failed re-verification")
@@ -995,8 +991,7 @@ class IrreducibilityVerdict:
                 "trace": self.trace}
 
 
-def is_pvm_irreducible(s: StateSet, p: Partition, *,
-                       max_exact_dim: int = MAX_EXACT_DIM) -> IrreducibilityVerdict:
+def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
     """Certify that no block of the partition admits a nontrivial-for-the-
     set orthogonality-preserving PVM (the sufficient condition for local
     irreducibility, which in turn certifies indistinguishability).
@@ -1013,7 +1008,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
             status="two-state",
             trace=["two orthogonal states are always distinguishable; "
                    "no irreducibility certificate is possible"])
-    cache_key = ("irr", p.blocks, max_exact_dim, s.ray_key)
+    cache_key = ("irr", p.blocks, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
         return hit.copy()
@@ -1037,8 +1032,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition, *,
                 break
         report = None
         if witness_p is None:
-            report = rank1_op_directions(s, block, max_exact_dim=max_exact_dim,
-                                         _cmats=cmats)
+            report = rank1_op_directions(s, block, _cmats=cmats)
             if report.unresolved:
                 verdict.status = "unknown"
                 verdict.trace.append(f"block {block}: solver could not close "

@@ -19,7 +19,7 @@ preservation at each node and the claimed rule at each leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from .exact import Vec, gram_schmidt, inner, sort_keys, vectors_rank
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
@@ -179,7 +179,7 @@ def _party_support_dims(s: StateSet) -> list[int]:
             for p in range(s.spec.n_parties)]
 
 
-def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
+def lemma1_protocol(s: StateSet) -> ProtocolTree:
     """Constructive three-round tree for orthogonal product sets whose
     one side is (effectively) two-dimensional.
 
@@ -199,28 +199,24 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
         # degenerate instance: all structure sits on one party, whose
         # slices are mutually orthogonal; rank-1 projectors finish it
         return _single_party_identification(s, live[0])
-    if two_side is None:
-        candidates = [p for p in live if sup[p] == 2]
-        if not candidates:
-            raise LemmaStructureError("no party has a two-dimensional support")
-        two_side = candidates[0]
-    elif sup[two_side] != 2:
-        raise LemmaStructureError(
-            f"party {two_side} has support dimension {sup[two_side]}, not 2")
-    rest = tuple(p for p in live if p != two_side)
+    # the narrow side: the first live party with a two-dimensional support
+    narrow = next((p for p in live if sup[p] == 2), None)
+    if narrow is None:
+        raise LemmaStructureError("no party has a two-dimensional support")
+    rest = tuple(p for p in live if p != narrow)
     if not rest:
         if len(s) <= 2:
             return Leaf("two-orthogonal") if len(s) == 2 else Leaf("identified")
         raise LemmaStructureError(
             "more than two states but only the two-dimensional side varies")
 
-    two_idx = GroupIndexer(dims, (two_side,))
+    two_idx = GroupIndexer(dims, (narrow,))
     alphas = []
     for label, v in s.states:
         factors = two_idx.factor(v)
         if factors is None:
             raise LemmaStructureError(
-                f"state {label!r} is not a product across party {two_side}")
+                f"state {label!r} is not a product across party {narrow}")
         alphas.append(factors[0])
     rest_idx = GroupIndexer(dims, rest)
     # inert parties factor out of every state, so any nonzero slice on the
@@ -256,7 +252,7 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
                             "same-direction states are not orthogonal on the wide side")
 
     rest_dim = rest_idx.group_dim
-    two_dim = dims[two_side]
+    two_dim = dims[narrow]
 
     def round3(members: list[int]) -> Node | Leaf:
         if len(members) == 1:
@@ -279,7 +275,7 @@ def lemma1_protocol(s: StateSet, two_side: int | None = None) -> ProtocolTree:
         for side in (0, 1):
             if cls["members"][side]:
                 children[side] = round3(cls["members"][side])
-        return Node((two_side,), PVM(elements), children)
+        return Node((narrow,), PVM(elements), children)
 
     elements = []
     for cls in classes:
@@ -403,23 +399,13 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
 # ---------------------------------------------------------------------------
 # bounded search
 
-@dataclass
-class SearchConfig:
-    """Bounds of the distinguishability search and of the activation
-    searches built on it (classify and is_m_activable run at depth 3).
-    `max_exact_dim` also bounds the blocks whose first rounds those
-    searches enumerate, and `max_first_rounds` caps how many classify
-    tries per block."""
-
-    depth: int = 4
-    max_candidates_per_node: int = 12
-    max_pvms_per_block: int = 32
-    max_exact_dim: int = 9
-    max_first_rounds: int = 24
+# measurements the search tries at each tree node, best-ordered first
+MAX_CANDIDATES_PER_NODE = 12
+# PVMs enumerated on each partition block at each tree node
+MAX_PVMS_PER_BLOCK = 32
 
 
-def lpcc_search(s: StateSet, p: Partition, depth: int | None = None,
-                config: SearchConfig | None = None) -> Verdict:
+def lpcc_search(s: StateSet, p: Partition, depth: int = 4) -> Verdict:
     """Breadth-limited distinguishability decision within a partition.
 
     Measurements are restricted to single blocks of the partition;
@@ -429,20 +415,16 @@ def lpcc_search(s: StateSet, p: Partition, depth: int | None = None,
     Verdicts are memoized across calls (they depend only on exact data);
     the caller gets its own copy of the stored verdict.
     """
-    cfg = config or SearchConfig()
-    if depth is not None:
-        cfg = replace(cfg, depth=depth)
     p.validate(s.spec)
-    return _search(s, p, cfg.depth, cfg)
+    return _search(s, p, depth)
 
 
-def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict:
+def _search(s: StateSet, p: Partition, depth: int) -> Verdict:
     if len(s) == 1:
         return Verdict("distinguishable", tree=Leaf("identified"))
     if len(s) == 2:
         return Verdict("distinguishable", tree=Leaf("two-orthogonal"))
-    key = ("search", p.blocks, cfg.max_candidates_per_node,
-           cfg.max_pvms_per_block, cfg.max_exact_dim, s.ray_key)
+    key = ("search", p.blocks, s.ray_key)
     hit = _cache_get(key)
     # an unknown verdict is reused only if it was searched at least as deep
     if hit is not None and (hit[0].status != "unknown" or hit[1] >= depth):
@@ -458,12 +440,10 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
 
     candidates: list[LocalPVM] = []
     for block in p.blocks:
-        candidates.extend(enumerate_op_pvms(
-            s, block, nontrivial_for_set=True,
-            max_pvms=cfg.max_pvms_per_block,
-            max_exact_dim=cfg.max_exact_dim))
+        candidates.extend(enumerate_op_pvms(s, block,
+                                            max_pvms=MAX_PVMS_PER_BLOCK))
     if not candidates:
-        cert = is_pvm_irreducible(s, p, max_exact_dim=cfg.max_exact_dim)
+        cert = is_pvm_irreducible(s, p)
         if cert.irreducible:
             return store(Verdict("indistinguishable", certificate=cert,
                                  trace=["no block admits a nontrivial "
@@ -475,7 +455,7 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
     if depth <= 0:
         return store(Verdict("unknown", trace=["depth bound exhausted"]))
 
-    candidates = _order_candidates(s, candidates)[:cfg.max_candidates_per_node]
+    candidates = _order_candidates(s, candidates)[:MAX_CANDIDATES_PER_NODE]
     for lp in candidates:
         branches = apply(s, lp)
         children: dict[int, Node | Leaf] = {}
@@ -486,7 +466,7 @@ def _search(s: StateSet, p: Partition, depth: int, cfg: SearchConfig) -> Verdict
             if br.states.ray_key == s.ray_key:
                 ok = False      # measurement did nothing useful on this branch
                 break
-            sub = _search(br.states, p, depth - 1, cfg)
+            sub = _search(br.states, p, depth - 1)
             if not sub.distinguishable:
                 ok = False
                 break

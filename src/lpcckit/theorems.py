@@ -296,7 +296,7 @@ def theorem5_replay() -> TheoremResult:
     for tag, sub in subsets.items():
         failed = True
         for party in range(3):
-            cands = enumerate_op_pvms(sub, (party,), nontrivial_for_set=True)
+            cands = enumerate_op_pvms(sub, (party,))
             for lp in cands:
                 refuted = False
                 for o, br in apply(sub, lp).items():

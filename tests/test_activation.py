@@ -226,3 +226,17 @@ def test_domino_match_implies_irreducible(s1, s2):
         assert match is not None
         verdict = is_pvm_irreducible(merged, Partition.trivial(2))
         assert verdict.irreducible
+
+
+def test_dimension_bound_bites_from_the_input():
+    # party A spans ten coordinates, one past the enumeration bound: the
+    # solver reports the block unresolved, classify skips it and is no
+    # longer exact, and m-activability cannot come out negative
+    from lpcckit.opsolve import rank1_op_directions
+    s = random_product_set(random.Random(1), (10, 2, 2), 5)
+    assert rank1_op_directions(s, (0,)).unresolved == [
+        {"reason": "dimension-bound", "effective_dim": 10, "bound": 9}]
+    out = classify(s)
+    assert (out.klass, out.exact) == ("strong-local-evidence", False)
+    assert "party 0: effective dimension 10 beyond enumeration bound" in out.trace
+    assert is_m_activable(s, 2).status == "unknown"

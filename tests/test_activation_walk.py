@@ -1,8 +1,8 @@
 """One activation walk: classify and is_m_activable against the
-previous implementation, kept below verbatim as the reference (it ran its
-own branch walk and its own candidate gathering; the supplied-candidate
-table it read is always empty here), and the sets on which the previous
-one raised."""
+previous implementation, kept below as the reference with its logic
+verbatim (it ran its own branch walk and its own candidate gathering; the
+supplied-candidate table it read is always empty here, and its bounds are
+the module constants), and the sets on which the previous one raised."""
 
 import itertools
 import json
@@ -17,18 +17,20 @@ from typing import Sequence
 import pytest
 
 import lpcckit
-from lpcckit.activation import (ActivationError, LocalityClass,
-                                MActivabilityVerdict, _activation_order,
-                                _cached_redundancy, _structural_strong_local,
-                                classify, is_m_activable, iter_m_partitions,
+from lpcckit import activation
+from lpcckit.activation import (MAX_FIRST_ROUNDS, ActivationError,
+                                LocalityClass, MActivabilityVerdict,
+                                _activation_order, _cached_redundancy,
+                                _structural_strong_local, classify,
+                                is_m_activable, iter_m_partitions,
                                 verify_activation)
 from lpcckit.cli import main
 from lpcckit.exact import Vec, tensor
 from lpcckit.generators import random_product_set
 from lpcckit.indexing import embed_with_offsets
 from lpcckit.measurements import LocalPVM, apply
-from lpcckit.opsolve import enumerate_op_pvms, is_pvm_irreducible
-from lpcckit.protocols import SearchConfig, lpcc_search
+from lpcckit.opsolve import MAX_EXACT_DIM, enumerate_op_pvms, is_pvm_irreducible
+from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                build_named_set, group_coordinates)
 
@@ -37,12 +39,11 @@ from lpcckit.statesets import (Partition, PartySpec, StateSet,
 # reference: the previous classify and is_m_activable
 
 def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
-                 bounds: SearchConfig | None = None) -> LocalityClass:
+                 depth: int = 3) -> LocalityClass:
     """Place a set on the locality line: already indistinguishable, a
     single party can hide the information (TYPE-I), only a joint pair can
     (TYPE-II), or no activation was found (strong-local evidence; labeled
     exact only for the structurally recognized theorem cases)."""
-    bounds = bounds or SearchConfig(depth=3)
     n = s.spec.n_parties
     trace: list[str] = []
 
@@ -57,7 +58,7 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
                              trace=[structural])
 
     singles = Partition.trivial(n)
-    verdict = lpcc_search(s, singles, config=bounds)
+    verdict = lpcc_search(s, singles, depth=depth)
     if verdict.status == "indistinguishable":
         return LocalityClass("indistinguishable-already",
                              trace=["set is already locally indistinguishable"])
@@ -71,26 +72,22 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
     exhaustive = True
     for party in range(n):
         try:
-            candidates = enumerate_op_pvms(
-                s, (party,), nontrivial_for_set=True,
-                max_exact_dim=bounds.max_exact_dim)
+            candidates = enumerate_op_pvms(s, (party,))
         except ValueError:
             exhaustive = False
             continue
         candidates = _activation_order(s, candidates)
-        for lp in candidates[:bounds.max_first_rounds]:
+        for lp in candidates[:MAX_FIRST_ROUNDS]:
             try:
                 report = verify_activation(s, lp, singles,
                                            assume_distinguishable=assume,
-                                           search_depth=bounds.depth,
-                                           max_exact_dim=bounds.max_exact_dim,
-                                           fail_fast=True)
+                                           search_depth=depth, fail_fast=True)
             except ActivationError:
                 continue
             if report.asserted:
                 trace.append(f"party {party} activates")
                 return LocalityClass("TYPE-I", witness=report, trace=trace)
-        if len(candidates) > bounds.max_first_rounds:
+        if len(candidates) > MAX_FIRST_ROUNDS:
             exhaustive = False
     trace.append("no single party activates"
                  + ("" if exhaustive else " (bounded search)"))
@@ -103,27 +100,24 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
         supplied = (None or {}).get(tuple(pair), [])
         candidates.extend(supplied)
         eff = len(group_coordinates(s, pair))
-        if eff <= bounds.max_exact_dim:
+        if eff <= MAX_EXACT_DIM:
             candidates.extend(_activation_order(s, enumerate_op_pvms(
-                s, tuple(pair), nontrivial_for_set=True,
-                max_exact_dim=bounds.max_exact_dim)))
+                s, tuple(pair))))
         else:
             exhaustive = False
             trace.append(f"pair {pair}: effective dimension {eff} beyond "
                          f"enumeration bound, verifying supplied candidates only")
-        for lp in candidates[:bounds.max_first_rounds]:
+        for lp in candidates[:MAX_FIRST_ROUNDS]:
             try:
                 report = verify_activation(s, lp, part,
                                            assume_distinguishable=assume,
-                                           search_depth=bounds.depth,
-                                           max_exact_dim=bounds.max_exact_dim,
-                                           fail_fast=True)
+                                           search_depth=depth, fail_fast=True)
             except ActivationError:
                 continue
             if report.asserted:
                 trace.append(f"joint pair {pair} activates")
                 return LocalityClass("TYPE-II", witness=report, trace=trace)
-        if len(candidates) > bounds.max_first_rounds:
+        if len(candidates) > MAX_FIRST_ROUNDS:
             exhaustive = False
     trace.append("no joint pair activates"
                  + ("" if exhaustive else " (bounded search)"))
@@ -131,21 +125,20 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
 
 
 def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
-                       bounds: SearchConfig | None = None) -> MActivabilityVerdict:
+                       depth: int = 3) -> MActivabilityVerdict:
     """Search all m-partitions for a first-round OP-PVM on one block that
     leaves every branch certified irreducible within that partition; the
     strong variant additionally needs every branch irreducible in some
     (m-1)-partition. Negative verdicts are exact only when every branch
     of every candidate was refuted by an explicit discrimination tree;
     bounded gaps surface as unknown, never as a silent negative."""
-    bounds = bounds or SearchConfig(depth=3)
     n = s.spec.n_parties
     if m < 2 or m > n:
         raise ValueError(f"m must be between 2 and {n}")
     exhaustive = True
     any_unknown = False
     trace: list[str] = []
-    finest = lpcc_search(s, Partition.trivial(n), config=bounds)
+    finest = lpcc_search(s, Partition.trivial(n), depth=depth)
     assume = ("distinguishable (finest partition)"
               if finest.status == "distinguishable" else None)
     for part in iter_m_partitions(n, m):
@@ -153,10 +146,8 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
         for block in part.blocks:
             supplied = (None or {}).get(tuple(block), [])
             candidates.extend(supplied)
-            if len(group_coordinates(s, block)) <= bounds.max_exact_dim:
-                candidates.extend(enumerate_op_pvms(
-                    s, block, nontrivial_for_set=True,
-                    max_exact_dim=bounds.max_exact_dim))
+            if len(group_coordinates(s, block)) <= MAX_EXACT_DIM:
+                candidates.extend(enumerate_op_pvms(s, block))
             else:
                 exhaustive = False
                 trace.append(f"{part.describe(s.spec)}: block {block} beyond "
@@ -173,12 +164,11 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
                     all_irreducible = False
                     refuted = True
                     break
-                cert = is_pvm_irreducible(br.states, part,
-                                          max_exact_dim=bounds.max_exact_dim)
+                cert = is_pvm_irreducible(br.states, part)
                 outcome_reports.append((outcome, br.states, cert))
                 if not cert.irreducible:
                     all_irreducible = False
-                    sub = lpcc_search(br.states, part, config=bounds)
+                    sub = lpcc_search(br.states, part, depth=depth)
                     if sub.status == "distinguishable":
                         refuted = True
                     else:
@@ -195,8 +185,7 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
             weaker = None
             if strong:
                 for q in iter_m_partitions(n, m - 1):
-                    if all(is_pvm_irreducible(st, q,
-                                              max_exact_dim=bounds.max_exact_dim).irreducible
+                    if all(is_pvm_irreducible(st, q).irreducible
                            for _, st, _ in outcome_reports):
                         weaker = q
                         break
@@ -204,8 +193,7 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
                     continue
             report = verify_activation(s, lp, part,
                                        assume_distinguishable=assume,
-                                       search_depth=bounds.depth,
-                                       max_exact_dim=bounds.max_exact_dim)
+                                       search_depth=depth)
             if report.asserted:
                 trace.append(f"activation in {part.describe(s.spec)} via "
                              f"group {lp.group}")
@@ -228,7 +216,11 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
 NAMED_CASES = [(name, m, strong) for name, ms in
                (("S1", (2, 3)), ("S2", (2, 3)), ("Domino", (2,)))
                for m in ms for strong in (False, True)
-               if (name, m, strong) != ("S1", 2, True)]      # 5-10 s alone
+               if (name, m, strong) != ("S1", 2, True)]      # reference: 5-10 s
+
+STRONG_2_TRACE = ["strong 2-activation needs branches irreducible as one "
+                  "block, and the projector onto one state reduces any two "
+                  "or more orthogonal states"]
 
 
 def _random_sets():
@@ -264,8 +256,16 @@ def _same_class(got: LocalityClass, want: LocalityClass):
 
 
 def _same_m_verdict(got: MActivabilityVerdict, want: MActivabilityVerdict):
-    assert (got.status, got.exact, got.trace) == (want.status, want.exact,
-                                                  want.trace)
+    if got.strong and got.m == 2:
+        # decided up front now; the reference walked every candidate to
+        # the same verdict wherever it decided one
+        assert (got.status, got.exact, got.trace) == ("not-activable", True,
+                                                      STRONG_2_TRACE)
+        if want.status != "unknown":
+            assert (want.status, want.exact) == ("not-activable", True)
+    else:
+        assert (got.status, got.exact, got.trace) == (want.status, want.exact,
+                                                      want.trace)
     assert _witness(got.witness) == _witness(want.witness)
     assert got.witness_partition == want.witness_partition
     assert got.weaker_partition == want.weaker_partition
@@ -275,6 +275,19 @@ def _same_m_verdict(got: MActivabilityVerdict, want: MActivabilityVerdict):
 def test_m_activable_matches_reference_on_named_sets(name, m, strong):
     s = build_named_set(name)
     _same_m_verdict(is_m_activable(s, m, strong), ref_is_m_activable(s, m, strong))
+
+
+def test_strong_2_activability_runs_no_search(monkeypatch):
+    # the reference took 5-10 s to walk every candidate of S1 to the same
+    # not-activable [exact]
+    def no_search(*args, **kwargs):
+        raise AssertionError("lpcc_search ran")
+
+    monkeypatch.setattr(activation, "lpcc_search", no_search)
+    got = is_m_activable(build_named_set("S1"), 2, strong=True)
+    assert (got.status, got.exact, got.trace) == ("not-activable", True,
+                                                  STRONG_2_TRACE)
+    assert got.witness is None and got.witness_partition is None
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "Domino"])

@@ -32,6 +32,7 @@ GOLDEN_COMMANDS = {
     "classify_S2_joint_BC_activable_m_3":
         "classify --name S2 --joint BC --activable-m 3",
     "classify_S1_activable_m_3_strong": "classify --name S1 --activable-m 3 --strong",
+    "classify_S1_depth_1_activable_m_2": "classify --name S1 --depth 1 --activable-m 2",
 }
 
 
