@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exact import Scalar, Vec, vectors_rank
@@ -174,11 +174,12 @@ class _SourceUndecided(ActivationError):
 
 
 def _cached_redundancy(s: StateSet):
+    """The stored verdict itself: it is frozen, so callers may share it."""
     key = ("redundancy", s.ray_key)
     hit = _cache_get(key)
     if hit is None:
         hit = _cache_put(key, is_locally_redundant(s))
-    return replace(hit)
+    return hit
 
 
 def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
@@ -192,7 +193,8 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
     requires the source set to be locally irredundant.
 
     The LPCC-distinguishability precondition is established by a supplied
-    protocol, by search, or by an `assume_distinguishable` note (used by
+    protocol (replayed with every node inside one block of the
+    partition), by search, or by an `assume_distinguishable` note (used by
     callers that already verified it in a finer partition, which implies
     it in every coarsening).
 
@@ -214,7 +216,7 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
 
     trace: list[str] = []
     if protocol is not None:
-        execute_and_verify(s, protocol)
+        execute_and_verify(s, protocol, p)
         before = "verified-by-protocol"
     elif assume_distinguishable is not None:
         before = assume_distinguishable
@@ -265,20 +267,16 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
 
 
 def _domino_in_some_bipartition(branch: StateSet, p: Partition):
-    """Run domino matching on every bipartite coarsening of the partition."""
+    """Run domino matching on each bipartition that sets one block of the
+    partition against the union of the others (for at most three blocks,
+    these are all its bipartite coarsenings). With two blocks only the
+    first is tried: the second would merely swap the sides."""
     blocks = p.blocks
-    if len(blocks) == 2:
-        coarsenings = [((0,), (1,))]
-    elif len(blocks) < 2:
-        return None, None
-    else:
-        coarsenings = []
-        for subset in itertools.combinations(range(len(blocks)), 1):
-            rest = tuple(i for i in range(len(blocks)) if i not in subset)
-            coarsenings.append((subset, rest))
-    for left, right in coarsenings:
-        merged_blocks = (tuple(q for i in left for q in blocks[i]),
-                         tuple(q for i in right for q in blocks[i]))
+    n = len(blocks)
+    coarsenings = [(blocks[i], tuple(q for j in range(n) if j != i
+                                     for q in blocks[j]))
+                   for i in range(n if n > 2 else n - 1)]
+    for merged_blocks in coarsenings:
         merged = merge_parties(branch, Partition(merged_blocks))
         match = domino_match(merged)
         if match is not None:

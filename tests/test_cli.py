@@ -184,3 +184,28 @@ def test_json_report_matches_golden_file(capsys, name):
     del data["elapsed_s"]
     want = (GOLDEN / f"{name}.json").read_text()
     assert json.dumps(data, indent=2) + "\n" == want
+
+
+NON_ORTHOGONAL = {"dims": [2, 2], "states": [
+    {"label": "a", "amps": [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]},
+    {"label": "b", "amps": [[1, 1, 0, 1], [1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]}]}
+
+
+@pytest.mark.parametrize("verb", [["search"], ["classify"],
+                                  ["solve", "rank1", "--group", "A"]])
+def test_non_orthogonal_input_is_a_usage_error(capsys, tmp_path, verb):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(NON_ORTHOGONAL))
+    assert main(verb + ["--file", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: states 'a' and 'b' are not orthogonal\n"
+
+
+@pytest.mark.parametrize("claim", ["three-product", "lemma1-2xn"])
+def test_failed_leaf_claim_is_refuted(capsys, tmp_path, claim):
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps({"tree": {"claim": claim}}))
+    code, out = run(capsys, "protocol", "--name", "S2", "--script", str(path))
+    assert code == 1
+    assert out.startswith(f"protocol verification FAILED: leaf {claim}: ")

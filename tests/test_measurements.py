@@ -12,8 +12,8 @@ from lpcckit.generators import random_orthogonal_set
 from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
-                                  branch_survivals, embed, is_trivial,
-                                  is_trivial_for_set, preserves_orthogonality)
+                                  branch_survivals, embed, is_trivial_for_set,
+                                  preserves_orthogonality)
 from lpcckit.opsolve import enumerate_op_pvms
 from lpcckit.statesets import (Partition, check_mutual_orthogonality,
                                merge_parties)
@@ -219,10 +219,10 @@ def test_branch_survivals_counts_apply_survivors(domino, s1, s2):
 
 
 def test_is_trivial():
-    assert is_trivial(PVM([Projector.full(2)]))
-    assert not is_trivial(parse_pvm("0;1", [2]))
+    assert PVM([Projector.full(2)]).is_trivial()
+    assert not parse_pvm("0;1", [2]).is_trivial()
     p = Projector.diagonal([0, 1], 3)
-    assert not is_trivial(PVM([p, p.complement()]))
+    assert not PVM([p, p.complement()]).is_trivial()
 
 
 def test_rank2_in_dim2_is_identity():

@@ -1,6 +1,7 @@
 """Orthogonality-preserving measurement solver."""
 
 import copy
+import dataclasses
 import itertools
 import random
 from collections import OrderedDict
@@ -332,14 +333,19 @@ def test_stored_verdicts_are_not_shared_with_callers(domino):
     levels = [Vec([1, 0, 0]), Vec([0, 1, 0]), Vec([0, 0, 1])]
     grid = StateSet(PartySpec((3, 3)), [(f"{i}{j}", tensor(levels[i], levels[j]))
                                         for i in range(3) for j in range(3)])
+    # trees and redundancy verdicts are read-only, so they are shared
     search = lpcc_search(grid, both, depth=2)
     want = copy.deepcopy(search.to_json())
-    search.tree.children.clear()
+    with pytest.raises((AttributeError, TypeError)):
+        search.tree.children.clear()
+    with pytest.raises(TypeError):
+        search.tree.children[0] = search.tree
     assert lpcc_search(grid, both, depth=2).to_json() == want
 
     redundancy = activation._cached_redundancy(domino)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        redundancy.redundant = not redundancy.redundant
     assert activation._cached_redundancy(domino) == redundancy
-    assert activation._cached_redundancy(domino) is not redundancy
 
 
 def _pruned_matches_unpruned(monkeypatch, s, group):

@@ -126,6 +126,58 @@ def test_three_product_requires_products():
         three_product_protocol(s)
 
 
+def test_three_product_input_conditions_are_structure_errors():
+    zero, one, plus = Vec([1, 0]), Vec([0, 1]), Vec([1, 1])
+    spec = PartySpec((2, 2))
+    two = StateSet(spec, [("1", tensor(zero, zero)), ("2", tensor(one, one))])
+    entangled = StateSet(spec, [("1", Vec([1, 0, 0, 1])),
+                                ("2", Vec([1, 0, 0, -1])),
+                                ("3", Vec([0, 1, -1, 0]))])
+    # product, but the first two states share no orthogonal factor pair
+    overlapping = StateSet(spec, [("1", tensor(zero, zero)),
+                                  ("2", tensor(zero, plus)),
+                                  ("3", tensor(one, one))])
+    for s, why in ((two, "exactly three"), (entangled, "fully product"),
+                   (overlapping, "no orthogonal factor pair")):
+        with pytest.raises(LemmaStructureError, match=why):
+            three_product_protocol(s)
+
+
+@pytest.mark.parametrize("claim", ["three-product", "lemma1-2xn"])
+def test_unbuildable_leaf_claim_fails_verification(s2, claim):
+    with pytest.raises(ProtocolError, match=f"^leaf {claim}: "):
+        execute_and_verify(s2, Leaf(claim))
+
+
+def test_partition_refuses_cross_block_nodes(s1):
+    tree = lpcc_search(s1, Partition(((0,), (1, 2))), depth=3).tree
+    assert tree.group == (1, 2)
+    assert execute_and_verify(s1, tree).distinguishable
+    with pytest.raises(ProtocolError, match="crosses the blocks"):
+        execute_and_verify(s1, tree, Partition.trivial(3))
+
+
+@pytest.mark.parametrize("blocks", [((0,), (1, 2)), ((0,), (1,), (2,))])
+def test_search_trees_verify_within_their_partition(s1, s2, blocks):
+    p = Partition(blocks)
+    for s in (s1, s2):
+        verdict = lpcc_search(s, p, depth=3)
+        assert execute_and_verify(s, verdict.tree, p).distinguishable
+
+
+def test_lemma_leaf_needs_its_wide_side_inside_one_block():
+    # {|0>|ab>} over a two-dimensional A and a 2x2 wide side BC: the
+    # constructive protocol measures BC jointly
+    zero, one = Vec([1, 0]), Vec([0, 1])
+    s = StateSet(PartySpec((2, 2, 2)),
+                 [("0", tensor(zero, zero, zero)), ("1", tensor(zero, one, one)),
+                  ("2", tensor(one, zero, one)), ("3", tensor(one, one, zero))])
+    leaf = Leaf("lemma1-2xn")
+    assert execute_and_verify(s, leaf, Partition(((0,), (1, 2)))).distinguishable
+    with pytest.raises(ProtocolError, match="crosses the blocks"):
+        execute_and_verify(s, leaf, Partition.trivial(3))
+
+
 def test_search_domino_indistinguishable(domino):
     verdict = lpcc_search(domino, Partition(((0,), (1,))), depth=1)
     assert verdict.status == "indistinguishable"
