@@ -54,8 +54,9 @@ def render_ascii(s: StateSet, p: Partition | None = None) -> str:
     return "\n".join(lines)
 
 
-def render_svg(s: StateSet, p: Partition | None = None, cell: int = 48) -> str:
-    """Minimal SVG rendering of the same grid."""
+def render_svg(s: StateSet, p: Partition | None = None) -> str:
+    """Minimal SVG rendering of the same grid, 48 pixels to a cell."""
+    cell = 48
     m = _merged(s, p)
     cells = occupancy(m)
     rows, cols = m.spec.dims

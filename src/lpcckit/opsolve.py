@@ -324,23 +324,26 @@ def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
     return Mat(rows)
 
 
-def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
-             depth_left: int) -> list[tuple]:
+def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]]) -> list[tuple]:
     """Solve one support pattern: cmats are restricted to the pattern's k
     coordinates. Returns (tag, payload) outcomes with tag in
-    contradiction/solution/family/unresolved."""
+    contradiction/solution/family/unresolved.
+
+    Every nested call adds one row that is a nonzero functional on the
+    current nullspace, so it has exactly one free parameter fewer than its
+    caller. The top call has f = k, and only calls with f >= 2 recurse, so
+    f never reaches 0, the calls that split further sit at most k - 2
+    levels deep, and the deepest call (f = 1) at k - 1: the case split
+    needs no depth bound."""
     # the l-th parameter equals theta's coordinate free[l]
     basis, free = nullspace_with_free(Mat(lin_rows or [[ZERO] * k]))
     f = len(basis)
-    if f == 0:
-        return [("contradiction", "no nonzero vector satisfies the linear system")]
     for w in range(k):
         if all(b.entries[w].is_zero() for b in basis):
             return [("contradiction", f"coordinate {w} forced to zero")]
     if f == 1:
+        # the loop above already refused a zero coordinate of the one ray
         theta = basis[0]
-        if any(a.is_zero() for a in theta.entries):
-            return [("contradiction", "unique ray misses the support pattern")]
         if all(form_value(c, theta).is_zero() for c in cmats):
             return [("solution", theta.normalized_leading())]
         return [("contradiction", "unique ray violates a pair constraint")]
@@ -375,19 +378,16 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
             new_row = [ZERO] * k
             for l in range(f):
                 new_row[free[l]] = m.entries[r][l].conj()
-            return _recurse(cmats, k, lin_rows + [new_row], depth_left - 1)
+            return _recurse(cmats, k, lin_rows + [new_row])
         if len(nz_cols) == 1:
             cidx = nz_cols[0]
             new_row = [ZERO] * k
             for kk in range(f):
                 new_row[free[kk]] = m.entries[kk][cidx]
-            return _recurse(cmats, k, lin_rows + [new_row], depth_left - 1)
+            return _recurse(cmats, k, lin_rows + [new_row])
 
     if f == 2:
         return _binary_endgame(cmats, k, basis, free, reduced)
-
-    if depth_left <= 0:
-        return [("unresolved", "branch depth exhausted")]
 
     # rank-1 reduced form: the constraint factors into two linear pieces
     for m in reduced:
@@ -399,8 +399,8 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]],
                 row_a[free[kk]] = m.entries[kk][c0]
             for ll in range(f):
                 row_b[free[ll]] = m.entries[r0][ll].conj()
-            out = _recurse(cmats, k, lin_rows + [row_a], depth_left - 1)
-            out += _recurse(cmats, k, lin_rows + [row_b], depth_left - 1)
+            out = _recurse(cmats, k, lin_rows + [row_a])
+            out += _recurse(cmats, k, lin_rows + [row_b])
             return out
 
     return [("unresolved",
@@ -520,9 +520,8 @@ def _solve_affine(affine) -> object:
     if r2 is None:
         return "line"
     # two independent equations: unique solution
+    # nonzero: r2 was reduced against r1, so the two are independent
     det = r1[0] * r2[1] - r1[1] * r2[0]
-    if det == 0:
-        return "inconsistent"
     x = Fraction(-r1[2] * r2[1] + r1[1] * r2[2], det)
     y = Fraction(-r1[0] * r2[2] + r2[0] * r1[2], det)
     # verify against every row (there may be more than two)
@@ -533,11 +532,10 @@ def _solve_affine(affine) -> object:
 
 
 def _affine_line(affine):
-    """Parametrize solutions of a rank-1 affine system as base + s*dir."""
-    r = next((row for row in affine if row[0] != 0 or row[1] != 0), None)
-    if r is None:
-        return (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
-    a, b, c = r
+    """Parametrize solutions of a rank-1 affine system as base + s*dir;
+    `_solve_affine` found the system to be a line, so a row with a nonzero
+    coefficient exists."""
+    a, b, c = next(row for row in affine if row[0] != 0 or row[1] != 0)
     if b != 0:
         base = (Fraction(0), Fraction(-c, b))
         direction = (Fraction(1), Fraction(-a, b))
@@ -648,7 +646,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
         sub = [_restrict(c, pattern) for c in cm_small]
         sub = list(dict.fromkeys(m for m in sub if not m.is_zero()))
         on_group = tuple(coords[a] for a in pattern)
-        for tag, payload in _recurse(sub, len(pattern), [], k + 2):
+        for tag, payload in _recurse(sub, len(pattern), []):
             if tag == "contradiction":
                 continue
             if tag == "solution":
@@ -873,7 +871,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     d = total_dim([s.spec.dims[p] for p in group])
     if max_outcomes is not None and max_outcomes < 2:
         raise ValueError("max_outcomes must be at least 2")
-    if k < 2:
+    if support_rank < 2:
         return []                   # a one-dimensional support is inert
     cap = max_outcomes if max_outcomes is not None else k
 
@@ -927,15 +925,13 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
 
     extend([], 0, 0)
 
-    # is_trivial_for_set, on the support and rank built above
-    flat = support_rank <= 1
+    # is_trivial_for_set, on the support built above; every assembly holds
+    # a pool element, which is neither 0 nor 1, so none is a trivial PVM
     kept = []
     for elements in assemblies:
         pvm = PVM(list(elements))
-        if pvm.is_trivial():
-            continue
         lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
-        if flat or all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
+        if all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
             continue
         if not preserves_orthogonality(s, lp):
             raise AssertionError("assembled PVM failed re-verification")

@@ -13,7 +13,8 @@ carry terminal claims. Leaf rules:
   three-product     three fully product states; the separating-party
                     protocol is built and replayed
 
-Verification (`_exec`) replays every measurement exactly, asserting
+Verification refuses a set whose states are not mutually orthogonal,
+then (`_exec`) replays every measurement exactly, asserting
 orthogonality preservation at each node, that each node's group lies in
 one block of the partition when one is given, and the claimed rule at
 each leaf (`_check_leaf`). A leaf claim whose protocol cannot be built
@@ -34,7 +35,8 @@ from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            complement, preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
-from .statesets import Partition, PartySpec, StateSet, local_support_vectors
+from .statesets import (Partition, PartySpec, StateSet,
+                        check_mutual_orthogonality, local_support_vectors)
 
 LEAF_RULES = ("identified", "two-orthogonal", "lemma1-2xn", "three-product")
 
@@ -114,19 +116,34 @@ class Verdict:
 def execute_and_verify(s: StateSet, tree: ProtocolTree,
                        partition: Partition | None = None) -> Verdict:
     """Walk the tree, re-deriving every post-measurement branch exactly;
-    distinguishable iff every node preserves orthogonality, children cover
-    exactly the surviving outcomes, and every leaf claim checks out. With
-    a partition, every node's group must also lie inside one block."""
+    distinguishable iff the states are mutually orthogonal, every node
+    preserves orthogonality, children cover exactly the surviving
+    outcomes, and every leaf claim checks out. With a partition, every
+    node's group must also lie inside one block."""
+    ov = check_mutual_orthogonality(s)
+    if not ov:
+        a, b = (s.labels()[i] for i in ov.witness[:2])
+        raise ProtocolError(f"states {a!r} and {b!r} are not orthogonal")
     trace: list[str] = []
     _exec(s, tree, (), trace, partition)
     return Verdict(status="distinguishable", tree=tree, trace=trace)
 
 
+def leaf_branches(s: StateSet, tree: ProtocolTree
+                  ) -> list[tuple[tuple[int, ...], StateSet]]:
+    """(path, branch set) of every leaf, in outcome order, from one
+    verification of the whole tree."""
+    return _exec(s, tree, (), [], None)
+
+
 def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
-          trace: list[str], partition: Partition | None) -> None:
+          trace: list[str], partition: Partition | None
+          ) -> list[tuple[tuple[int, ...], StateSet]]:
+    """Verify the subtree at path; returns its checked leaves as (path,
+    branch set) pairs."""
     if isinstance(tree, Leaf):
         _check_leaf(s, tree.claim, path, trace, partition)
-        return
+        return [(path, s)]
     if partition is not None and not any(set(tree.group) <= set(b)
                                          for b in partition.blocks):
         raise ProtocolError(f"group {tree.group} crosses the blocks of "
@@ -148,15 +165,13 @@ def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
         raise ProtocolError(
             f"children {sorted(declared)} do not match surviving outcomes "
             f"{sorted(surviving)}", path)
-    lost = set(s.labels())
-    for o in surviving:
-        lost -= set(branches[o].states.labels())
-    if lost:
-        raise ProtocolError(f"states {sorted(lost)} lost in every outcome", path)
+    # no state is lost: the PVM sums to the identity, so each (nonzero)
+    # state survives in some outcome
     trace.append(f"{'.'.join(map(str, path)) or 'root'}: group {tree.group} -> "
                  f"outcomes {sorted(surviving)}")
-    for o in sorted(surviving):
-        _exec(branches[o].states, tree.children[o], path + (o,), trace, partition)
+    return [leaf for o in sorted(surviving)
+            for leaf in _exec(branches[o].states, tree.children[o], path + (o,),
+                              trace, partition)]
 
 
 def _check_leaf(s: StateSet, claim: str, path: tuple[int, ...],
@@ -216,12 +231,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
     narrow = next((p for p in live if sup[p] == 2), None)
     if narrow is None:
         raise LemmaStructureError("no party has a two-dimensional support")
-    rest = tuple(p for p in live if p != narrow)
-    if not rest:
-        if len(s) <= 2:
-            return Leaf("two-orthogonal") if len(s) == 2 else Leaf("identified")
-        raise LemmaStructureError(
-            "more than two states but only the two-dimensional side varies")
+    rest = tuple(p for p in live if p != narrow)        # nonempty: two live parties
 
     two_idx = GroupIndexer(dims, (narrow,))
     alphas = []
@@ -233,17 +243,12 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
         alphas.append(factors[0])
     rest_idx = GroupIndexer(dims, rest)
     # inert parties factor out of every state, so any nonzero slice on the
-    # live wide side is (a multiple of) that state's wide-side vector
-    etas = []
-    for label, v in s.states:
-        eta = next(iter(rest_idx.nonzero_slices(v).values()), None)
-        if eta is None:
-            raise LemmaStructureError(f"state {label!r} vanishes on the wide side")
-        etas.append(eta)
+    # live wide side is (a multiple of) that state's wide-side vector; a
+    # nonzero state has one
+    etas = [next(iter(rest_idx.nonzero_slices(v).values())) for v in s.vectors()]
 
+    # the alphas span the narrow party's support, which has rank 2
     v_basis = gram_schmidt(alphas)
-    if len(v_basis) != 2:
-        raise LemmaStructureError("two-side support is not two-dimensional")
 
     classes = _alpha_classes(alphas, v_basis)
     # cross-class rest spans must be orthogonal
@@ -295,12 +300,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
 def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
     """Rank-1 discrimination on the only varying party."""
     idx = GroupIndexer(s.spec.dims, (party,))
-    rays = []
-    for label, v in s.states:
-        u = next(iter(idx.nonzero_slices(v).values()), None)
-        if u is None:
-            raise LemmaStructureError(f"state {label!r} has no local weight")
-        rays.append(u)
+    rays = [next(iter(idx.nonzero_slices(v).values())) for v in s.vectors()]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
             if not inner(rays[i], rays[j]).is_zero():
@@ -360,11 +360,9 @@ def _orthocomplement_in(ray: Vec, v_basis: list[Vec]) -> Vec:
     from .exact import sc
     b0, b1 = v_basis
     c0, c1 = inner(ray, b0), inner(ray, b1)
-    # candidate = c1'*b0 - c0'*b1 style combination orthogonal to ray
+    # candidate = c1'*b0 - c0'*b1 style combination orthogonal to ray; it
+    # is nonzero, since the nonzero ray lies in the span of b0 and b1
     cand = b0.scale(c1.conj()) - b1.scale(c0.conj())
-    if cand.is_zero():
-        # ray is proportional to one basis vector; the other one works
-        cand = b1 if c1.is_zero() else b0
     if not inner(ray, cand).is_zero():
         # project out the ray component exactly
         cand = cand - ray.scale(inner(ray, cand) / sc(ray.norm2()))
@@ -394,13 +392,10 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
             "the first two states have no orthogonal factor pair")
     p0 = Projector.from_ray(factors[0][j][0])
     pvm = PVM([p0, p0.complement()])
+    # P keeps state 0 and 1 - P keeps state 1, so both outcomes survive
     branches = apply(s, LocalPVM(pvm, (j,)))
-    children: dict[int, Node | Leaf] = {}
-    for o, br in branches.items():
-        if br.states is None:
-            continue
-        n = len(br.states)
-        children[o] = Leaf("identified") if n == 1 else Leaf("two-orthogonal")
+    children = {o: Leaf("identified" if len(br.states) == 1 else "two-orthogonal")
+                for o, br in branches.items()}
     return Node((j,), pvm, children)
 
 
@@ -468,12 +463,11 @@ def _search(s: StateSet, p: Partition, depth: int) -> Verdict:
         branches = apply(s, lp)
         children: dict[int, Node | Leaf] = {}
         ok = True
+        # on an orthogonal set, a nontrivial orthogonality-preserving
+        # candidate leaves no branch with the set's own rays
         for o, br in branches.items():
             if br.states is None:
                 continue
-            if br.states.ray_key == s.ray_key:
-                ok = False      # measurement did nothing useful on this branch
-                break
             sub = _search(br.states, p, depth - 1)
             if not sub.distinguishable:
                 ok = False

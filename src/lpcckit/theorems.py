@@ -19,7 +19,8 @@ from .generators import random_biseparable_322, random_lemma_structured_set
 from .kets import parse_pvm
 from .measurements import LocalPVM, apply
 from .opsolve import enumerate_op_pvms, rank1_op_directions
-from .protocols import Leaf, execute_and_verify, lpcc_search, tree_from_script
+from .protocols import (Leaf, ProtocolError, execute_and_verify, leaf_branches,
+                        lpcc_search, tree_from_script)
 from .statesets import (Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, local_support_indices)
 
@@ -72,26 +73,26 @@ def fixture_activation(name: str):
 
 # ---------------------------------------------------------------------------
 
-def lemma1_replay(samples: int = 200, seed: int = 0,
-                  max_wide_dim: int = 6) -> TheoremResult:
+def lemma1_replay(samples: int = 200, seed: int = 0) -> TheoremResult:
     """Constructive distinguishability of orthogonal product sets with a
-    two-dimensional side: the four fixture leaf sets plus seeded random
-    structured instances."""
+    two-dimensional side: the fixture trees, whose every leaf claims
+    `lemma1-2xn`, verified whole, plus seeded random structured instances
+    with a wide side of dimension 2 to 6."""
     res = TheoremResult("lemma 1")
-    for fixture, path_specs in (("s1_discrimination", [((0,), (0, 0)), ((0,), (0, 1)),
-                                                ((1,), ())]),
-                                ("s2_discrimination", [((0,), (0, 0)), ((0,), (0, 1)),
-                                                ((1,), ())])):
+    for fixture in ("s1_discrimination", "s2_discrimination"):
         s, tree = fixture_protocol(fixture)
-        leaves = _leaf_sets(s, tree)
+        try:
+            leaves = leaf_branches(s, tree)
+        except ProtocolError as exc:
+            res.add(f"{fixture} tree", False, str(exc))
+            continue
         for path, branch in leaves:
-            execute_and_verify(branch, Leaf("lemma1-2xn"))
             res.add(f"{fixture} leaf {path}", True,
                     f"{len(branch)} states distinguished")
     rng = random.Random(seed)
     failures = 0
     for i in range(samples):
-        wide = rng.randint(2, max_wide_dim)
+        wide = rng.randint(2, 6)
         s = random_lemma_structured_set(rng, wide)
         try:
             execute_and_verify(s, Leaf("lemma1-2xn"))
@@ -102,27 +103,11 @@ def lemma1_replay(samples: int = 200, seed: int = 0,
     return res
 
 
-def _leaf_sets(s: StateSet, tree) -> list[tuple[tuple[int, ...], StateSet]]:
-    """Branch sets at the leaves of a protocol tree."""
-    out = []
-
-    def walk(current: StateSet, node, path):
-        if isinstance(node, Leaf):
-            out.append((path, current))
-            return
-        lp = LocalPVM(node.pvm, node.group)
-        for o, br in apply(current, lp).items():
-            if br.states is not None and o in node.children:
-                walk(br.states, node.children[o], path + (o,))
-
-    walk(s, tree, ())
-    return out
-
-
-def theorem1_replay(samples: int = 20, seed: int = 0) -> TheoremResult:
+def theorem1_replay() -> TheoremResult:
     """Dimension-2 parties cannot activate biseparable n x 2 x 2 sets."""
     res = TheoremResult("theorem 1")
-    rng = random.Random(seed)
+    samples = 20
+    rng = random.Random(0)
     bad = 0
     for i in range(samples):
         s = random_biseparable_322(rng, n_states=rng.randint(4, 8))

@@ -41,7 +41,7 @@ def test_criterion_1_orthogonality_goldens():
 
 
 def test_criterion_2_lemma1():
-    result = lemma1_replay(samples=200, seed=0, max_wide_dim=6)
+    result = lemma1_replay(samples=200, seed=0)
     report(2, "constructive two-dimensional-side protocol", result.passed,
            "; ".join(l for l, ok in result.checks if not ok) or "zero failures")
 
@@ -167,11 +167,12 @@ def test_criterion_9_property_suites():
         details.append(f"{misses} planted-direction misses")
 
     # protocol label coverage across leaves
-    from lpcckit.theorems import fixture_protocol, _leaf_sets
+    from lpcckit.protocols import leaf_branches
+    from lpcckit.theorems import fixture_protocol
     for fixture in ("s1_discrimination", "s2_discrimination"):
         s, tree = fixture_protocol(fixture)
         seen = set()
-        for _path, branch in _leaf_sets(s, tree):
+        for _path, branch in leaf_branches(s, tree):
             seen |= set(branch.labels())
         if seen != set(s.labels()):
             ok = False

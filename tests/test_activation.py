@@ -249,3 +249,18 @@ def test_dimension_bound_bites_from_the_input():
     assert (out.klass, out.exact) == ("strong-local-evidence", False)
     assert "party 0: effective dimension 10 beyond enumeration bound" in out.trace
     assert is_m_activable(s, 2).status == "unknown"
+
+
+@pytest.mark.parametrize("source, group, pvm, blocks, why", [
+    ("non-orthogonal", (0,), "0;1", ((0,), (1,)), "source set is not orthogonal"),
+    ("S1", (1, 2), "00;~", ((0,), (1,), (2,)),
+     "first-round group crosses partition blocks"),
+    ("S1", (0,), "0,1,2", ((0,), (1,), (2,)),
+     "first-round PVM is trivial for the set")])
+def test_verify_activation_refusals(s1, source, group, pvm, blocks, why):
+    s = s1 if source == "S1" else StateSet(PartySpec((2, 2)), [
+        ("a", Vec([1, 0, 0, 0])), ("b", Vec([1, 1, 0, 0]))])
+    dims = [s.spec.dims[p] for p in group]
+    first = LocalPVM(parse_pvm(pvm, dims), group)
+    with pytest.raises(ActivationError, match=f"^{why}$"):
+        verify_activation(s, first, Partition(blocks))

@@ -209,3 +209,28 @@ def test_failed_leaf_claim_is_refuted(capsys, tmp_path, claim):
     code, out = run(capsys, "protocol", "--name", "S2", "--script", str(path))
     assert code == 1
     assert out.startswith(f"protocol verification FAILED: leaf {claim}: ")
+
+
+def test_protocol_on_non_orthogonal_set_names_the_pair(capsys, tmp_path):
+    path, script = tmp_path / "set.json", tmp_path / "tree.json"
+    path.write_text(json.dumps(NON_ORTHOGONAL))
+    script.write_text(json.dumps({"tree": {
+        "group": ["A"], "pvm": "0;1",
+        "children": {"0": {"claim": "two-orthogonal"}}}}))
+    code, out = run(capsys, "protocol", "--file", str(path), "--script", str(script))
+    assert code == 1
+    assert out == ("protocol verification FAILED: states 'a' and 'b' are not "
+                   "orthogonal (branch path [])\n")
+
+
+def test_lemma_fixture_tree_failing_verification_is_refuted(capsys, monkeypatch):
+    # a fixture tree that does not verify is a failed check, not a traceback
+    from lpcckit import theorems
+    from lpcckit.protocols import Leaf
+    from lpcckit.statesets import build_named_set
+    monkeypatch.setattr(theorems, "fixture_protocol",
+                        lambda name: (build_named_set("S1"), Leaf("three-product")))
+    code, out = run(capsys, "lemma", "1", "--samples", "2")
+    assert code == 1
+    assert "FAIL s1_discrimination tree" in out
+    assert out.endswith("lemma 1: REFUTED\n")

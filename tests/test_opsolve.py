@@ -4,12 +4,13 @@ import copy
 import dataclasses
 import itertools
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import pytest
 
-from lpcckit.exact import Mat, Scalar, Vec, ZERO, inner, tensor
+from lpcckit.exact import (Mat, Scalar, Vec, ZERO, inner, nullspace_with_free,
+                           rank, tensor)
 from lpcckit.generators import (planted_direction_set, random_orthogonal_set,
                                 random_product_set)
 from lpcckit.indexing import GroupIndexer
@@ -362,8 +363,8 @@ def _pruned_matches_unpruned(monkeypatch, s, group):
         walked["live"], walked["k"] = real_live(cmats, k), k
         return set(opsolve._support_patterns(k))
 
-    def recurse(cmats, k, lin_rows, depth_left):
-        out = real_recurse(cmats, k, lin_rows, depth_left)
+    def recurse(cmats, k, lin_rows):
+        out = real_recurse(cmats, k, lin_rows)
         if not lin_rows:                  # one top-level call per pattern
             top_outcomes.append(out)
         return out
@@ -668,16 +669,16 @@ def _reference_reduced_form(c: Mat, basis: list[Vec]) -> Mat:
 
 
 def _top_level_solves(monkeypatch, s, group):
-    """(restricted pair matrices as built, as handed to _recurse, depth)
+    """(restricted pair matrices as built, as handed to _recurse)
     for every live pattern of the group, with every reduced form the solve
     computed recorded as (pair matrix, basis)."""
     real_recurse, real_reduced = opsolve._recurse, opsolve._reduced_form
     handed, forms = [], []
 
-    def recurse(cmats, k, lin_rows, depth_left):
+    def recurse(cmats, k, lin_rows):
         if not lin_rows:                  # one top-level call per pattern
-            handed.append((cmats, depth_left))
-        return real_recurse(cmats, k, lin_rows, depth_left)
+            handed.append(cmats)
+        return real_recurse(cmats, k, lin_rows)
 
     def reduced(c, basis):
         forms.append((c, basis))
@@ -696,7 +697,7 @@ def _top_level_solves(monkeypatch, s, group):
     patterns = [p for p in opsolve._support_patterns(len(coords)) if p in live]
     assert len(handed) == len(patterns)
     built = [[opsolve._restrict(c, p) for c in cm_small] for p in patterns]
-    return [(b, h, d) for b, (h, d) in zip(built, handed)], forms
+    return list(zip(built, handed)), forms
 
 
 def _named_proper_groups(s1, s2, domino):
@@ -739,12 +740,104 @@ def test_recurse_gets_each_distinct_nonzero_pair_matrix_once(monkeypatch, s1,
     dropped = 0
     for s, group in _named_proper_groups(s1, s2, domino):
         solves, _ = _top_level_solves(monkeypatch, s, group)
-        for built, handed, depth in solves:
+        for built, handed in solves:
             kept = [m for i, m in enumerate(built)
                     if not m.is_zero() and m not in built[:i]]
             assert handed == kept
             k = built[0].rows
-            assert (opsolve._recurse(built, k, [], depth)
-                    == opsolve._recurse(handed, k, [], depth))
+            assert (opsolve._recurse(built, k, [])
+                    == opsolve._recurse(handed, k, []))
             dropped += len(built) - len(handed)
     assert dropped > 0
+
+
+def test_case_split_drops_one_free_parameter_per_level(monkeypatch, s1, s2,
+                                                      domino):
+    # the invariant that makes a depth bound on _recurse unnecessary: a
+    # call at nesting depth t of a k-coordinate pattern has k - t free
+    # parameters, never 0, and only calls with two or more of them recurse
+    real_recurse = opsolve._recurse
+    calls, stack = [], []
+
+    def recurse(cmats, k, lin_rows):
+        f = len(nullspace_with_free(Mat(lin_rows or [[ZERO] * k]))[0])
+        assert f == (stack[-1]["f"] - 1 if stack else k)
+        if stack:
+            stack[-1]["recursed"] = True
+        call = {"k": k, "depth": len(stack), "f": f, "recursed": False}
+        calls.append(call)
+        stack.append(call)
+        try:
+            return real_recurse(cmats, k, lin_rows)
+        finally:
+            stack.pop()
+
+    problems = _named_proper_groups(s1, s2, domino)
+    rng = random.Random(99)
+    problems += [(planted_direction_set(rng, group_dim=gd, rest_dim=3,
+                                        n_states=3)[0], (0,))
+                 for gd in (3, 4) for _ in range(15)]
+    monkeypatch.setattr(opsolve, "_recurse", recurse)
+    for s, group in problems:
+        clear_caches()
+        rank1_op_directions(s, group)
+    clear_caches()
+    for call in calls:
+        assert call["f"] == call["k"] - call["depth"] >= 1
+        if call["recursed"]:
+            assert call["depth"] <= call["k"] - 2
+    assert max(call["depth"] for call in calls) >= 3
+
+
+def _affine_rank(rows, width):
+    return rank(Mat([r[:width] for r in rows])) if rows else 0
+
+
+def _solves(rows, x, y):
+    return all(a * x + b * y + c == 0 for a, b, c in rows)
+
+
+def test_solve_affine_points_satisfy_every_row():
+    # parallel and duplicate rows included: the two rows the solve divides
+    # by are always independent, and what it returns solves the system
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(3000):
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if rows and roll < 0.25:
+                rows.append(rng.choice(rows))
+            elif rows and roll < 0.5:
+                a, b, _c = rng.choice(rows)
+                m = rng.choice((-2, -1, 2, 3))
+                rows.append((m * a, m * b, rng.randint(-3, 3)))
+            else:
+                rows.append(tuple(rng.randint(-2, 2) for _ in range(3)))
+        sol = opsolve._solve_affine(rows)
+        if isinstance(sol, tuple):
+            seen["point"] += 1
+            assert _solves(rows, *sol)
+            assert _affine_rank(rows, 2) == 2
+        elif sol == "line":
+            seen["line"] += 1
+            (bx, by), (dx, dy) = opsolve._affine_line(rows)
+            assert (dx, dy) != (0, 0)
+            assert all(_solves(rows, bx + t * dx, by + t * dy) for t in (0, 1, -3))
+        elif sol == "plane":
+            seen["plane"] += 1
+            assert all(r == (0, 0, 0) for r in rows)
+        else:
+            assert sol == "inconsistent"
+            seen["inconsistent"] += 1
+            assert _affine_rank(rows, 2) < _affine_rank(rows, 3)
+    assert min(seen[kind] for kind in ("point", "line", "plane",
+                                        "inconsistent")) >= 50
+
+
+def test_empty_state_list_is_refused_on_the_group():
+    # the working support is empty only when there are no states at all,
+    # which a state file can ask for
+    s = StateSet(PartySpec((2, 2)), [])
+    with pytest.raises(ValueError, match="empty support"):
+        rank1_op_directions(s, (0,))

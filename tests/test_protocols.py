@@ -6,16 +6,16 @@ import pytest
 
 from lpcckit.exact import Vec, tensor
 from lpcckit.generators import (random_lemma_structured_set,
-                                random_product_set)
+                                random_orthogonal_set, random_product_set)
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import LocalPVM, apply
 from lpcckit.protocols import (Leaf, LemmaStructureError, Node, ProtocolError,
-                               execute_and_verify, lemma1_protocol,
-                               lpcc_search, three_product_protocol,
-                               tree_from_script)
+                               execute_and_verify, leaf_branches,
+                               lemma1_protocol, lpcc_search,
+                               three_product_protocol, tree_from_script)
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                check_mutual_orthogonality)
-from lpcckit.theorems import fixture_protocol, _leaf_sets
+from lpcckit.theorems import fixture_protocol
 
 
 def test_s1_discrimination_fixture_verifies(s1):
@@ -52,7 +52,7 @@ def test_non_preserving_tree_rejected(s2):
 
 def test_no_label_lost_across_leaves(s1):
     s, tree = fixture_protocol("s1_discrimination")
-    leaves = _leaf_sets(s, tree)
+    leaves = leaf_branches(s, tree)
     seen = set()
     for _path, branch in leaves:
         seen |= set(branch.labels())
@@ -222,3 +222,49 @@ def test_two_state_leaf_accepts_entangled_pair():
     search = lpcc_search(s, Partition.trivial(2))
     assert search.status == "distinguishable"
     assert isinstance(search.tree, Leaf)
+
+
+@pytest.mark.parametrize("claim, n, why", [
+    ("identified", 2, "leaf claims one state, found 2"),
+    ("two-orthogonal", 3, "leaf claims at most two states, found 3")])
+def test_leaf_claim_refuses_the_wrong_state_count(s2, claim, n, why):
+    s = StateSet(s2.spec, s2.states[:n])
+    with pytest.raises(ProtocolError, match=why):
+        execute_and_verify(s, Leaf(claim))
+
+
+@pytest.mark.parametrize("tree, path", [
+    (Node((0,), parse_pvm("0;1", [2]), {}), "[]"),
+    (Node((2,), parse_pvm("0,1;2", [3]),
+          {0: Node((1, 2), parse_pvm("0;1;2", [3]), {}),
+           1: Leaf("lemma1-2xn")}), "[0]")])
+def test_pvm_not_matching_its_group_is_a_protocol_error(s2, tree, path):
+    with pytest.raises(ProtocolError, match=r"PVM dim \d does not match group "
+                                            rf".* \(branch path \{path}\)"):
+        execute_and_verify(s2, tree)
+
+
+@pytest.mark.parametrize("make, least_built", [
+    (lambda rng: random_product_set(
+        rng, rng.choice(((2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 3, 2))),
+        rng.randint(2, 4)), 40),
+    (lambda rng: random_lemma_structured_set(rng, rng.randint(2, 6)), 30),
+    # generic entangled states: the constructors refuse them all
+    (lambda rng: random_orthogonal_set(rng, rng.choice(((2, 2), (2, 3), (2, 2, 2))),
+                                       rng.randint(2, 4)), 0),
+], ids=["product", "lemma-structured", "orthogonal"])
+def test_constructors_refuse_or_build_a_verified_tree(make, least_built):
+    # every input either fails a structure condition or yields a tree the
+    # verifier accepts; no other refusal is reachable
+    rng = random.Random(31)
+    built = 0
+    for _ in range(30):
+        s = make(rng)
+        for construct in (lemma1_protocol, three_product_protocol):
+            try:
+                tree = construct(s)
+            except LemmaStructureError:
+                continue
+            assert execute_and_verify(s, tree).distinguishable
+            built += 1
+    assert built >= least_built
