@@ -18,16 +18,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exact import Scalar, Vec, vectors_rank
-from .indexing import GroupIndexer, digits_of, index_of
+from .exact import Scalar, Vec
+from .indexing import GroupIndexer, digits_of, relabel_digits
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            is_trivial_for_set, preserves_orthogonality)
 from .opsolve import (MAX_EXACT_DIM, IrreducibilityVerdict, _cache_get,
                       _cache_put, enumerate_op_pvms, is_pvm_irreducible)
 from .protocols import ProtocolTree, execute_and_verify, lpcc_search
-from .statesets import (Partition, StateSet, check_mutual_orthogonality,
-                        group_coordinates, is_locally_redundant,
-                        local_support_vectors, merge_parties,
+from .statesets import (Partition, StateSet, build_named_set,
+                        check_mutual_orthogonality, group_support,
+                        is_locally_redundant, merge_parties,
                         separability_degree)
 
 # first rounds classify tries on each block, most promising first
@@ -54,61 +54,27 @@ class DominoMatch:
 
 def domino_match(s: StateSet) -> DominoMatch | None:
     """Try to map a bipartite 9-state set, per-party, onto the nonlocal
-    3x3 product basis via an ordered computational support triple on each
-    side, up to state permutation and nonzero scalars."""
-    from .statesets import build_named_set, local_support_indices
+    3x3 product basis via an ordered triple of working coordinates on
+    each side, up to state permutation and nonzero scalars: each state,
+    relabeled onto the triples, must be a distinct Domino ray."""
     if s.spec.n_parties != 2 or len(s) != 9:
         return None
-    sup_a = local_support_indices(s, 0)
-    sup_b = local_support_indices(s, 1)
+    sup_a = group_support(s, (0,))[2]
+    sup_b = group_support(s, (1,))[2]
     if len(sup_a) != 3 or len(sup_b) != 3:
         return None
-    target = build_named_set("Domino")
-    t_rays = [(l, v.normalized_leading()) for l, v in target.states]
-    dims = s.spec.dims
+    target = {v.normalized_leading(): l
+              for l, v in build_named_set("Domino").states}
     for pa in itertools.permutations(sup_a):
         for pb in itertools.permutations(sup_b):
-            grids = []
-            ok = True
-            for label, v in s.states:
-                grid = [v.entries[index_of((pa[i], pb[j]), dims)]
-                        for i in range(3) for j in range(3)]
-                gv = Vec(grid)
-                if gv.is_zero():
-                    ok = False
-                    break
-                grids.append((label, gv.normalized_leading()))
-            if not ok:
-                continue
-            perm = _proportional_matching(grids, t_rays)
-            if perm is not None:
-                return DominoMatch(pa, pb, tuple(perm))
+            maps = [{x: i for i, x in enumerate(pa)},
+                    {x: j for j, x in enumerate(pb)}]
+            perm = tuple((label, target.get(relabel_digits(
+                v, s.spec.dims, (3, 3), maps).normalized_leading()))
+                for label, v in s.states)
+            if len({t for _, t in perm} - {None}) == 9:
+                return DominoMatch(pa, pb, perm)
     return None
-
-
-def _proportional_matching(grids, targets) -> list[tuple[str, str]] | None:
-    """Perfect matching between input rays and target rays (exact ray
-    equality after leading-1 normalization)."""
-    n = len(grids)
-    adj = [[grids[i][1] == targets[j][1] for j in range(n)] for i in range(n)]
-    match_of_target = [-1] * n
-
-    def try_assign(i, seen):
-        for j in range(n):
-            if adj[i][j] and not seen[j]:
-                seen[j] = True
-                if match_of_target[j] == -1 or try_assign(match_of_target[j], seen):
-                    match_of_target[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not try_assign(i, [False] * n):
-            return None
-    out = [None] * n
-    for j, i in enumerate(match_of_target):
-        out[i] = (grids[i][0], targets[j][0])
-    return out
 
 
 def support_triple_labels(s_before_merge: StateSet, p: Partition,
@@ -414,7 +380,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
             if candidates is None:
                 exhaustive = False
                 trace.append(f"{name}: effective dimension "
-                             f"{len(group_coordinates(s, block))} beyond "
+                             f"{len(group_support(s, block)[2])} beyond "
                              f"enumeration bound")
                 continue
             for lp in _activation_order(s, candidates)[:MAX_FIRST_ROUNDS]:
@@ -438,7 +404,7 @@ def _first_rounds(s: StateSet, block: tuple[int, ...]) -> list[LocalPVM] | None:
     """The candidate first rounds on one block: every nontrivial
     orthogonality-preserving PVM the solver pool assembles, or None when
     the block's effective dimension is beyond the enumeration bound."""
-    if len(group_coordinates(s, block)) > MAX_EXACT_DIM:
+    if len(group_support(s, block)[2]) > MAX_EXACT_DIM:
         return None
     return enumerate_op_pvms(s, block)
 
@@ -461,8 +427,7 @@ def _structural_strong_local(s: StateSet) -> str | None:
         first = GroupIndexer(s.spec.dims, (0,))
         if all(first.factor(v) is not None for v in s.vectors()):
             for party in (0, 1):
-                k = vectors_rank(local_support_vectors(s, (party,)))
-                if k <= 2:
+                if group_support(s, (party,))[1] <= 2:
                     return ("orthogonal product set with a two-dimensional "
                             "side: activation impossible in n x 2")
     if len(s) == 3 and all(separability_degree(v, s.spec)[0] == n

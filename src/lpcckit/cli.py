@@ -51,13 +51,7 @@ def _load_orthogonal_set(args) -> StateSet:
 
 def _parse_partition(text: str, s: StateSet) -> Partition:
     """'A|BC' or '1|23'-style block string against the set's party labels."""
-    blocks = []
-    for chunk in text.split("|"):
-        block = []
-        for ch in chunk.replace(",", ""):
-            block.append(s.spec.party_index(ch) if not ch.isdigit() else int(ch))
-        blocks.append(tuple(block))
-    p = Partition(tuple(blocks))
+    p = Partition(tuple(_parse_group(chunk, s) for chunk in text.split("|")))
     p.validate(s.spec)
     return p
 

@@ -252,10 +252,14 @@ class Vec:
         return tuple(i for i, a in enumerate(self.entries) if a._a or a._b)
 
     def normalized_leading(self) -> "Vec":
-        """Scale so the first nonzero entry is 1 (canonical ray form)."""
+        """Scale so the first nonzero entry is 1: the canonical ray form,
+        and the one hashable key rays are compared by. Only nonzero
+        entries are multiplied; zeros already are the canonical ZERO."""
         for a in self.entries:
-            if not a.is_zero():
-                return self.scale(ONE / a)
+            if a._a or a._b:
+                mul = (ONE / a).__mul__
+                return _wrap(Vec, tuple(mul(x) if x._a or x._b else x
+                                        for x in self.entries))
         return self
 
     def __repr__(self) -> str:

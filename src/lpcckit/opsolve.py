@@ -44,8 +44,8 @@ from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, basis_vec,
 from .indexing import GroupIndexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            complement, preserves_orthogonality)
-from .statesets import (Partition, StateSet, group_coordinates,
-                        group_support, local_support_vectors)
+from .statesets import (Partition, StateSet, group_support,
+                        local_support_vectors)
 
 # the largest effective block dimension the rank-1 case split enumerates;
 # a larger block is reported unresolved ("dimension-bound")
@@ -167,18 +167,8 @@ class Family:
                 for sign in (1, -1):
                     tau = self.center + Scalar(0, sign * root)
                     out.append(self.base + self.step.scale(tau))
-        clean = []
-        seen = set()
-        for v in out:
-            if v.is_zero():
-                continue
-            cv = v.normalized_leading()
-            if cv.entries not in seen:
-                seen.add(cv.entries)
-                clean.append(cv)
-            if len(clean) == 4:
-                break
-        return clean
+        rays = dict.fromkeys(v.normalized_leading() for v in out if not v.is_zero())
+        return list(rays)[:4]
 
     def to_json(self) -> dict:
         data = {"kind": self.kind, "annihilating": self.annihilating}
@@ -190,8 +180,8 @@ class Family:
 def _ray_as_combo(theta: Vec, base: Vec, step: Vec) -> list[Scalar]:
     """Taus with theta proportional to base + tau*step (usually <= 1)."""
     out = []
-    n = theta.dim
-    for i, j in itertools.combinations(range(n), 2):
+    ray = theta.normalized_leading()
+    for i, j in itertools.combinations(range(theta.dim), 2):
         # scale*theta = base + tau*step on coordinates i, j
         a1, b1, t1 = base.entries[i], step.entries[i], theta.entries[i]
         a2, b2, t2 = base.entries[j], step.entries[j], theta.entries[j]
@@ -202,13 +192,9 @@ def _ray_as_combo(theta: Vec, base: Vec, step: Vec) -> list[Scalar]:
             continue
         tau = const / lin
         cand = base + step.scale(tau)
-        if not cand.is_zero() and cand.normalized_leading() == theta.normalized_leading():
+        if not cand.is_zero() and cand.normalized_leading() == ray:
             out.append(tau)
-    dedup = []
-    for t in out:
-        if t not in dedup:
-            dedup.append(t)
-    return dedup
+    return list(dict.fromkeys(out))
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -255,14 +241,7 @@ class SolutionReport:
         for fam in self.families:
             if not fam.annihilating:
                 out.extend(fam.members())
-        dedup = []
-        seen = set()
-        for v in out:
-            cv = v.normalized_leading()
-            if cv.entries not in seen:
-                seen.add(cv.entries)
-                dedup.append(cv)
-        return dedup
+        return list(dict.fromkeys(v.normalized_leading() for v in out))
 
     def contains_ray(self, theta: Vec) -> bool:
         cv = theta.normalized_leading()
@@ -604,7 +583,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     F_ij(theta) = 0 for every pair, via exact support-pattern case split.
 
     The solve happens on the group's working coordinates
-    (`group_coordinates`): when the joint local support sits on a proper
+    (`group_support`): when the joint local support sits on a proper
     subset of computational coordinates, directions decompose as (support
     part) + (free part orthogonal to every state), and only the support
     part is constrained. Roots outside Q(i) are reported as unresolved
@@ -620,9 +599,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     d = total_dim([s.spec.dims[p] for p in group])
     report = SolutionReport(group=group)
 
-    coords = group_coordinates(s, group)
-    if not coords:
-        raise ValueError("state set has empty support on the group")
+    coords = group_support(s, group)[2]
     k = len(coords)
     if k < d:
         report.trace.append(f"support compression to coordinates {coords}")
@@ -651,9 +628,9 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                 continue
             if tag == "solution":
                 cv = _lift(payload, on_group, d).normalized_leading()
-                if cv.entries in seen:
+                if cv in seen:
                     continue
-                seen.add(cv.entries)
+                seen.add(cv)
                 p = Projector.from_ray(cv)
                 if not preserves_orthogonality(
                         s, LocalPVM(PVM([p, p.complement()]), group)):
@@ -789,10 +766,10 @@ def _dedupe_families(fams: list[Family]) -> list[Family]:
             red, _ = rref(Mat(tuple(b.entries) for b in f.basis))
             key = ("subspace", red.entries, f.annihilating)
         elif f.kind == "real-line":
-            key = ("real-line", f.base.normalized_leading().entries,
-                   f.step.normalized_leading().entries)
+            key = ("real-line", f.base.normalized_leading(),
+                   f.step.normalized_leading())
         else:
-            key = ("circle", f.base.entries, f.step.entries, f.center, f.radius2)
+            key = ("circle", f.base, f.step, f.center, f.radius2)
         if key not in keys:
             keys.add(key)
             out.append(f)

@@ -29,14 +29,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .exact import Vec, gram_schmidt, inner, sort_keys, vectors_rank
+from .exact import Vec, gram_schmidt, inner, sort_keys
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            complement, preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
 from .statesets import (Partition, PartySpec, StateSet,
-                        check_mutual_orthogonality, local_support_vectors)
+                        check_mutual_orthogonality, group_support)
 
 LEAF_RULES = ("identified", "two-orthogonal", "lemma1-2xn", "three-product")
 
@@ -202,11 +202,6 @@ def _check_leaf(s: StateSet, claim: str, path: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # constructive protocols
 
-def _party_support_dims(s: StateSet) -> list[int]:
-    return [vectors_rank(local_support_vectors(s, (p,)))
-            for p in range(s.spec.n_parties)]
-
-
 def lemma1_protocol(s: StateSet) -> ProtocolTree:
     """Constructive three-round tree for orthogonal product sets whose
     one side is (effectively) two-dimensional.
@@ -219,7 +214,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
     if len(s) == 1:
         return Leaf("identified")
     dims = s.spec.dims
-    sup = _party_support_dims(s)
+    sup = [group_support(s, (p,))[1] for p in range(len(dims))]
     live = [p for p in range(len(dims)) if sup[p] > 1]
     if not live:
         raise LemmaStructureError("multiple states share every local factor")
@@ -322,17 +317,10 @@ def _completed(elements: list[Projector], dim: int) -> PVM:
 def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
     """Group states by two-side rays, pairing each ray with its
     orthocomplement inside the two-dimensional support."""
-    rays: list[Vec] = []
-    ray_members: list[list[int]] = []
+    by_ray: dict[Vec, list[int]] = {}
     for i, a in enumerate(alphas):
-        ca = a.normalized_leading()
-        for k, r in enumerate(rays):
-            if r == ca:
-                ray_members[k].append(i)
-                break
-        else:
-            rays.append(ca)
-            ray_members.append([i])
+        by_ray.setdefault(a.normalized_leading(), []).append(i)
+    rays, ray_members = list(by_ray), list(by_ray.values())
     classes: list[dict] = []
     used = [False] * len(rays)
     for k, r in enumerate(rays):

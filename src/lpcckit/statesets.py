@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import ONE, Scalar, Vec, ZERO, inner, vectors_rank
+from .exact import Scalar, Vec, ZERO, inner, vectors_rank
 from .indexing import (GroupIndexer, embed_with_offsets, index_of, permute_axes,
                        relabel_digits, total_dim)
 
@@ -101,6 +101,8 @@ class StateSet:
         self.spec = spec
         self.states = tuple(states)
         self.provenance = provenance
+        if not self.states:
+            raise ValueError("state set has no states")
         for label, v in self.states:
             if v.dim != spec.total_dim:
                 raise ValueError(f"state {label!r} has dim {v.dim}, expected {spec.total_dim}")
@@ -122,22 +124,14 @@ class StateSet:
     @cached_property
     def ray_key(self) -> tuple:
         """Canonical key of the set up to state order and nonzero
-        per-state scalars: the dims plus the sorted rays, each ray
-        scaled so its first nonzero entry is 1 and kept as its nonzero
-        cells: the index and the entry's canonical integer triple (a, b, d)
-        for (a + b*i)/d. Computed once; the states never change."""
-        rays = []
-        for v in self.vectors():
-            cells = []
-            lead = None
-            for i, a in enumerate(v.entries):
-                if a.is_zero():
-                    continue
-                if lead is None:
-                    lead = ONE / a
-                x = a * lead
-                cells.append((i, x._a, x._b, x._d))
-            rays.append(tuple(cells))
+        per-state scalars: the dims plus the sorted rays, each ray in its
+        `normalized_leading` form and kept as its nonzero cells: the index
+        and the entry's canonical integer triple (a, b, d) for
+        (a + b*i)/d. Computed once; the states never change."""
+        rays = (tuple((i, x._a, x._b, x._d)
+                      for i, x in enumerate(v.normalized_leading().entries)
+                      if x._a or x._b)
+                for v in self.vectors())
         return (self.spec.dims, tuple(sorted(rays)))
 
     def state(self, label: str) -> Vec:
@@ -541,11 +535,11 @@ def restrict_support(s: StateSet) -> StateSet:
     dims = s.spec.dims
     keeps = []
     for party in range(s.spec.n_parties):
-        occupied = support_coordinates(s, (party,))
-        if occupied is None:
+        _, r, coords = group_support(s, (party,))
+        if r != len(coords):
             raise ValueError(
                 f"party {party} support is not a computational subspace")
-        keeps.append(occupied)
+        keeps.append(coords)
     new_dims = tuple(len(k) for k in keeps)
     maps = [{old: new for new, old in enumerate(k)} for k in keeps]
     new_spec = PartySpec(new_dims, s.spec.labels)
@@ -573,21 +567,3 @@ def group_support(s: StateSet, group: Sequence[int]
     if r == len(occupied):
         return support, r, occupied
     return support, r, tuple(range(total_dim([s.spec.dims[p] for p in group])))
-
-
-def support_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...] | None:
-    """The computational coordinates the group's joint local support
-    occupies, when that support is exactly their span; None otherwise."""
-    _, r, coords = group_support(s, group)
-    return coords if r == len(coords) else None
-
-
-def group_coordinates(s: StateSet, group: Sequence[int]) -> tuple[int, ...]:
-    """The working coordinates of `group_support`."""
-    return group_support(s, group)[2]
-
-
-def local_support_indices(s: StateSet, party: int) -> tuple[int, ...]:
-    """Computational-basis indices the set touches on one party."""
-    return tuple(sorted({a for u in local_support_vectors(s, (party,))
-                         for a in u.support()}))

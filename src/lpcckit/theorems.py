@@ -22,7 +22,7 @@ from .opsolve import enumerate_op_pvms, rank1_op_directions
 from .protocols import (Leaf, ProtocolError, execute_and_verify, leaf_branches,
                         lpcc_search, tree_from_script)
 from .statesets import (Partition, StateSet, build_named_set,
-                        check_mutual_orthogonality, local_support_indices)
+                        check_mutual_orthogonality, group_support)
 
 
 @dataclass
@@ -228,18 +228,18 @@ def theorem4_replay() -> TheoremResult:
 
 
 UNION_PLAN = (
-    # tag, role names, joint group, joint PVM, partition blocks, protocol script
-    ("S2", (0, 1, 2), (1, 2), "00,02,11;01,10,12;~", ((0,), (1, 2)),
+    # tag, joint group, joint PVM, partition blocks, protocol script
+    ("S2", (1, 2), "00,02,11;01,10,12;~", ((0,), (1, 2)),
      {"group": ["C"], "pvm": "0,1;2;~", "children": {
          "0": {"group": ["B"], "pvm": "0;1;~", "children": {
              "0": {"claim": "lemma1-2xn"}, "1": {"claim": "lemma1-2xn"}}},
          "1": {"claim": "lemma1-2xn"}}}),
-    ("S2p", (1, 2, 0), (2, 0), "33,35,44;34,43,45;~", ((1,), (2, 0)),
+    ("S2p", (2, 0), "33,35,44;34,43,45;~", ((1,), (2, 0)),
      {"group": ["A"], "pvm": "3,4;5;~", "children": {
          "0": {"group": ["C"], "pvm": "3;4;~", "children": {
              "0": {"claim": "lemma1-2xn"}, "1": {"claim": "lemma1-2xn"}}},
          "1": {"claim": "lemma1-2xn"}}}),
-    ("S2pp", (2, 0, 1), (0, 1), "65,67,76;66,75,77;~", ((2,), (0, 1)),
+    ("S2pp", (0, 1), "65,67,76;66,75,77;~", ((2,), (0, 1)),
      {"group": ["B"], "pvm": "5,6;7;~", "children": {
          "0": {"group": ["A"], "pvm": "6;7;~", "children": {
              "0": {"claim": "lemma1-2xn"}, "1": {"claim": "lemma1-2xn"}}},
@@ -266,7 +266,7 @@ def theorem5_replay() -> TheoremResult:
         br = branches[o]
         labels = br.states.labels() if br.states else ()
         tags = {l.split(":")[0] for l in labels}
-        supports = tuple(local_support_indices(br.states, p) for p in range(3))
+        supports = tuple(group_support(br.states, (p,))[2] for p in range(3))
         ok = (tags == {tag} and len(labels) == 9
               and supports == UNION_EXPECTED_SUPPORTS[tag])
         res.add(f"coarse outcome {o} isolates {tag}", ok,
@@ -291,7 +291,7 @@ def theorem5_replay() -> TheoremResult:
                     failed = False
         res.add(f"{tag}: no single-party activation (inherited)", failed)
 
-    for tag, roles, group, pvm_text, blocks, script in UNION_PLAN:
+    for tag, group, pvm_text, blocks, script in UNION_PLAN:
         sub = subsets[tag]
         dims = [u.spec.dims[p] for p in group]
         first = LocalPVM(parse_pvm(pvm_text, dims), group)

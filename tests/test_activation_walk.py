@@ -32,7 +32,7 @@ from lpcckit.measurements import LocalPVM, apply
 from lpcckit.opsolve import MAX_EXACT_DIM, enumerate_op_pvms, is_pvm_irreducible
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
-                               build_named_set, group_coordinates)
+                               build_named_set, group_support)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
         candidates = []
         supplied = (None or {}).get(tuple(pair), [])
         candidates.extend(supplied)
-        eff = len(group_coordinates(s, pair))
+        eff = len(group_support(s, pair)[2])
         if eff <= MAX_EXACT_DIM:
             candidates.extend(_activation_order(s, enumerate_op_pvms(
                 s, tuple(pair))))
@@ -146,7 +146,7 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
         for block in part.blocks:
             supplied = (None or {}).get(tuple(block), [])
             candidates.extend(supplied)
-            if len(group_coordinates(s, block)) <= MAX_EXACT_DIM:
+            if len(group_support(s, block)[2]) <= MAX_EXACT_DIM:
                 candidates.extend(enumerate_op_pvms(s, block))
             else:
                 exhaustive = False

@@ -202,6 +202,17 @@ def test_non_orthogonal_input_is_a_usage_error(capsys, tmp_path, verb):
     assert captured.err == "error: states 'a' and 'b' are not orthogonal\n"
 
 
+@pytest.mark.parametrize("verb", [["sets", "check"], ["classify"],
+                                  ["solve", "rank1", "--group", "A"], ["search"]])
+def test_empty_state_list_is_a_usage_error(capsys, tmp_path, verb):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"dims": [2, 2], "states": []}))
+    assert main(verb + ["--file", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state set has no states\n"
+
+
 @pytest.mark.parametrize("claim", ["three-product", "lemma1-2xn"])
 def test_failed_leaf_claim_is_refuted(capsys, tmp_path, claim):
     path = tmp_path / "leaf.json"

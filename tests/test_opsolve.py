@@ -24,8 +24,8 @@ from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              rank1_op_directions)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
-                               group_coordinates, local_support_vectors,
-                               sets_equal_up_to_relabeling, support_coordinates)
+                               group_support, local_support_vectors,
+                               sets_equal_up_to_relabeling)
 
 
 def ray(*xs):
@@ -120,6 +120,49 @@ def test_solutions_reverify(s2):
         p = Projector.from_ray(sol.vector)
         lp = LocalPVM(PVM([p, p.complement()]), (2,))
         assert preserves_orthogonality(s2, lp)
+
+
+def _two_qubit_set(*states):
+    return StateSet(PartySpec((2, 2)),
+                    [(str(i), Vec(v)) for i, v in enumerate(states)])
+
+
+def _assert_members_preserve(s, fam):
+    for theta in fam.members():
+        assert fam.contains(theta)
+        p = Projector.from_ray(theta)
+        assert preserves_orthogonality(s, LocalPVM(PVM([p, p.complement()]), (0,)))
+
+
+def test_circle_family_members_and_membership():
+    # {|00>+|11>, |00>-|11>}: (1, tau) preserves exactly when |tau| = 1
+    s = _two_qubit_set([1, 0, 0, 1], [1, 0, 0, -1])
+    rep = rank1_op_directions(s, (0,))
+    assert not rep.solutions and not rep.unresolved
+    (fam,) = rep.families
+    assert (fam.kind, fam.center, fam.radius2, fam.annihilating) == (
+        "circle", Scalar(0), 1, False)
+    assert fam.members() == [ray(1, 1), ray(1, -1), ray(1, Scalar(0, 1)),
+                             ray(1, Scalar(0, -1))]
+    assert fam.contains(Vec([5, Scalar(3, 4)]))
+    assert not fam.contains(Vec([1, 2]))
+    _assert_members_preserve(s, fam)
+
+
+def test_real_line_family_members_and_membership():
+    # {|00>+|11>, |01>+|10>}: (1, i*t) preserves for every real t
+    s = _two_qubit_set([1, 0, 0, 1], [0, 1, 1, 0])
+    rep = rank1_op_directions(s, (0,))
+    assert [sol.vector for sol in rep.solutions] == [ray(1, 0), ray(0, 1)]
+    assert not rep.unresolved
+    (fam,) = rep.families
+    assert (fam.kind, fam.base, fam.step, fam.annihilating) == (
+        "real-line", ray(1, 0), Vec([0, Scalar(0, 1)]), False)
+    assert fam.members() == [ray(1, 0), ray(1, Scalar(0, 1)),
+                             ray(1, Scalar(0, -1)), ray(1, Scalar(0, 2))]
+    assert fam.contains(Vec([1, Scalar(0, 2)]))
+    assert not fam.contains(Vec([1, 1]))
+    _assert_members_preserve(s, fam)
 
 
 def test_scaling_state_leaves_solutions_unchanged(s2):
@@ -435,7 +478,7 @@ def _restated_pvms(s, group, **kwargs):
     """Reference for a compressed group: restate the group as a two-party
     set (support coordinates x rest), enumerate its PVMs there, and
     scatter each back, appending the off-support complement."""
-    coords = support_coordinates(s, group)
+    coords = group_support(s, group)[2]
     idx = GroupIndexer(s.spec.dims, group)
     d = idx.group_dim
     small = StateSet(PartySpec((len(coords), idx.rest_dim)), [
@@ -486,7 +529,7 @@ def _compressed_groups(s):
     n = s.spec.n_parties
     for size in range(1, n):
         for group in itertools.combinations(range(n), size):
-            if (len(group_coordinates(s, group))
+            if (len(group_support(s, group)[2])
                     < GroupIndexer(s.spec.dims, group).group_dim):
                 yield group
 
@@ -690,7 +733,7 @@ def _top_level_solves(monkeypatch, s, group):
         clear_caches()
         rank1_op_directions(s, group)
     clear_caches()
-    coords = group_coordinates(s, group)
+    coords = group_support(s, group)[2]
     cm_small = [opsolve._restrict(c.mat, coords)
                 for c in constraint_matrices(s, group)]
     live = opsolve._live_patterns(cm_small, len(coords))
@@ -836,8 +879,7 @@ def test_solve_affine_points_satisfy_every_row():
 
 
 def test_empty_state_list_is_refused_on_the_group():
-    # the working support is empty only when there are no states at all,
-    # which a state file can ask for
-    s = StateSet(PartySpec((2, 2)), [])
-    with pytest.raises(ValueError, match="empty support"):
-        rank1_op_directions(s, (0,))
+    # the working support is empty only when there are no states at all;
+    # such a set is refused where it is built, before any group is read
+    with pytest.raises(ValueError, match="no states"):
+        StateSet(PartySpec((2, 2)), [])

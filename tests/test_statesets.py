@@ -13,7 +13,7 @@ from lpcckit.indexing import (GroupIndexer, digits_of, embed_with_offsets,
                               total_dim)
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                build_named_set, check_mutual_orthogonality,
-                               is_locally_redundant, local_support_indices,
+                               group_support, is_locally_redundant,
                                merge_parties, restrict_support,
                                separability_degree,
                                sets_equal_up_to_relabeling)
@@ -112,7 +112,7 @@ def test_union_supports_disjoint(union_s):
     for tag, want in ranges.items():
         sub = StateSet(union_s.spec,
                        [(l, v) for l, v in union_s.states if l.startswith(tag + ":")])
-        got = tuple(local_support_indices(sub, p) for p in range(3))
+        got = tuple(group_support(sub, (p,))[2] for p in range(3))
         assert got == want
     for party in range(3):
         seen = set()
@@ -468,8 +468,6 @@ def test_index_map_matches_per_entry_reference(dims):
         merged = merge_parties(s, Partition(blocks))
         assert merged.vectors() == tuple(ref_merge_remap(v, dims, blocks)
                                          for v in vecs)
-    assert all(local_support_indices(s, p) == ref_local_support_indices(s, p)
-               for p in range(n))
     new_dims, maps = _support_maps(s)
     for v in vecs:
         assert (relabel_digits(v, dims, new_dims, maps)
