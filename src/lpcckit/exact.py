@@ -456,10 +456,6 @@ def reshape(v: Vec, rows: int, cols: int) -> Mat:
                             for r in range(rows)))
 
 
-def flatten(m: Mat) -> Vec:
-    return _wrap(Vec, tuple(a for row in m.entries for a in row))
-
-
 def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """In-place fraction-exact reduced row echelon; returns (rows, pivot
     columns). The row lists themselves are overwritten. Eliminating
@@ -531,19 +527,6 @@ def nullspace_with_free(a: Mat) -> tuple[list[Vec], list[int]]:
             x[pc] = -red.entries[r][fc]
         basis.append(_wrap(Vec, tuple(x)))
     return basis, free
-
-
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution of a x = b, or None if inconsistent."""
-    aug = _wrap(Mat, tuple(row + (b.entries[i],)
-                           for i, row in enumerate(a.entries)))
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][a.cols]
-    return _wrap(Vec, tuple(x))
 
 
 def vectors_rank(vecs: Sequence[Vec]) -> int:

@@ -13,25 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, inner,
-                    int_rows, mat_mul, mat_vec, nullspace, projector_onto,
-                    rank, vectors_rank)
+from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, int_rows,
+                    mat_mul, mat_vec, projector_onto, vectors_rank)
 from .indexing import GroupIndexer, total_dim
 from .statesets import PartySpec, StateSet, local_support_vectors
 
 
 class Projector:
-    """Exact orthogonal projector; square, Hermitian, idempotent.
+    """Exact orthogonal projector; square, Hermitian, idempotent. A
+    projector is its matrix: its rank is its trace, and PQ = 0 is tested
+    as tr(PQ) = 0."""
 
-    A projector may keep `span`, a linearly independent spanning set of
-    its range, alongside the dense matrix; it makes pairwise-orthogonality
-    tests linear instead of cubic in the dimension. The span is orthogonal
-    only from `from_span` and `diagonal`: `complement` stores the
-    nullspace of the other elements' sum, which need not be.
-    """
-
-    def __init__(self, mat: Mat, *, _validated: bool = False,
-                 span: tuple[Vec, ...] | None = None):
+    def __init__(self, mat: Mat, *, _validated: bool = False):
         if mat.rows != mat.cols:
             raise ValueError("projector must be square")
         if not _validated:
@@ -40,14 +33,11 @@ class Projector:
             if mat_mul(mat, mat) != mat:
                 raise ValueError("projector is not idempotent")
         self.mat = mat
-        self.span = span
 
     @staticmethod
     def from_span(vecs: Sequence[Vec], dim: int) -> "Projector":
         """Projector onto span(vecs); idempotent by construction."""
-        from .exact import gram_schmidt
-        basis = tuple(gram_schmidt([v for v in vecs if not v.is_zero()]))
-        return Projector(projector_onto(basis, dim), _validated=True, span=basis)
+        return Projector(projector_onto(vecs, dim), _validated=True)
 
     @staticmethod
     def from_ray(v: Vec) -> "Projector":
@@ -56,7 +46,7 @@ class Projector:
     @staticmethod
     def zero(dim: int) -> "Projector":
         return Projector(Mat(tuple(ZERO for _ in range(dim)) for _ in range(dim)),
-                         _validated=True, span=())
+                         _validated=True)
 
     @staticmethod
     def full(dim: int) -> "Projector":
@@ -64,29 +54,30 @@ class Projector:
 
     @staticmethod
     def diagonal(indices: Iterable[int], dim: int) -> "Projector":
-        keep = sorted(set(indices))
-        from .exact import basis_vec
+        keep = set(indices)
         return Projector(Mat(tuple(ONE if (i == j and i in keep) else ZERO
                                    for j in range(dim)) for i in range(dim)),
-                         _validated=True,
-                         span=tuple(basis_vec(dim, i) for i in keep))
+                         _validated=True)
 
     @property
     def dim(self) -> int:
         return self.mat.rows
 
     def rank(self) -> int:
-        # a stored span is always a linearly independent basis of the range
-        return len(self.span) if self.span is not None else rank(self.mat)
+        """The trace: a projector's eigenvalues are 0 and 1."""
+        tr = ZERO
+        for i, row in enumerate(self.mat.entries):
+            tr = tr + row[i]
+        return int(tr.re)
 
     def complement(self) -> "Projector":
         return complement([self], self.dim)
 
     def is_zero(self) -> bool:
-        return self.mat.is_zero()
+        return self.rank() == 0
 
     def is_identity(self) -> bool:
-        return self.mat == identity(self.dim)
+        return self.rank() == self.dim
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Projector):
@@ -97,11 +88,14 @@ class Projector:
         return hash(self.mat)
 
     def orthogonal_to(self, other: "Projector") -> bool:
-        """P Q = 0; linear-time via span bases when both carry one."""
-        if self.span is not None and other.span is not None:
-            return all(inner(u, w).is_zero()
-                       for u in self.span for w in other.span)
-        return mat_mul(self.mat, other.mat).is_zero()
+        """PQ = 0, tested as tr(PQ) = sum P_ij conj(Q_ij) = 0: for
+        projectors that sum is ||QP||_F^2, zero exactly when QP = 0."""
+        acc = ZERO
+        for row_p, row_q in zip(self.mat.entries, other.mat.entries):
+            for x, y in zip(row_p, row_q):
+                if (x._a or x._b) and (y._a or y._b):
+                    acc = acc + x * y.conj()
+        return acc.is_zero()
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank()})"
@@ -116,13 +110,11 @@ class Projector:
 
 def complement(elements: Sequence[Projector], dim: int) -> Projector:
     """1 minus the sum of mutually orthogonal projectors (the zero
-    projector when they already sum to 1); its span is the nullspace of
-    that sum."""
+    projector when they already sum to 1)."""
     total = elements[0].mat
     for e in elements[1:]:
         total = total + e.mat
-    return Projector(identity(dim) - total, _validated=True,
-                     span=tuple(nullspace(total)))
+    return Projector(identity(dim) - total, _validated=True)
 
 
 class PVM:
@@ -145,6 +137,13 @@ class PVM:
             raise ValueError("PVM elements do not sum to the identity")
         self.elements = tuple(elements)
         self.dim = dim
+
+    @staticmethod
+    def completed(elements: Sequence[Projector], dim: int) -> "PVM":
+        """The one completion of a partial PVM: the mutually orthogonal
+        elements, plus 1 minus their sum when that is nonzero."""
+        comp = complement(elements, dim)
+        return PVM(list(elements) if comp.is_zero() else [*elements, comp])
 
     def __len__(self) -> int:
         return len(self.elements)

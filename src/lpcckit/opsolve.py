@@ -39,11 +39,11 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, basis_vec,
-                    nullspace, nullspace_with_free, rank, rref, sort_keys,
-                    zero_vec)
+                    in_span, nullspace, nullspace_with_free, rank, rref,
+                    sort_keys, zero_vec)
 from .indexing import GroupIndexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
-                           complement, preserves_orthogonality)
+                           preserves_orthogonality)
 from .statesets import (Partition, StateSet, group_support,
                         local_support_vectors)
 
@@ -129,21 +129,13 @@ class Family:
     def contains(self, theta: Vec) -> bool:
         """Exact membership of a ray in the family (up to scale)."""
         if self.kind == "subspace":
-            from .exact import in_span
             return in_span(theta, list(self.basis))
-        if self.kind in ("real-line", "circle"):
-            # theta ~ base + tau * step for some complex tau; solve for tau
-            # via any coordinate where base/step distinguish, checking scale.
-            cands = _ray_as_combo(theta, self.base, self.step)
-            for tau in cands:
-                if self.kind == "real-line" and tau.is_real():
-                    return True
-                if self.kind == "circle":
-                    diff = tau - self.center
-                    if diff.norm2() == self.radius2:
-                        return True
+        tau = _ray_as_combo(theta, self.base, self.step)
+        if tau is None:
             return False
-        return False
+        if self.kind == "real-line":
+            return tau.is_real()
+        return (tau - self.center).norm2() == self.radius2
 
     def members(self) -> list[Vec]:
         """Up to four exact representative rays, for PVM assembly."""
@@ -177,24 +169,14 @@ class Family:
         return data
 
 
-def _ray_as_combo(theta: Vec, base: Vec, step: Vec) -> list[Scalar]:
-    """Taus with theta proportional to base + tau*step (usually <= 1)."""
-    out = []
-    ray = theta.normalized_leading()
-    for i, j in itertools.combinations(range(theta.dim), 2):
-        # scale*theta = base + tau*step on coordinates i, j
-        a1, b1, t1 = base.entries[i], step.entries[i], theta.entries[i]
-        a2, b2, t2 = base.entries[j], step.entries[j], theta.entries[j]
-        # solve t2*(a1 + tau b1) = t1*(a2 + tau b2)
-        lin = t2 * b1 - t1 * b2
-        const = t1 * a2 - t2 * a1
-        if lin.is_zero():
-            continue
-        tau = const / lin
-        cand = base + step.scale(tau)
-        if not cand.is_zero() and cand.normalized_leading() == ray:
-            out.append(tau)
-    return list(dict.fromkeys(out))
+def _ray_as_combo(theta: Vec, base: Vec, step: Vec) -> Scalar | None:
+    """The tau with theta proportional to base + tau*step, or None. Base
+    and step are independent, so x*base + y*step + z*theta = 0 has at
+    most one solution ray, and tau = y/x when x is nonzero."""
+    null = nullspace(Mat(zip(base.entries, step.entries, theta.entries)))
+    if len(null) != 1 or null[0][0].is_zero():
+        return None
+    return null[0][1] / null[0][0]
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -430,8 +412,8 @@ def _binary_endgame(cmats: list[Mat], k: int, basis: list[Vec], free: list[int],
             return [("contradiction", "endgame point misses the quadratic")]
         got = emit(tau)
         return [got] if got else [("contradiction", "endgame point off-support")]
-    if sol == "line":
-        base, direction = _affine_line(affine)
+    if isinstance(sol, list):
+        base, direction = sol
         if quad is None:
             fam = Family(kind="real-line",
                          base=basis[0] + basis[1].scale(Scalar(base[0], base[1])),
@@ -470,58 +452,21 @@ def _quad_value(quad, x: Fraction, y: Fraction) -> Fraction:
 
 
 def _solve_affine(affine) -> object:
-    """Solve {a x + b y + c = 0}: unique point (x, y), 'line', 'plane'
-    (no constraints), or 'inconsistent'."""
-    rows = [r for r in affine]
-    if not rows:
-        return "plane"
-    # gaussian elimination on 2 unknowns
-    r1 = next((r for r in rows if r[0] != 0 or r[1] != 0), None)
-    if r1 is None:
-        return "inconsistent" if any(r[2] != 0 for r in rows) else "plane"
-    rest = []
-    for r in rows:
-        if r is r1:
-            continue
-        if r1[0] != 0:
-            f = Fraction(r[0], r1[0])
-        elif r[0] != 0:
-            rest.append(r)
-            continue
-        else:
-            f = Fraction(r[1], r1[1])
-        rr = tuple(r[i] - f * r1[i] for i in range(3))
-        if rr[0] != 0 or rr[1] != 0:
-            rest.append(rr)
-        elif rr[2] != 0:
-            return "inconsistent"
-    r2 = next((r for r in rest if r[0] != 0 or r[1] != 0), None)
-    if r2 is None:
-        return "line"
-    # two independent equations: unique solution
-    # nonzero: r2 was reduced against r1, so the two are independent
-    det = r1[0] * r2[1] - r1[1] * r2[0]
-    x = Fraction(-r1[2] * r2[1] + r1[1] * r2[2], det)
-    y = Fraction(-r1[0] * r2[2] + r2[0] * r1[2], det)
-    # verify against every row (there may be more than two)
-    for r in affine:
-        if r[0] * x + r[1] * y + r[2] != 0:
-            return "inconsistent"
-    return (x, y)
-
-
-def _affine_line(affine):
-    """Parametrize solutions of a rank-1 affine system as base + s*dir;
-    `_solve_affine` found the system to be a line, so a row with a nonzero
-    coefficient exists."""
-    a, b, c = next(row for row in affine if row[0] != 0 or row[1] != 0)
-    if b != 0:
-        base = (Fraction(0), Fraction(-c, b))
-        direction = (Fraction(1), Fraction(-a, b))
-    else:
-        base = (Fraction(-c, a), Fraction(0))
-        direction = (Fraction(0), Fraction(1))
-    return base, direction
+    """Solve {a x + b y + c = 0} by one rref on the columns (y, x, 1): the
+    unique point (x, y), the line [base, direction] (its points are
+    base + s*direction for real s; x is the parameter whenever y has a
+    coefficient), 'plane' (no constraints) or 'inconsistent'."""
+    red, pivots = rref(Mat([(b, a, c) for a, b, c in affine] or [(0, 0, 0)]))
+    rows = [[x.re for x in row] for row in red.entries]
+    if 2 in pivots:
+        return "inconsistent"
+    if pivots == [0, 1]:
+        return (-rows[1][2], -rows[0][2])
+    if pivots == [0]:
+        return [(Fraction(0), -rows[0][2]), (Fraction(1), -rows[0][1])]
+    if pivots == [1]:
+        return [(-rows[0][2], Fraction(0)), (Fraction(0), Fraction(1))]
+    return "plane"
 
 
 def _quad_on_line(quad, base, direction):
@@ -765,11 +710,8 @@ def _dedupe_families(fams: list[Family]) -> list[Family]:
         if f.kind == "subspace":
             red, _ = rref(Mat(tuple(b.entries) for b in f.basis))
             key = ("subspace", red.entries, f.annihilating)
-        elif f.kind == "real-line":
-            key = ("real-line", f.base.normalized_leading(),
-                   f.step.normalized_leading())
         else:
-            key = ("circle", f.base, f.step, f.center, f.radius2)
+            key = (f.kind, f.base, f.step, f.center, f.radius2)
         if key not in keys:
             keys.add(key)
             out.append(f)
@@ -866,47 +808,39 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
             pooled.add(p.mat.entries)
             pool.append(p)
 
-    assemblies: list[tuple[Projector, ...]] = []
-    seen: set = set()
+    ranks = [p.rank() for p in pool]
+    # assembled PVMs in emit order, keyed by their element matrices
+    assemblies: dict[frozenset, PVM] = {}
 
-    def emit(elements: tuple[Projector, ...]):
-        key = frozenset(e.mat.entries for e in elements)
-        if key in seen:
-            return
-        seen.add(key)
-        assemblies.append(elements)
+    def emit(pvm: PVM):
+        assemblies.setdefault(frozenset(e.mat.entries for e in pvm), pvm)
 
     # two-outcome completions first, so every pool element is represented
     # even when the deeper search hits its budget
     for p in pool:
-        emit((p, p.complement()))
+        emit(PVM.completed([p], k))
 
     def extend(chosen: list[Projector], total_rank: int, start: int):
         if len(assemblies) >= max_pvms:
             return
-        if chosen:
-            if total_rank == k and len(chosen) <= cap:
-                emit(tuple(chosen))
-            elif len(chosen) + 1 <= cap:
-                comp = complement(chosen, k)
-                if not comp.is_zero():
-                    emit(tuple(chosen) + (comp,))
+        # the completion adds an element exactly when the rank falls short
+        if chosen and len(chosen) + (total_rank < k) <= cap:
+            emit(PVM.completed(chosen, k))
         if len(chosen) >= cap:
             return
         for i in range(start, len(pool)):
             p = pool[i]
-            if total_rank + p.rank() > k:
+            if total_rank + ranks[i] > k:
                 continue
             if all(p.orthogonal_to(q) for q in chosen):
-                extend(chosen + [p], total_rank + p.rank(), i + 1)
+                extend(chosen + [p], total_rank + ranks[i], i + 1)
 
     extend([], 0, 0)
 
     # is_trivial_for_set, on the support built above; every assembly holds
     # a pool element, which is neither 0 nor 1, so none is a trivial PVM
     kept = []
-    for elements in assemblies:
-        pvm = PVM(list(elements))
+    for pvm in assemblies.values():
         lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
         if all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
             continue
@@ -933,12 +867,9 @@ def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
         for i, a in enumerate(coords):
             for j, b in enumerate(coords):
                 rows[a][b] = e.mat.entries[i][j]
-        span = None
-        if e.span is not None:
-            span = tuple(_lift(v, coords, d) for v in e.span)
         lifted.append(Projector(Mat(tuple(tuple(r) for r in rows)),
-                                _validated=True, span=span))
-    return PVM(lifted + [complement(lifted, d)])
+                                _validated=True))
+    return PVM.completed(lifted, d)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from .exact import Vec, gram_schmidt, inner, sort_keys
 from .indexing import GroupIndexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
-                           complement, preserves_orthogonality)
+                           preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
 from .statesets import (Partition, PartySpec, StateSet,
@@ -273,7 +273,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
         elements = [Projector.from_ray(etas[m]) for m in members]
         children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                             for i in range(len(members))}
-        return Node(rest, _completed(elements, rest_dim), children)
+        return Node(rest, PVM.completed(elements, rest_dim), children)
 
     def round2(cls) -> Node | Leaf:
         d0, d1 = cls["dirs"]
@@ -282,14 +282,14 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
         for side in (0, 1):
             if cls["members"][side]:
                 children[side] = round3(cls["members"][side])
-        return Node((narrow,), _completed(elements, two_dim), children)
+        return Node((narrow,), PVM.completed(elements, two_dim), children)
 
     elements = []
     for cls in classes:
         vecs = [etas[m] for m in cls["members"][0] + cls["members"][1]]
         elements.append(Projector.from_span(vecs, rest_dim))
     children = {i: round2(cls) for i, cls in enumerate(classes)}
-    return Node(rest, _completed(elements, rest_dim), children)
+    return Node(rest, PVM.completed(elements, rest_dim), children)
 
 
 def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
@@ -303,15 +303,8 @@ def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
                     "single varying party with non-orthogonal local factors")
     children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                         for i in range(len(rays))}
-    return Node((party,), _completed([Projector.from_ray(r) for r in rays],
-                                     idx.group_dim), children)
-
-
-def _completed(elements: list[Projector], dim: int) -> PVM:
-    """The PVM of mutually orthogonal projectors plus their complement,
-    when that is nonzero."""
-    comp = complement(elements, dim)
-    return PVM(elements if comp.is_zero() else elements + [comp])
+    return Node((party,), PVM.completed([Projector.from_ray(r) for r in rays],
+                                        idx.group_dim), children)
 
 
 def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
@@ -344,17 +337,10 @@ def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
 
 
 def _orthocomplement_in(ray: Vec, v_basis: list[Vec]) -> Vec:
-    """The ray orthogonal to `ray` inside the 2-dim span of v_basis."""
-    from .exact import sc
-    b0, b1 = v_basis
-    c0, c1 = inner(ray, b0), inner(ray, b1)
-    # candidate = c1'*b0 - c0'*b1 style combination orthogonal to ray; it
-    # is nonzero, since the nonzero ray lies in the span of b0 and b1
-    cand = b0.scale(c1.conj()) - b1.scale(c0.conj())
-    if not inner(ray, cand).is_zero():
-        # project out the ray component exactly
-        cand = cand - ray.scale(inner(ray, cand) / sc(ray.norm2()))
-    return cand.normalized_leading()
+    """The ray orthogonal to `ray` inside the 2-dim span of v_basis: the
+    nonzero ray lies in that span, so Gram-Schmidt from it yields exactly
+    one more vector."""
+    return gram_schmidt([ray, *v_basis])[1].normalized_leading()
 
 
 def three_product_protocol(s: StateSet) -> ProtocolTree:

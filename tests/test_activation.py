@@ -264,3 +264,13 @@ def test_verify_activation_refusals(s1, source, group, pvm, blocks, why):
     first = LocalPVM(parse_pvm(pvm, dims), group)
     with pytest.raises(ActivationError, match=f"^{why}$"):
         verify_activation(s, first, Partition(blocks))
+
+
+def test_three_fully_product_states_are_exactly_strong_local():
+    ket = lambda bits: tensor(*(Vec([1, 0]) if b == "0" else Vec([0, 1])
+                                for b in bits))
+    s = StateSet(PartySpec((2, 2, 2)),
+                 [(bits, ket(bits)) for bits in ("000", "011", "101")])
+    c = classify(s)
+    assert (c.klass, c.exact) == ("strong-local-evidence", True)
+    assert c.trace == ["three orthogonal fully product states are strong local"]

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lpcckit import exact
 from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, kron_mat, rref,
                            mat_mul, nullspace, outer, rank, reshape, tensor,
-                           gram_schmidt, in_span, projector_onto, solve_linear,
-                           sort_keys)
+                           gram_schmidt, in_span, projector_onto, sort_keys)
 
 
 def vec(*xs):
@@ -86,13 +85,6 @@ def test_nullspace_exact():
     for b in basis:
         assert all(x.is_zero() for x in
                    (inner(a.row(0).conj(), b), inner(a.row(1).conj(), b)))
-
-
-def test_solve_linear():
-    a = Mat([[1, 1], [1, -1]])
-    x = solve_linear(a, vec(3, 1))
-    assert x == vec(2, 1)
-    assert solve_linear(Mat([[1, 1], [1, 1]]), vec(0, 1)) is None
 
 
 small_scalars = st.builds(Scalar,

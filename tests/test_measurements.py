@@ -306,8 +306,6 @@ def test_rank_from_span_matches_dense_rank():
     pvm = PVM([Projector.from_ray(Vec([1, i])), Projector.from_ray(Vec([i, 1]))])
     lifted = _lift_pvm(pvm, (1, 3), 4)
     projectors += list(lifted.elements)
-    # every projector but full(4) takes its rank from the stored span
-    assert [p.span is None for p in projectors].count(True) == 1
     projectors += [Projector.from_json(p.to_json()) for p in projectors]
     assert [p.rank() for p in projectors[:4]] == [1, 2, 1, 2]
     for p in projectors:

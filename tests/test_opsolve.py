@@ -32,6 +32,11 @@ def ray(*xs):
     return Vec(list(xs)).normalized_leading()
 
 
+def ray_of(e):
+    """The ray of a rank-1 projector: a nonzero column of its matrix."""
+    return e.mat.col(e.mat.first_nonzero()[1]).normalized_leading()
+
+
 def test_constraint_matrix_forcing_pattern(s2):
     cmats = {c.pair: c.mat for c in constraint_matrices(s2, (0,))}
     c13 = cmats[(0, 2)]
@@ -211,16 +216,15 @@ def test_enumerate_charlie_pvms(s2):
                    for lp in pvms)
     assert ranks == [(1, 1, 1), (1, 2), (1, 2), (1, 2)]
     rank1_triple = [lp for lp in pvms if len(lp.pvm) == 3][0]
-    dirs = {e.span[0].normalized_leading().entries
-            for e in rank1_triple.pvm.elements}
+    dirs = {ray_of(e).entries for e in rank1_triple.pvm.elements}
     assert dirs == {ray(0, 0, 1).entries, ray(1, -1, 0).entries,
                     ray(1, 1, 0).entries}
 
 
 def test_enumerate_bob_on_type1(s1):
     pvms = enumerate_op_pvms(s1, (1,))
-    keys = {frozenset(e.span[0].normalized_leading().entries
-                      for e in lp.pvm.elements if e.span)
+    keys = {frozenset(ray_of(e).entries
+                      for e in lp.pvm.elements if e.rank() == 1)
             for lp in pvms}
     assert frozenset({ray(1, 0).entries, ray(0, 1).entries}) in keys
 
@@ -486,12 +490,6 @@ def _restated_pvms(s, group, **kwargs):
                      for a in coords for r in range(idx.rest_dim)]))
         for label, v in s.states])
 
-    def lift(v):
-        out = [ZERO] * d
-        for x, a in zip(v.entries, coords):
-            out[a] = x
-        return Vec(out)
-
     out = []
     for lp in enumerate_op_pvms(small, (0,), **kwargs):
         lifted = []
@@ -500,9 +498,8 @@ def _restated_pvms(s, group, **kwargs):
             for i, a in enumerate(coords):
                 for j, b in enumerate(coords):
                     rows[a][b] = e.mat.entries[i][j]
-            span = None if e.span is None else tuple(lift(v) for v in e.span)
             lifted.append(Projector(Mat(tuple(tuple(r) for r in rows)),
-                                    _validated=True, span=span))
+                                    _validated=True))
         rest = complement(lifted, d)
         if not rest.is_zero():
             lifted.append(rest)
@@ -511,17 +508,14 @@ def _restated_pvms(s, group, **kwargs):
 
 
 def _pvm_cells(enumerate_fn, s, group, kwargs):
-    """Every PVM's group, element matrices and spans, in order; or the
-    error the enumeration raised."""
+    """Every PVM's group and element matrices, in order; or the error the
+    enumeration raised."""
     clear_caches()
     try:
         pvms = enumerate_fn(s, group, **kwargs)
     except ValueError as exc:
         return ("ValueError", str(exc))
-    return [(lp.group, [(e.mat.entries,
-                         None if e.span is None
-                         else tuple(v.entries for v in e.span))
-                        for e in lp.pvm.elements])
+    return [(lp.group, [e.mat.entries for e in lp.pvm.elements])
             for lp in pvms]
 
 
@@ -862,9 +856,9 @@ def test_solve_affine_points_satisfy_every_row():
             seen["point"] += 1
             assert _solves(rows, *sol)
             assert _affine_rank(rows, 2) == 2
-        elif sol == "line":
+        elif isinstance(sol, list):
             seen["line"] += 1
-            (bx, by), (dx, dy) = opsolve._affine_line(rows)
+            (bx, by), (dx, dy) = sol
             assert (dx, dy) != (0, 0)
             assert all(_solves(rows, bx + t * dx, by + t * dy) for t in (0, 1, -3))
         elif sol == "plane":
@@ -883,3 +877,143 @@ def test_empty_state_list_is_refused_on_the_group():
     # such a set is refused where it is built, before any group is read
     with pytest.raises(ValueError, match="no states"):
         StateSet(PartySpec((2, 2)), [])
+
+
+def _solve_affine_reference(affine):
+    """`_solve_affine` as a two-unknown elimination, before it was one
+    rref: a point (x, y), 'line', 'plane' or 'inconsistent'."""
+    rows = list(affine)
+    if not rows:
+        return "plane"
+    r1 = next((r for r in rows if r[0] != 0 or r[1] != 0), None)
+    if r1 is None:
+        return "inconsistent" if any(r[2] != 0 for r in rows) else "plane"
+    rest = []
+    for r in rows:
+        if r is r1:
+            continue
+        if r1[0] != 0:
+            f = Fraction(r[0], r1[0])
+        elif r[0] != 0:
+            rest.append(r)
+            continue
+        else:
+            f = Fraction(r[1], r1[1])
+        rr = tuple(r[i] - f * r1[i] for i in range(3))
+        if rr[0] != 0 or rr[1] != 0:
+            rest.append(rr)
+        elif rr[2] != 0:
+            return "inconsistent"
+    r2 = next((r for r in rest if r[0] != 0 or r[1] != 0), None)
+    if r2 is None:
+        return "line"
+    det = r1[0] * r2[1] - r1[1] * r2[0]
+    x = Fraction(-r1[2] * r2[1] + r1[1] * r2[2], det)
+    y = Fraction(-r1[0] * r2[2] + r2[0] * r1[2], det)
+    if any(r[0] * x + r[1] * y + r[2] != 0 for r in affine):
+        return "inconsistent"
+    return (x, y)
+
+
+def _affine_line_reference(affine):
+    """The line's (base, direction) as `_affine_line` gave it: x is the
+    parameter when the first nonzero row has a y coefficient."""
+    a, b, c = next(row for row in affine if row[0] != 0 or row[1] != 0)
+    if b != 0:
+        return (Fraction(0), Fraction(-c, b)), (Fraction(1), Fraction(-a, b))
+    return (Fraction(-c, a), Fraction(0)), (Fraction(0), Fraction(1))
+
+
+def test_solve_affine_matches_restated_elimination():
+    # rational coefficients, as the endgame builds them, with repeated
+    # and proportional rows
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(3000):
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if rows and roll < 0.3:
+                a, b, c = rng.choice(rows)
+                m = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                rows.append((m * a, m * b, m * c if roll < 0.2 else c + 1))
+            else:
+                rows.append(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                  for _ in range(3)))
+        old = _solve_affine_reference(rows)
+        new = opsolve._solve_affine(rows)
+        if old == "line":
+            assert new == list(_affine_line_reference(rows))
+        else:
+            assert new == old
+        seen[old if isinstance(old, str) else "point"] += 1
+    assert min(seen[kind] for kind in ("point", "line", "plane",
+                                        "inconsistent")) >= 50
+
+
+def _contains_reference(fam, theta):
+    """`Family.contains` for a real-line or circle family as it read
+    before `_ray_as_combo` was one nullspace: a tau candidate from every
+    coordinate pair, kept when base + tau*step is proportional to theta."""
+    ray = theta.normalized_leading()
+    for i, j in itertools.combinations(range(theta.dim), 2):
+        a1, b1, t1 = fam.base[i], fam.step[i], theta[i]
+        a2, b2, t2 = fam.base[j], fam.step[j], theta[j]
+        lin = t2 * b1 - t1 * b2
+        if lin.is_zero():
+            continue
+        tau = (t1 * a2 - t2 * a1) / lin
+        cand = fam.base + fam.step.scale(tau)
+        if cand.is_zero() or cand.normalized_leading() != ray:
+            continue
+        if fam.kind == "real-line" and tau.is_real():
+            return True
+        if fam.kind == "circle" and (tau - fam.center).norm2() == fam.radius2:
+            return True
+    return False
+
+
+def test_family_contains_matches_restated_reference():
+    rng = random.Random(41)
+    gauss = lambda: Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
+    units = (Scalar(1), Scalar(0, -1), Scalar(Fraction(3, 5), Fraction(4, 5)),
+             Scalar(Fraction(-5, 13), Fraction(12, 13)))
+    seen = Counter()
+    for _ in range(300):
+        dim = rng.randint(2, 4)
+        base, step = (Vec([gauss() for _ in range(dim)]) for _ in range(2))
+        if rank(Mat([base.entries, step.entries])) < 2:
+            continue
+        w = gauss()
+        if w.is_zero():
+            w = Scalar(1)
+        if rng.random() < 0.5:
+            fam = opsolve.Family(kind="real-line", base=base, step=step)
+            taus = (Scalar(rng.randint(-3, 3)), w, Scalar(0, 1) * w)
+        else:
+            center = gauss() * Scalar(Fraction(1, 2))
+            fam = opsolve.Family(kind="circle", base=base, step=step,
+                                 center=center, radius2=w.norm2())
+            taus = (center + w * rng.choice(units), center + w + w,
+                    center)
+        thetas = [base + step.scale(t) for t in taus]
+        thetas += [step, base, Vec([gauss() for _ in range(dim)])]
+        for theta in thetas:
+            if theta.is_zero():
+                continue
+            theta = theta.scale(gauss() + Scalar(3))
+            got = fam.contains(theta)
+            assert got == _contains_reference(fam, theta)
+            seen[fam.kind, got] += 1
+    assert min(seen[kind, got] for kind in ("real-line", "circle")
+               for got in (True, False)) >= 50
+
+
+def test_dedupe_keeps_real_lines_that_differ_by_a_phase():
+    # {(1, s)} and {(1, i s)} for real s: only the second holds (1, i)
+    i = Scalar(0, 1)
+    a = opsolve.Family(kind="real-line", base=Vec([1, 0]), step=Vec([0, 1]))
+    b = opsolve.Family(kind="real-line", base=Vec([1, 0]), step=Vec([0, i]))
+    kept = opsolve._dedupe_families([a, b])
+    assert kept == [a, b]
+    assert [f.contains(Vec([1, i])) for f in kept] == [False, True]

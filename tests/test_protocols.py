@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from lpcckit.exact import Vec, tensor
+from lpcckit.exact import Scalar, Vec, inner, tensor
 from lpcckit.generators import (random_lemma_structured_set,
                                 random_orthogonal_set, random_product_set)
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import LocalPVM, apply
 from lpcckit.protocols import (Leaf, LemmaStructureError, Node, ProtocolError,
+                               _orthocomplement_in,
                                execute_and_verify, leaf_branches,
                                lemma1_protocol, lpcc_search,
                                three_product_protocol, tree_from_script)
@@ -268,3 +269,24 @@ def test_constructors_refuse_or_build_a_verified_tree(make, least_built):
             assert execute_and_verify(s, tree).distinguishable
             built += 1
     assert built >= least_built
+
+
+def test_lemma1_completes_a_lone_ray_with_its_nonzero_perpendicular():
+    # the two-side ray (1, i) has no partner among the alphas; its round-2
+    # PVM pairs it with (1, -i), with no all-zero element
+    i = Scalar(0, 1)
+    plus_i = Vec([1, i])
+    perp = _orthocomplement_in(plus_i, [Vec([1, 0]), Vec([0, 1])])
+    assert not perp.is_zero() and inner(plus_i, perp).is_zero()
+    ket = lambda d, k: Vec([1 if j == k else 0 for j in range(d)])
+    s = StateSet(PartySpec((2, 3)), [
+        ("a", tensor(ket(2, 0), ket(3, 0))), ("b", tensor(ket(2, 1), ket(3, 0))),
+        ("c", tensor(plus_i, ket(3, 1))), ("d", tensor(plus_i, ket(3, 2)))])
+    tree = lemma1_protocol(s)
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Node):
+            assert not any(e.mat.is_zero() for e in node.pvm)
+            nodes.extend(node.children.values())
+    assert execute_and_verify(s, tree).distinguishable
