@@ -35,7 +35,7 @@ def _load_set(args) -> StateSet:
     if getattr(args, "file", None):
         with open(args.file) as fh:
             return StateSet.from_json(json.load(fh))
-    raise SystemExit(USAGE)
+    raise ValueError("give --name or --file")
 
 
 def _load_orthogonal_set(args) -> StateSet:
@@ -166,10 +166,12 @@ def cmd_protocol(args, report: Report) -> int:
     if args.fixture:
         from .theorems import fixture_protocol
         s, tree = fixture_protocol(args.fixture)
-    else:
+    elif args.script:
         s = _load_set(args)
         with open(args.script) as fh:
             tree = tree_from_script(json.load(fh)["tree"], s.spec)
+    else:
+        raise ValueError("give --fixture or --script")
     try:
         verdict = execute_and_verify(s, tree)
     except ProtocolError as exc:

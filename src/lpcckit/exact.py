@@ -377,28 +377,6 @@ def tensor(*vecs: Vec) -> Vec:
     return _wrap(Vec, tuple(out))
 
 
-def kron_mat(*mats: Mat) -> Mat:
-    """Kronecker product of matrices, same ordering convention."""
-    if not mats:
-        raise ValueError("kron of nothing")
-    acc = mats[0]
-    for m in mats[1:]:
-        rows = []
-        for i1 in range(acc.rows):
-            for i2 in range(m.rows):
-                rows.append(tuple(acc.entries[i1][j1] * m.entries[i2][j2]
-                                  for j1 in range(acc.cols)
-                                  for j2 in range(m.cols)))
-        acc = _wrap(Mat, tuple(rows))
-    return acc
-
-
-def outer(u: Vec, v: Vec) -> Mat:
-    """|u><v|, so entry (i, j) = u_i * conj(v_j)."""
-    cv = tuple(map(_conj, v.entries))
-    return _wrap(Mat, tuple(tuple(map(a.__mul__, cv)) for a in u.entries))
-
-
 def mat_vec(a: Mat, v: Vec) -> Vec:
     if a.cols != v.dim:
         raise ValueError("shape mismatch in mat_vec")
@@ -434,10 +412,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def identity(n: int) -> Mat:
     return Mat(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def zero_mat(rows: int, cols: int) -> Mat:
-    return Mat(tuple(ZERO for _ in range(cols)) for _ in range(rows))
 
 
 def zero_vec(dim: int) -> Vec:

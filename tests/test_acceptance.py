@@ -91,7 +91,7 @@ def test_criterion_7_strong_local_recognitions():
             details.append(f"n x 2 product #{i}: {out.klass}")
     for i in range(20):
         s = random_biseparable_322(rng, n_states=rng.randint(4, 8))
-        rep = check_dim2_nogo(s, probes=6, seed=rng.randint(0, 10 ** 6))
+        rep = check_dim2_nogo(s)
         if not rep.confirmed:
             ok = False
             details.append(f"biseparable #{i} not confirmed")

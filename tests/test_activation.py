@@ -7,11 +7,12 @@ import pytest
 from lpcckit.activation import (ActivationError, classify, check_dim2_nogo,
                                 domino_match, is_m_activable,
                                 verify_activation)
-from lpcckit.exact import Scalar, Vec, tensor
-from lpcckit.generators import (random_biseparable_322, random_product_set,
+from lpcckit.exact import Scalar, Vec, basis_vec, tensor
+from lpcckit.generators import (random_biseparable_322,
+                                random_orthogonal_basis, random_product_set,
                                 random_two_state_set)
 from lpcckit.kets import parse_pvm
-from lpcckit.measurements import LocalPVM, apply
+from lpcckit.measurements import PVM, LocalPVM, Projector, apply
 from lpcckit.protocols import ProtocolError, lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                merge_parties, separability_degree)
@@ -152,39 +153,66 @@ def test_dim2_nogo_on_random_biseparable():
     rng = random.Random(31)
     for _ in range(5):
         s = random_biseparable_322(rng, n_states=5)
-        rep = check_dim2_nogo(s, probes=6, seed=1)
-        assert rep.confirmed
+        rep = check_dim2_nogo(s)
+        assert rep.confirmed and rep.parties_checked == (1, 2)
+
+
+def _biseparable_nx22(rng, n):
+    """Orthogonal a (x) w states in n x 2 x 2, with generically entangled
+    two-qubit factors w."""
+    a_basis = random_orthogonal_basis(rng, n)
+    w_basis = random_orthogonal_basis(rng, 4, complex_amps=True)
+    pairs = rng.sample([(f, g) for f in range(n) for g in range(4)], n + 2)
+    return StateSet(PartySpec((n, 2, 2)),
+                    [(str(i), tensor(a_basis[f], w_basis[g]))
+                     for i, (f, g) in enumerate(pairs)])
 
 
 def test_dim2_nogo_oracle_product_degree():
-    # independent oracle for the same claim: apply a probe PVM and check
-    # full separability of every surviving state directly
+    # independent oracle for the factor-test proof: apply rank-1 PVMs on
+    # each qubit party and check full separability of every branch state
     rng = random.Random(8)
-    s = random_biseparable_322(rng, n_states=5)
-    direction = Vec([1, 2])
-    from lpcckit.measurements import PVM, Projector
-    p = Projector.from_ray(direction)
-    lp = LocalPVM(PVM([p, p.complement()]), (1,))
-    for br in apply(s, lp).values():
-        if br.states is None:
-            continue
-        for _, v in br.states.states:
-            m, _ = separability_degree(v, s.spec)
-            assert m == 3
+    directions = [Vec([1, 0]), Vec([0, 1]), Vec([1, 1]), Vec([1, -1]),
+                  Vec([Scalar(1), Scalar(0, 1)]),
+                  Vec([Scalar(1), Scalar(0, -1)])]
+    while len(directions) < 9:
+        v = Vec([Scalar(rng.randint(-3, 3), rng.randint(-3, 3)),
+                 Scalar(rng.randint(-3, 3), rng.randint(-3, 3))])
+        if not v.is_zero():
+            directions.append(v)
+    for n in (2, 3, 4):
+        s = _biseparable_nx22(rng, n)
+        assert check_dim2_nogo(s).confirmed
+        assert any(separability_degree(v, s.spec)[0] == 2 for _, v in s.states)
+        for party in (1, 2):
+            for theta in directions:
+                p = Projector.from_ray(theta)
+                lp = LocalPVM(PVM([p, p.complement()]), (party,))
+                for br in apply(s, lp).values():
+                    if br.states is None:
+                        continue
+                    for _, v in br.states.states:
+                        if not v.is_zero():
+                            assert separability_degree(v, s.spec)[0] == 3
 
 
 def test_dim2_nogo_requires_biseparable():
     spec = PartySpec((3, 2, 2))
-    s = StateSet(spec, [("a", Vec([1] + [0] * 10 + [1])),
-                        ("b", Vec([1] + [0] * 10 + [-1]))])
-    with pytest.raises(ValueError):
-        check_dim2_nogo(s)
+    entangled = StateSet(spec, [("a", Vec([1] + [0] * 10 + [1])),
+                                ("b", Vec([1] + [0] * 10 + [-1]))])
+    wrong_dims = [StateSet(PartySpec(dims), [("a", basis_vec(prod, 0)),
+                                             ("b", basis_vec(prod, 1))])
+                  for dims, prod in (((3, 3, 2), 18), ((2, 2), 4),
+                                     ((3, 2, 3), 18), ((2, 2, 2, 2), 16))]
+    for s in [entangled] + wrong_dims:
+        with pytest.raises(ValueError):
+            check_dim2_nogo(s)
 
 
 def test_fully_product_422_nogo():
     rng = random.Random(77)
     s = random_product_set(rng, (4, 2, 2), 6, domino_moves=2)
-    rep = check_dim2_nogo(s, probes=6, seed=0)
+    rep = check_dim2_nogo(s)
     assert rep.confirmed
 
 

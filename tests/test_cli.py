@@ -158,8 +158,17 @@ def test_failed_self_check_exit_code(monkeypatch, capsys):
     assert "self-check" in capsys.readouterr().err
 
 
-def test_usage_error():
-    assert main(["sets", "check", "--name", "NotASet"]) == 64
+@pytest.mark.parametrize("argv", [
+    ["sets", "check", "--name", "NotASet"],
+    ["protocol", "--name", "S1"],
+    ["sets", "check"],
+    ["lemma", "1", "--samples", "-3"],
+], ids=["unknown-set", "protocol-without-script", "set-verb-without-set",
+        "negative-lemma-samples"])
+def test_usage_error(capsys, argv):
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_invalid_m():

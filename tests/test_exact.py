@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpcckit import exact
-from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, kron_mat, rref,
-                           mat_mul, nullspace, outer, rank, reshape, tensor,
-                           gram_schmidt, in_span, projector_onto, sort_keys)
+from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, rref, mat_mul,
+                           nullspace, rank, reshape, tensor, gram_schmidt,
+                           in_span, projector_onto, sort_keys)
 
 
 def vec(*xs):
@@ -150,14 +150,6 @@ def test_projector_onto_is_idempotent_and_fixes_span():
     from lpcckit.exact import mat_vec
     for v in vs:
         assert mat_vec(p, v) == v
-
-
-def test_kron_mat_matches_tensor():
-    from lpcckit.exact import mat_vec
-    a, b = vec(1, 2), vec(3, -1)
-    big = kron_mat(outer(a, a), outer(b, b))
-    got = mat_vec(big, tensor(a, b))
-    assert got == tensor(a, b).scale(inner(a, a) * inner(b, b))
 
 
 # plain-Fraction reference elimination over Q(i): a complex number is a
@@ -420,12 +412,15 @@ def test_sort_keys_order_matrices_as_their_rationals_do(cells):
 
 
 def _dense_projector_onto(vecs, dim):
-    """The dense outer-product sum that `projector_onto` replaced."""
-    from lpcckit.exact import zero_mat
+    """The dense outer-product sum that `projector_onto` replaced: each
+    orthogonal basis vector b adds |b><b| / <b|b>, entry (i, j) being
+    b_i * conj(b_j) / <b|b>."""
     basis = gram_schmidt([v for v in vecs if not v.is_zero()])
-    p = zero_mat(dim, dim)
+    p = Mat([[Scalar(0)] * dim for _ in range(dim)])
     for b in basis:
-        p = p + outer(b, b).scale(inner(b, b).inv())
+        w = inner(b, b).inv()
+        p = p + Mat([[x * y.conj() * w for y in b.entries]
+                     for x in b.entries])
     return p
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, kron_mat,
-                           mat_vec, rank)
+from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, mat_vec,
+                           rank)
 from lpcckit.generators import random_orthogonal_set
 from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
@@ -262,12 +262,18 @@ def test_op_branches_stay_orthogonal(s1):
                 assert check_mutual_orthogonality(br.states)
 
 
+def _kron(a, b):
+    """Kronecker product of two matrices, left factor slowest."""
+    return Mat([[x * y for x in ra for y in rb]
+                for ra in a.entries for rb in b.entries])
+
+
 def test_embed_commutes_with_merge(s2):
     # measure the middle party, then flatten A|BC; equals flattening first
     # and measuring the lifted operator on the merged block
     lp = LocalPVM(parse_pvm("0;1", [2]), (1,))
     merged_first = merge_parties(s2, Partition(((0,), (1, 2))))
-    lifted = PVM([Projector(kron_mat(e.mat, identity(3)), _validated=True)
+    lifted = PVM([Projector(_kron(e.mat, identity(3)), _validated=True)
                   for e in lp.pvm.elements])
     lp_merged = LocalPVM(lifted, (1,))
     for outcome in (0, 1):
