@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .indexing import GroupIndexer, digits_of, relabel_digits
+from .indexing import digits_of, indexer, relabel_digits
 from .measurements import (LocalPVM, apply, branch_survivals,
                            is_trivial_for_set, preserves_orthogonality)
 from .opsolve import (MAX_EXACT_DIM, IrreducibilityVerdict, _cache_get,
@@ -267,7 +267,8 @@ class Dim2NogoReport:
 
 def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoReport:
     """For orthogonal biseparable sets (product across first party vs the
-    rest) in n x 2 x 2, neither dimension-2 party can activate the set.
+    rest) in n x 2 x 2, neither dimension-2 party can activate the set;
+    any other input is refused with a ValueError.
 
     A nontrivial PVM on a qubit party is a rank-1 pair, and on a state
     a (x) w, (tt^dag (x) I) w = t (x) ((t^dag (x) I) w) (likewise on the
@@ -282,7 +283,9 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
     dims = s.spec.dims
     if len(dims) != 3 or dims[1] != 2 or dims[2] != 2:
         raise ValueError("expected a tripartite n x 2 x 2 system")
-    first = GroupIndexer(dims, (0,))
+    if not check_mutual_orthogonality(s):
+        raise ValueError("the no-go concerns orthogonal sets; this set is not")
+    first = indexer(dims, (0,))
     for label, v in s.states:
         if first.factor(v) is None:
             raise ValueError(f"state {label!r} is not biseparable across "
@@ -403,7 +406,7 @@ def _structural_strong_local(s: StateSet) -> str | None:
     dimensional side; three fully product states."""
     n = s.spec.n_parties
     if n == 2:
-        first = GroupIndexer(s.spec.dims, (0,))
+        first = indexer(s.spec.dims, (0,))
         if all(first.factor(v) is not None for v in s.vectors()):
             for party in (0, 1):
                 if group_support(s, (party,))[1] <= 2:

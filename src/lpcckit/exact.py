@@ -4,6 +4,10 @@ Everything downstream (state sets, measurements, solvers) runs on this
 kernel, so all arithmetic here is over the field Q(i): rational real and
 imaginary parts, no floating point, equality is literal equality.
 
+The one sparse read of a `Vec` lives on it: `int_read()`, its nonzero
+entries as Gaussian-integer numerators over one denominator, kept after
+first use. `inner` and `GroupIndexer.int_slices` read only that.
+
 Index convention for tensors: leftmost factor is slowest (row-major).
 """
 
@@ -179,24 +183,19 @@ def _wrap(cls, entries: tuple):
     return obj
 
 
-def int_rows(mats: Sequence["Mat"]) -> tuple[int, list[tuple]]:
-    """(D, rows): one denominator D shared by the matrices, and each of
-    them as rows of integer (re, im) numerator pairs over D."""
-    den = lcm(*{x._d for m in mats for row in m.entries for x in row})
-    return den, [tuple(tuple((x._a * (den // x._d), x._b * (den // x._d))
-                             for x in row) for row in m.entries) for m in mats]
-
-
 def sort_keys(mats: Sequence["Mat"]) -> list[tuple]:
-    """The rows of `int_rows`: these keys compare exactly as the matrices'
-    rows of rational (re, im) pairs would."""
-    return int_rows(mats)[1]
+    """Each matrix as rows of integer (re, im) numerator pairs over one
+    denominator shared by all of them: these keys compare exactly as the
+    matrices' rows of rational (re, im) pairs would."""
+    den = lcm(*{x._d for m in mats for row in m.entries for x in row})
+    return [tuple(tuple((x._a * (den // x._d), x._b * (den // x._d))
+                        for x in row) for row in m.entries) for m in mats]
 
 
 class Vec:
-    """Dense exact vector."""
+    """Dense exact vector; immutable, so `int_read` is kept in `_read`."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_read")
 
     def __init__(self, entries: Iterable):
         self.entries = _coerced(entries)
@@ -250,6 +249,18 @@ class Vec:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.entries) if a._a or a._b)
+
+    def int_read(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(F, ((i, a, b), ...)): the nonzero entries (a + b*i)/F in
+        ascending i, where F is the lcm of their denominators. Computed
+        once and kept; the entries never change."""
+        read = getattr(self, "_read", None)
+        if read is None:
+            nz = [(i, x) for i, x in enumerate(self.entries) if x._a or x._b]
+            den = lcm(*{x._d for _, x in nz})
+            read = self._read = (den, tuple((i, x._a * (den // x._d), x._b * (den // x._d))
+                                            for i, x in nz))
+        return read
 
     def normalized_leading(self) -> "Vec":
         """Scale so the first nonzero entry is 1: the canonical ray form,
@@ -358,13 +369,20 @@ def _check_shape(a: Mat, b: Mat) -> None:
 
 
 def inner(u: Vec, v: Vec) -> Scalar:
-    """<u|v> with conjugation on the first argument."""
+    """<u|v> with conjugation on the first argument, summed on integers
+    over the indices where both `int_read`s are nonzero (both ascend)."""
     _check_dim(u, v)
-    acc = ZERO
-    for a, b in zip(u.entries, v.entries):
-        if (a._a or a._b) and (b._a or b._b):
-            acc = acc + a.conj() * b
-    return acc
+    du, ru = u.int_read()
+    dv, rv = v.int_read()
+    re = im = j = 0
+    for i, a, b in ru:
+        while j < len(rv) and rv[j][0] < i:
+            j += 1
+        if j < len(rv) and rv[j][0] == i:
+            _, c, d = rv[j]
+            re += a * c + b * d
+            im += a * d - b * c
+    return _reduced(re, im, du * dv)
 
 
 def tensor(*vecs: Vec) -> Vec:

@@ -4,11 +4,11 @@ A state over parties with local dimensions (d_0, ..., d_{n-1}) is a flat
 vector of length prod(d_p), leftmost party slowest. A `GroupIndexer`'s
 `cells` table is the one index map: `cells[r][g]` is the flat index with
 group digits g and rest digits r, and every slice, scatter, group
-operator, factorization, permutation and merge reads its rows. States
-are sparse, so `int_slices` is the one sparse slice read: it walks a
-state's nonzero entries through the inverse table `where` and returns
-only the slices they touch, as Gaussian-integer numerators over one
-denominator per state. Measurement application, the orthogonality-
+operator, factorization, permutation and merge reads its rows; `indexer`
+keeps one per (dims, group). States are sparse, so `int_slices` maps a
+state's one sparse read, `Vec.int_read`, through the inverse table
+`where` into the slices it touches, as Gaussian-integer numerators over
+one denominator per state. Measurement application, the orthogonality-
 preservation test and `factor` run on those integers; `nonzero_slices`
 is the `Vec` view of the same read for the readers that need `Scalar`s
 (the solver's constraint matrices, support vectors, redundancy, the
@@ -18,10 +18,12 @@ other local spaces is the one `relabel_digits`.
 
 from __future__ import annotations
 
-from math import lcm
+from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import Mat, Vec, ZERO, mat_vec
+from .exact import Mat, Vec, ZERO, _wrap, mat_vec
+
+MAX_INDEXERS = 128   # kept by `indexer`; a query meets far fewer pairs
 
 
 def strides(dims: Sequence[int]) -> list[int]:
@@ -62,7 +64,7 @@ def _offsets(dims: Sequence[int], parties: Sequence[int]) -> list[int]:
 
 def permute_axes(v: Vec, dims: Sequence[int], perm: Sequence[int]) -> Vec:
     """Reorder parties: new party p is old party perm[p]."""
-    return GroupIndexer(dims, perm).local_vectors(v)[0]
+    return indexer(dims, perm).local_vectors(v)[0]
 
 
 def relabel_digits(v: Vec, dims: Sequence[int], new_dims: Sequence[int],
@@ -77,7 +79,7 @@ def relabel_digits(v: Vec, dims: Sequence[int], new_dims: Sequence[int],
     out = [ZERO] * total_dim(new_dims)
     for o, n in moves:
         out[n] = v.entries[o]
-    return Vec(out)
+    return _wrap(Vec, tuple(out))
 
 
 def embed_with_offsets(v: Vec, old_dims: Sequence[int], new_dims: Sequence[int],
@@ -114,13 +116,10 @@ class GroupIndexer:
         g_offsets = _offsets(dims, group)
         # cells[r][g] = global index with group digits g and rest digits r;
         # where[i] = (r, g) inverts it
-        self.cells = []
-        self.where = [None] * (self.group_dim * self.rest_dim)
-        for r, ro in enumerate(_offsets(dims, self.rest)):
-            row = [ro + go for go in g_offsets]
-            self.cells.append(row)
-            for g, i in enumerate(row):
-                self.where[i] = (r, g)
+        self.cells = tuple(tuple(ro + go for go in g_offsets)
+                           for ro in _offsets(dims, self.rest))
+        self.where = tuple(rg for _, rg in sorted(
+            (i, (r, g)) for r, row in enumerate(self.cells) for g, i in enumerate(row)))
 
     def flat(self, g: int, r: int) -> int:
         return self.cells[r][g]
@@ -128,31 +127,29 @@ class GroupIndexer:
     def local_vectors(self, v: Vec) -> list[Vec]:
         """Group-side slices u^r: u^r[g] = v[flat(g, r)], one per rest index."""
         e = v.entries
-        return [Vec([e[i] for i in row]) for row in self.cells]
+        return [_wrap(Vec, tuple(e[i] for i in row)) for row in self.cells]
 
     def int_slices(self, v: Vec) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
         """(F, slices): v's nonzero slices u^r, keyed by ascending r, each
         the list of (g, a, b) with u^r[g] = (a + b*i)/F over ascending g,
-        where F is the lcm of v's denominators; read from v's nonzero
-        entries alone."""
+        where F is the lcm of v's denominators: v's `int_read` mapped
+        through `where`."""
         where = self.where
         if v.dim != len(where):
             raise ValueError(f"state dimension {v.dim} does not match "
                              f"the indexer's {len(where)}")
-        # sorted by (r, g): a reordered group's g does not grow with i
-        nonzeros = sorted([(where[i], x) for i, x in enumerate(v.entries)
-                           if x._a or x._b])
-        den = lcm(*{x._d for _, x in nonzeros})
+        den, read = v.int_read()
         slices: dict[int, list] = {}
-        for (r, g), x in nonzeros:
-            m = den // x._d
-            slices.setdefault(r, []).append((g, x._a * m, x._b * m))
+        # sorted by (r, g): a reordered group's g does not grow with i
+        for (r, g), a, b in sorted([(where[i], a, b) for i, a, b in read]):
+            slices.setdefault(r, []).append((g, a, b))
         return den, slices
 
     def nonzero_slices(self, v: Vec) -> dict[int, Vec]:
         """The slices of `int_slices` as `Vec`s of v's own entries."""
         e, cells = v.entries, self.cells
-        return {r: Vec([e[i] for i in cells[r]]) for r in self.int_slices(v)[1]}
+        return {r: _wrap(Vec, tuple(e[i] for i in cells[r]))
+                for r in self.int_slices(v)[1]}
 
     def scatter(self, slices: Mapping[int, Sequence]) -> Vec:
         """The state whose slice u^r is slices[r] (a `Vec` or a list of
@@ -161,7 +158,7 @@ class GroupIndexer:
         for r, u in slices.items():
             for i, x in zip(self.cells[r], u):
                 out[i] = x
-        return Vec(out)
+        return _wrap(Vec, tuple(out))
 
     def assemble(self, slices: Sequence[Vec]) -> Vec:
         return self.scatter(dict(enumerate(slices)))
@@ -203,4 +200,13 @@ class GroupIndexer:
         row = [ZERO] * self.rest_dim
         for r in slices:
             row[r] = e[cells[r][g0]]
-        return Vec([e[i] for i in cells[r0]]), Vec(row)
+        return _wrap(Vec, tuple(e[i] for i in cells[r0])), _wrap(Vec, tuple(row))
+
+
+def indexer(dims: Sequence[int], group: Sequence[int]) -> GroupIndexer:
+    """The one `GroupIndexer` of (dims, group), built on first use; shared
+    safely, since its tables are tuples."""
+    return _indexer(tuple(dims), tuple(group))
+
+
+_indexer = lru_cache(maxsize=MAX_INDEXERS)(GroupIndexer)

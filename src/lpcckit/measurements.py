@@ -4,19 +4,21 @@ A LocalPVM carries a PVM together with the ordered party group it acts
 on; `apply` produces the exact unnormalized post-measurement branches and
 `preserves_orthogonality` decides the orthogonality-preservation property
 with one sesquilinear zero test per (element, pair). Both, and
-`branch_survivals`, run on integers: each state's `int_slices` over its
-one denominator F and each element's rows over one denominator D.
+`branch_survivals`, run on integers: each state's `int_slices` (its kept
+`Vec.int_read`, sliced by the shared `indexer`) over its denominator F, and
+each element's nonzero rows over one denominator D, built per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, int_rows,
-                    mat_mul, mat_vec, projector_onto, vectors_rank)
-from .indexing import GroupIndexer, total_dim
-from .statesets import PartySpec, StateSet, local_support_vectors
+from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, mat_mul,
+                    mat_vec, projector_onto)
+from .indexing import indexer, total_dim
+from .statesets import PartySpec, StateSet, group_support
 
 
 class Projector:
@@ -206,7 +208,7 @@ class LocalPVM:
 def embed(lp: LocalPVM, spec: PartySpec) -> list[Mat]:
     """Each element tensored with identity on the other parties."""
     lp.validate(spec)
-    idx = GroupIndexer(spec.dims, lp.group)
+    idx = indexer(spec.dims, lp.group)
     out = []
     for e in lp.pvm.elements:
         rows = [[ZERO] * spec.total_dim for _ in range(spec.total_dim)]
@@ -228,10 +230,14 @@ class OutcomeBranch:
 
 def _int_rows(lp: LocalPVM) -> tuple[int, list[list]]:
     """One denominator D for the PVM's elements, and each element's
-    nonzero rows as (h, row of integer (re, im) numerator pairs over D)."""
-    den, mats = int_rows([e.mat for e in lp.pvm.elements])
-    return den, [[(h, row) for h, row in enumerate(m) if any(x or y for x, y in row)]
-                 for m in mats]
+    nonzero rows as (h, {g: (re, im)}): the integer numerators over D of
+    the row's nonzero entries only. Built per call and not kept, so the
+    PVMs that results hold stay small."""
+    nonzeros = [[(h, [(g, x) for g, x in enumerate(row) if x._a or x._b])
+                 for h, row in enumerate(e.mat.entries)] for e in lp.pvm.elements]
+    den = lcm(*{x._d for m in nonzeros for _, row in m for _, x in row})
+    return den, [[(h, {g: (x._a * (den // x._d), x._b * (den // x._d))
+                       for g, x in row}) for h, row in m if row] for m in nonzeros]
 
 
 def _image(rows, u) -> list[tuple[int, int, int]]:
@@ -241,9 +247,11 @@ def _image(rows, u) -> list[tuple[int, int, int]]:
     for h, row in rows:
         re = im = 0
         for g, a, b in u:
-            x, y = row[g]
-            re += x * a - y * b
-            im += x * b + y * a
+            p = row.get(g)
+            if p is not None:
+                x, y = p
+                re += x * a - y * b
+                im += x * b + y * a
         if re or im:
             out.append((h, re, im))
     return out
@@ -257,7 +265,7 @@ def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
     elimination claims).
     """
     lp.validate(s.spec)
-    idx = GroupIndexer(s.spec.dims, lp.group)
+    idx = indexer(s.spec.dims, lp.group)
     group_name = lp.describe(s.spec)
     den, mats = _int_rows(lp)
     reads = [idx.int_slices(v) for v in s.vectors()]
@@ -307,7 +315,7 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
     F_i*D*F_j, so the value is 0 exactly when both integer sums are.
     """
     lp.validate(s.spec)
-    idx = GroupIndexer(s.spec.dims, lp.group)
+    idx = indexer(s.spec.dims, lp.group)
     _, mats = _int_rows(lp)
     slices = [idx.int_slices(v)[1] for v in s.vectors()]
     for outcome, rows in enumerate(mats):
@@ -336,7 +344,7 @@ def branch_survivals(s: StateSet, lp: LocalPVM) -> int:
     `apply`'s survivors, counted on integers without building the
     branches, and stopping at each state's first nonzero image."""
     lp.validate(s.spec)
-    idx = GroupIndexer(s.spec.dims, lp.group)
+    idx = indexer(s.spec.dims, lp.group)
     _, mats = _int_rows(lp)
     slices = [idx.int_slices(v)[1] for v in s.vectors()]
     return sum(1 for rows in mats for sl in slices
@@ -365,7 +373,5 @@ def is_trivial_for_set(lp: LocalPVM, s: StateSet) -> bool:
     or that support is one-dimensional (a common factor, so outcome
     statistics are state-independent and the branch problems are
     isomorphic to the original)."""
-    support = local_support_vectors(s, lp.group)
-    if vectors_rank(support) <= 1:
-        return True
-    return all(acts_as_scalar_on(e, support) for e in lp.pvm.elements)
+    support, rank, _ = group_support(s, lp.group)
+    return rank <= 1 or all(acts_as_scalar_on(e, support) for e in lp.pvm.elements)

@@ -41,11 +41,10 @@ from typing import Iterator, Sequence
 from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, basis_vec,
                     in_span, nullspace, nullspace_with_free, rank, rref,
                     sort_keys, zero_vec)
-from .indexing import GroupIndexer, total_dim
+from .indexing import indexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            preserves_orthogonality)
-from .statesets import (Partition, StateSet, group_support,
-                        local_support_vectors)
+from .statesets import Partition, StateSet, group_support
 
 # the largest effective block dimension the rank-1 case split enumerates;
 # a larger block is reported unresolved ("dimension-bound")
@@ -61,7 +60,7 @@ class ConstraintMatrix:
 
 def constraint_matrices(s: StateSet, group: Sequence[int]) -> list[ConstraintMatrix]:
     """One matrix per unordered state pair; exact entries."""
-    idx = GroupIndexer(s.spec.dims, group)
+    idx = indexer(s.spec.dims, group)
     slices = [idx.nonzero_slices(v) for v in s.vectors()]
     d = idx.group_dim
     out = []
@@ -731,7 +730,7 @@ def diagonal_op_subsets(s: StateSet, group: Sequence[int]) -> list[tuple[int, ..
     """
     group = tuple(group)
     return sorted(_diagonal_subsets(constraint_matrices(s, group),
-                                    local_support_vectors(s, group),
+                                    group_support(s, group)[0],
                                     total_dim([s.spec.dims[p] for p in group])),
                   key=_by_size)
 

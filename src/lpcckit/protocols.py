@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .exact import Vec, gram_schmidt, inner, sort_keys
-from .indexing import GroupIndexer
+from .indexing import indexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
@@ -228,7 +228,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
         raise LemmaStructureError("no party has a two-dimensional support")
     rest = tuple(p for p in live if p != narrow)        # nonempty: two live parties
 
-    two_idx = GroupIndexer(dims, (narrow,))
+    two_idx = indexer(dims, (narrow,))
     alphas = []
     for label, v in s.states:
         factors = two_idx.factor(v)
@@ -236,7 +236,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
             raise LemmaStructureError(
                 f"state {label!r} is not a product across party {narrow}")
         alphas.append(factors[0])
-    rest_idx = GroupIndexer(dims, rest)
+    rest_idx = indexer(dims, rest)
     # inert parties factor out of every state, so any nonzero slice on the
     # live wide side is (a multiple of) that state's wide-side vector; a
     # nonzero state has one
@@ -294,7 +294,7 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
 
 def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
     """Rank-1 discrimination on the only varying party."""
-    idx = GroupIndexer(s.spec.dims, (party,))
+    idx = indexer(s.spec.dims, (party,))
     rays = [next(iter(idx.nonzero_slices(v).values())) for v in s.vectors()]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
@@ -352,7 +352,7 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
         raise LemmaStructureError("exactly three states required")
     # a state is fully product exactly when it factors across every
     # single party (each one-party marginal is pure)
-    idxs = [GroupIndexer(s.spec.dims, (p,)) for p in range(s.spec.n_parties)]
+    idxs = [indexer(s.spec.dims, (p,)) for p in range(s.spec.n_parties)]
     factors = [[idx.factor(v) for idx in idxs] for v in s.vectors()]
     if any(f is None for fs in factors for f in fs):
         raise LemmaStructureError("all three states must be fully product")

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exact import Scalar, Vec, ZERO, inner, vectors_rank
-from .indexing import (GroupIndexer, embed_with_offsets, index_of, permute_axes,
+from .indexing import (embed_with_offsets, index_of, indexer, permute_axes,
                        relabel_digits, total_dim)
 
 NAMED_SETS = ("S1", "S2", "S2prime", "S2doubleprime", "S1m", "S2m",
@@ -101,6 +101,7 @@ class StateSet:
         self.spec = spec
         self.states = tuple(states)
         self.provenance = provenance
+        self._supports: dict[tuple[int, ...], tuple] = {}   # see group_support
         if not self.states:
             raise ValueError("state set has no states")
         for label, v in self.states:
@@ -219,7 +220,7 @@ def is_locally_redundant(s: StateSet) -> RedundancyVerdict:
     for k in range(1, n):
         for discard in combinations(range(n), k):
             kept = tuple(p for p in range(n) if p not in discard)
-            idx = GroupIndexer(s.spec.dims, kept)
+            idx = indexer(s.spec.dims, kept)
             slices = [list(idx.nonzero_slices(v).values()) for v in vecs]
             if _all_pairs_slice_orthogonal(slices):
                 return RedundancyVerdict(True, discard)
@@ -251,7 +252,7 @@ def merge_parties(s: StateSet, p: Partition) -> StateSet:
     # a merged block's digit is its parties' digits in listed order, so the
     # merged flat index is the old one read with the parties block by block:
     # the one slice of the permutation indexer (see `permute_axes`)
-    idx = GroupIndexer(old_dims, [q for b in p.blocks for q in b])
+    idx = indexer(old_dims, [q for b in p.blocks for q in b])
     return StateSet(new_spec, [(l, idx.local_vectors(v)[0]) for l, v in s.states],
                     provenance=f"{s.provenance} merged {p.describe(s.spec)}")
 
@@ -294,7 +295,7 @@ def _peel_minimal_factor(vec: Vec, dims: Sequence[int], parties: list[int]):
     for size in range(0, len(others)):
         for extra in combinations(others, size):
             block = (first,) + extra
-            idx = GroupIndexer(sub_dims, [parties.index(p) for p in block])
+            idx = indexer(sub_dims, [parties.index(p) for p in block])
             factors = idx.factor(vec)
             if factors is not None:
                 return (block,) + factors
@@ -551,7 +552,7 @@ def restrict_support(s: StateSet) -> StateSet:
 def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
     """All nonzero group-side slices of all states (they span the group's
     joint local support)."""
-    idx = GroupIndexer(s.spec.dims, group)
+    idx = indexer(s.spec.dims, group)
     return [u for _, v in s.states for u in idx.nonzero_slices(v).values()]
 
 
@@ -560,10 +561,16 @@ def group_support(s: StateSet, group: Sequence[int]
     """The group's support vectors, their exact rank, and the coordinates
     a problem on the group lives on: the occupied ones when the support is
     exactly their span, all of the group's otherwise. Directions off them
-    annihilate every state, so solvers and PVM assembly use these alone."""
-    support = local_support_vectors(s, group)
-    r = vectors_rank(support)
-    occupied = tuple(sorted({a for u in support for a in u.support()}))
-    if r == len(occupied):
-        return support, r, occupied
-    return support, r, tuple(range(total_dim([s.spec.dims[p] for p in group])))
+    annihilate every state, so solvers and PVM assembly use these alone.
+    Computed once per (set, group) and kept on the set, like `ray_key`;
+    each call gets its own list."""
+    group = tuple(group)
+    kept = s._supports.get(group)
+    if kept is None:
+        support = local_support_vectors(s, group)
+        r = vectors_rank(support)
+        coords = tuple(sorted({a for u in support for a in u.support()}))
+        if r != len(coords):
+            coords = tuple(range(total_dim([s.spec.dims[p] for p in group])))
+        kept = s._supports[group] = (tuple(support), r, coords)
+    return list(kept[0]), kept[1], kept[2]

@@ -209,6 +209,15 @@ def test_dim2_nogo_requires_biseparable():
             check_dim2_nogo(s)
 
 
+def test_dim2_nogo_refuses_non_orthogonal_input():
+    # both states factor across A | BC, but they are not orthogonal, and
+    # the no-go says nothing about such sets
+    s = StateSet(PartySpec((2, 2, 2)),
+                 [("a", basis_vec(8, 0)), ("b", basis_vec(8, 0) + basis_vec(8, 1))])
+    with pytest.raises(ValueError, match="orthogonal"):
+        check_dim2_nogo(s)
+
+
 def test_fully_product_422_nogo():
     rng = random.Random(77)
     s = random_product_set(rng, (4, 2, 2), 6, domino_moves=2)
