@@ -26,7 +26,7 @@ from .protocols import ProtocolTree, execute_and_verify, lpcc_search
 from .statesets import (Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, group_support,
                         is_locally_redundant, merge_parties,
-                        separability_degree)
+                        require_orthogonal, separability_degree)
 
 # first rounds classify tries on each block, most promising first
 MAX_FIRST_ROUNDS = 24
@@ -92,7 +92,6 @@ class BranchReport:
     states: StateSet
     certificate: IrreducibilityVerdict | None
     domino: DominoMatch | None = None
-    domino_blocks: tuple[int, int] | None = None    # bipartition used
 
     @property
     def n_states(self) -> int:
@@ -211,11 +210,11 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
                 break
             continue
         cert = is_pvm_irreducible(br.states, p)
-        match, blocks = _domino_in_some_bipartition(br.states, p)
+        match = _domino_in_some_bipartition(br.states, p)
         if match is not None and not cert.irreducible:
             raise AssertionError(
                 "domino-matched branch failed the irreducibility cross-check")
-        branches.append(BranchReport(outcome, br.states, cert, match, blocks))
+        branches.append(BranchReport(outcome, br.states, cert, match))
         trace.append(f"outcome {outcome}: {len(br.states)} states, "
                      f"certificate {cert.status}"
                      + (", domino matched" if match else ""))
@@ -241,11 +240,10 @@ def _domino_in_some_bipartition(branch: StateSet, p: Partition):
                                      for q in blocks[j]))
                    for i in range(n if n > 2 else n - 1)]
     for merged_blocks in coarsenings:
-        merged = merge_parties(branch, Partition(merged_blocks))
-        match = domino_match(merged)
+        match = domino_match(merge_parties(branch, Partition(merged_blocks)))
         if match is not None:
-            return match, merged_blocks
-    return None, None
+            return match
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +281,7 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
     dims = s.spec.dims
     if len(dims) != 3 or dims[1] != 2 or dims[2] != 2:
         raise ValueError("expected a tripartite n x 2 x 2 system")
-    if not check_mutual_orthogonality(s):
-        raise ValueError("the no-go concerns orthogonal sets; this set is not")
+    require_orthogonal(s)
     first = indexer(dims, (0,))
     for label, v in s.states:
         if first.factor(v) is None:
@@ -319,8 +316,15 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     """Place a set on the locality line: already indistinguishable, a
     single party can hide the information (TYPE-I), only a joint pair can
     (TYPE-II), or no activation was found (strong-local evidence; labeled
-    exact only for the structurally recognized theorem cases)."""
+    exact only for the structurally recognized theorem cases). Refuses a
+    non-orthogonal set and a joint group other than two distinct parties."""
     n = s.spec.n_parties
+    require_orthogonal(s)
+    pairs = [tuple(pair) for pair in
+             joint_pairs or itertools.combinations(range(n), 2)]
+    for pair in pairs:
+        if not (len(set(pair)) == len(pair) == 2 and set(pair) <= set(range(n))):
+            raise ValueError(f"joint group {pair} is not two distinct parties")
     trace: list[str] = []
 
     if len(s) <= 2:
@@ -345,8 +349,6 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     # coarsening, so activation checks below need not re-search
     assume = "distinguishable (finest partition)"
 
-    pairs = [tuple(pair) for pair in
-             joint_pairs or itertools.combinations(range(n), 2)]
     # (class, who, prefix of the winning trace line, (name, block, partition))
     phases = (
         ("TYPE-I", "single party", "",
@@ -366,12 +368,10 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                              f"enumeration bound")
                 continue
             for lp in _activation_order(s, candidates)[:MAX_FIRST_ROUNDS]:
-                try:
-                    report = verify_activation(
-                        s, lp, part, assume_distinguishable=assume,
-                        search_depth=depth, fail_fast=True)
-                except ActivationError:
-                    continue
+                # none is refused: each is nontrivial, preserving, in one block
+                report = verify_activation(
+                    s, lp, part, assume_distinguishable=assume,
+                    search_depth=depth, fail_fast=True)
                 if report.asserted:
                     trace.append(f"{prefix}{name} activates")
                     return LocalityClass(klass, witness=report, trace=trace)
@@ -467,8 +467,10 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
     (m-1)-partition. Negative verdicts are exact only when every branch
     of every candidate was refuted by an explicit discrimination tree;
     bounded gaps surface as unknown, never as a silent negative. Strong
-    2-activability never holds, so it is refuted without a search."""
+    2-activability never holds, so it is refuted without a search. A set
+    with a non-orthogonal pair is refused."""
     n = s.spec.n_parties
+    require_orthogonal(s)
     if m < 2 or m > n:
         raise ValueError(f"m must be between 2 and {n}")
     if strong and m == 2:
@@ -496,14 +498,17 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
                              f"enumeration bound")
             else:
                 candidates.extend(found)
-        for lp in _activation_order(s, candidates):
-            try:
-                report = verify_activation(s, lp, part,
-                                           assume_distinguishable=assume,
-                                           search_depth=depth, fail_fast=True)
-            except ActivationError:
+        # one source decision per partition: the finest note or one search
+        source = assume
+        if source is None and candidates:
+            if lpcc_search(s, part, depth=depth).status != "distinguishable":
                 any_unknown = True
                 continue
+            source = "distinguishable"
+        for lp in _activation_order(s, candidates):
+            report = verify_activation(s, lp, part,
+                                       assume_distinguishable=source,
+                                       search_depth=depth, fail_fast=True)
             gap = next((b for b in report.branches if not b.certified), None)
             if gap is not None:
                 # the candidate is refuted when the uncertified branch is

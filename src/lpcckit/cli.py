@@ -38,17 +38,6 @@ def _load_set(args) -> StateSet:
     raise ValueError("give --name or --file")
 
 
-def _load_orthogonal_set(args) -> StateSet:
-    """The set of a verb whose verdicts presume orthogonal states; a
-    non-orthogonal one is a usage error."""
-    s = _load_set(args)
-    ov = check_mutual_orthogonality(s)
-    if not ov:
-        a, b = (s.labels()[i] for i in ov.witness[:2])
-        raise ValueError(f"states {a!r} and {b!r} are not orthogonal")
-    return s
-
-
 def _parse_partition(text: str, s: StateSet) -> Partition:
     """'A|BC' or '1|23'-style block string against the set's party labels."""
     p = Partition(tuple(_parse_group(chunk, s) for chunk in text.split("|")))
@@ -105,11 +94,10 @@ def cmd_sets(args, report: Report) -> int:
                        f"{'redundant ' + str(red.discarded_parties) if red else 'irredundant'}",
                        redundant=bool(red))
         return OK if verdict else REFUTED
-    if args.action == "export":
-        report.lines = [json.dumps(s.to_json(), indent=2)]
-        report.data["verdicts"] = [s.to_json()]
-        return OK
-    return USAGE
+    # export, the one action left
+    report.lines = [json.dumps(s.to_json(), indent=2)]
+    report.data["verdicts"] = [s.to_json()]
+    return OK
 
 
 def cmd_measure(args, report: Report) -> int:
@@ -135,7 +123,7 @@ def cmd_measure(args, report: Report) -> int:
 
 
 def cmd_solve(args, report: Report) -> int:
-    s = _load_orthogonal_set(args)
+    s = _load_set(args)
     group = _parse_group(args.group, s)
     if args.action == "rank1":
         rep = rank1_op_directions(s, group)
@@ -153,13 +141,11 @@ def cmd_solve(args, report: Report) -> int:
             report.say(f"unresolved patterns: {rep.unresolved}")
             return UNKNOWN
         return OK
-    if args.action == "pvms":
-        pvms = enumerate_op_pvms(s, group, max_outcomes=args.max_outcomes)
-        report.say(f"{len(pvms)} nontrivial orthogonality-preserving PVMs")
-        for lp in pvms:
-            report.say("  ranks " + str([e.rank() for e in lp.pvm.elements]))
-        return OK
-    return USAGE
+    pvms = enumerate_op_pvms(s, group, max_outcomes=args.max_outcomes)
+    report.say(f"{len(pvms)} nontrivial orthogonality-preserving PVMs")
+    for lp in pvms:
+        report.say("  ranks " + str([e.rank() for e in lp.pvm.elements]))
+    return OK
 
 
 def cmd_protocol(args, report: Report) -> int:
@@ -185,7 +171,7 @@ def cmd_protocol(args, report: Report) -> int:
 
 
 def cmd_search(args, report: Report) -> int:
-    s = _load_orthogonal_set(args)
+    s = _load_set(args)
     p = (_parse_partition(args.partition, s) if args.partition
          else Partition.trivial(s.spec.n_parties))
     verdict = lpcc_search(s, p, depth=args.depth)
@@ -216,10 +202,8 @@ def cmd_activate(args, report: Report) -> int:
 
 
 def cmd_classify(args, report: Report) -> int:
-    s = _load_orthogonal_set(args)
-    pairs = None
-    if args.joint:
-        pairs = [tuple(_parse_group(args.joint, s))]
+    s = _load_set(args)
+    pairs = [_parse_group(args.joint, s)] if args.joint else None
     out = classify(s, joint_pairs=pairs, depth=args.depth)
     report.data["verdicts"].append(out.to_json())
     report.say(f"class: {out.klass}" + (" [exact]" if out.exact else ""))

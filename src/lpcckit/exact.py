@@ -14,6 +14,7 @@ Index convention for tensors: leftmost factor is slowest (row-major).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -428,7 +429,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return _wrap(Mat, tuple(rows))
 
 
+@cache
 def identity(n: int) -> Mat:
+    """The n x n identity, built once per n: a Mat is immutable."""
     return Mat(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 

@@ -38,13 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, basis_vec,
+from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, _wrap, basis_vec,
                     in_span, nullspace, nullspace_with_free, rank, rref,
                     sort_keys, zero_vec)
 from .indexing import indexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            preserves_orthogonality)
-from .statesets import Partition, StateSet, group_support
+from .statesets import Partition, StateSet, group_support, require_orthogonal
 
 # the largest effective block dimension the rank-1 case split enumerates;
 # a larger block is reported unresolved ("dimension-bound")
@@ -81,7 +81,7 @@ def constraint_matrices(s: StateSet, group: Sequence[int]) -> list[ConstraintMat
                         if not uj.entries[b].is_zero():
                             row[b] = row[b] + ca * uj.entries[b]
             out.append(ConstraintMatrix(tuple(group), (i, j),
-                                        Mat(tuple(tuple(r) for r in rows))))
+                                        _wrap(Mat, tuple(map(tuple, rows)))))
     return out
 
 
@@ -247,10 +247,6 @@ class SolutionReport:
 # ---------------------------------------------------------------------------
 # pattern engine
 
-class _Contradiction(Exception):
-    pass
-
-
 def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
     """M = N C N^dagger, M[k][l] = sum_{a,b} N_k[a] C[a][b] conj(N_l[b]):
     w_l = C conj(N_l) once per l, then M[k][l] = sum_a N_k[a] w_l[a], each
@@ -281,7 +277,7 @@ def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
                     acc = acc + x * y
             row.append(acc)
         rows.append(tuple(row))
-    return Mat(rows)
+    return _wrap(Mat, tuple(rows))
 
 
 def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]]) -> list[tuple]:
@@ -393,8 +389,6 @@ def _binary_endgame(cmats: list[Mat], k: int, basis: list[Vec], free: list[int],
     affine = [r for r in affine if any(x != 0 for x in r)]
 
     def emit(tau: Scalar) -> tuple | None:
-        if tau.is_zero():
-            return None
         theta = basis[0] + basis[1].scale(tau)
         if any(a.is_zero() for a in theta.entries):
             return None
@@ -539,6 +533,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     hit = _cache_get(cache_key)
     if hit is not None:
         return hit.copy()
+    require_orthogonal(s)
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
     d = total_dim([s.spec.dims[p] for p in group])
     report = SolutionReport(group=group)
@@ -678,7 +673,8 @@ def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
 
 
 def _restrict(c: Mat, coords: Sequence[int]) -> Mat:
-    return Mat(tuple(c.entries[a][b] for b in coords) for a in coords)
+    return _wrap(Mat, tuple(tuple(c.entries[a][b] for b in coords)
+                            for a in coords))
 
 
 def _lift(v: Vec, coords: Sequence[int], dim: int) -> Vec:
@@ -782,6 +778,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     hit = _cache_get(cache_key)
     if hit is not None:
         return list(hit)
+    require_orthogonal(s)
     cmats = constraint_matrices(s, group)
     report = rank1_op_directions(s, group, _cmats=cmats)
     support, support_rank, coords = group_support(s, group)
@@ -866,7 +863,7 @@ def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
         for i, a in enumerate(coords):
             for j, b in enumerate(coords):
                 rows[a][b] = e.mat.entries[i][j]
-        lifted.append(Projector(Mat(tuple(tuple(r) for r in rows)),
+        lifted.append(Projector(_wrap(Mat, tuple(map(tuple, rows))),
                                 _validated=True))
     return PVM.completed(lifted, d)
 
@@ -906,15 +903,16 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
     if len(s) < 2:
         raise ValueError("irreducibility needs at least two states")
     p.validate(s.spec)
+    cache_key = ("irr", p.blocks, s.ray_key)
+    hit = _cache_get(cache_key)
+    if hit is not None:
+        return hit.copy()
+    require_orthogonal(s)
     if len(s) == 2:
         return IrreducibilityVerdict(
             status="two-state",
             trace=["two orthogonal states are always distinguishable; "
                    "no irreducibility certificate is possible"])
-    cache_key = ("irr", p.blocks, s.ray_key)
-    hit = _cache_get(cache_key)
-    if hit is not None:
-        return hit.copy()
     verdict = IrreducibilityVerdict(status="irreducible")
     for block in p.blocks:
         d = total_dim([s.spec.dims[q] for q in block])
@@ -933,7 +931,6 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
             if not acts_as_scalar_on(cand, support):
                 witness_p = cand
                 break
-        report = None
         if witness_p is None:
             report = rank1_op_directions(s, block, _cmats=cmats)
             if report.unresolved:

@@ -35,8 +35,8 @@ from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
-from .statesets import (Partition, PartySpec, StateSet,
-                        check_mutual_orthogonality, group_support)
+from .statesets import (Partition, PartySpec, StateSet, group_support,
+                        require_orthogonal)
 
 LEAF_RULES = ("identified", "two-orthogonal", "lemma1-2xn", "three-product")
 
@@ -120,10 +120,10 @@ def execute_and_verify(s: StateSet, tree: ProtocolTree,
     preserves orthogonality, children cover exactly the surviving
     outcomes, and every leaf claim checks out. With a partition, every
     node's group must also lie inside one block."""
-    ov = check_mutual_orthogonality(s)
-    if not ov:
-        a, b = (s.labels()[i] for i in ov.witness[:2])
-        raise ProtocolError(f"states {a!r} and {b!r} are not orthogonal")
+    try:
+        require_orthogonal(s)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     trace: list[str] = []
     _exec(s, tree, (), trace, partition)
     return Verdict(status="distinguishable", tree=tree, trace=trace)
@@ -390,9 +390,12 @@ def lpcc_search(s: StateSet, p: Partition, depth: int = 4) -> Verdict:
     indistinguishability certificate when no block admits a nontrivial
     orthogonality-preserving PVM, and unknown when the bound bites.
     Verdicts are memoized across calls (they depend only on exact data);
-    the caller gets its own copy of the stored verdict.
-    """
+    the caller gets its own copy of the stored verdict. A set with a
+    non-orthogonal pair and a negative depth are refused."""
     p.validate(s.spec)
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    require_orthogonal(s)
     return _search(s, p, depth)
 
 

@@ -65,13 +65,11 @@ class Partition:
     def __post_init__(self):
         object.__setattr__(self, "blocks",
                            tuple(tuple(b) for b in self.blocks))
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty partition block")
-            if seen & set(b):
-                raise ValueError("overlapping partition blocks")
-            seen |= set(b)
+        if not all(self.blocks):
+            raise ValueError("empty partition block")
+        parties = [q for b in self.blocks for q in b]
+        if len(set(parties)) != len(parties):
+            raise ValueError(f"partition {self.blocks} names a party twice")
 
     def validate(self, spec: PartySpec) -> None:
         covered = {p for b in self.blocks for p in b}
@@ -102,6 +100,7 @@ class StateSet:
         self.states = tuple(states)
         self.provenance = provenance
         self._supports: dict[tuple[int, ...], tuple] = {}   # see group_support
+        self._orthogonality = None          # see check_mutual_orthogonality
         if not self.states:
             raise ValueError("state set has no states")
         for label, v in self.states:
@@ -195,14 +194,23 @@ class RedundancyVerdict:
 
 
 def check_mutual_orthogonality(s: StateSet) -> OrthogonalityVerdict:
-    """Exact pairwise orthogonality; witness is the first failing pair."""
-    vecs = s.vectors()
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            val = inner(vecs[i], vecs[j])
-            if not val.is_zero():
-                return OrthogonalityVerdict(False, (i, j, val))
-    return OrthogonalityVerdict(True)
+    """Exact pairwise orthogonality; witness is the first failing pair. Kept
+    on the set, like `ray_key`; the verdict is frozen, so callers share it."""
+    if s._orthogonality is None:
+        vecs = s.vectors()
+        values = ((i, j, inner(vecs[i], vecs[j]))
+                  for i, j in combinations(range(len(vecs)), 2))
+        bad = next((w for w in values if not w[2].is_zero()), None)
+        s._orthogonality = OrthogonalityVerdict(bad is None, bad)
+    return s._orthogonality
+
+
+def require_orthogonal(s: StateSet) -> None:
+    """The one refusal of a set with a non-orthogonal pair."""
+    ov = check_mutual_orthogonality(s)
+    if not ov:
+        a, b = (s.labels()[i] for i in ov.witness[:2])
+        raise ValueError(f"states {a!r} and {b!r} are not orthogonal")
 
 
 def is_locally_redundant(s: StateSet) -> RedundancyVerdict:

@@ -13,6 +13,8 @@ from lpcckit.generators import (random_biseparable_322,
                                 random_two_state_set)
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import PVM, LocalPVM, Projector, apply
+from lpcckit.opsolve import (enumerate_op_pvms, is_pvm_irreducible,
+                             rank1_op_directions)
 from lpcckit.protocols import ProtocolError, lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                merge_parties, separability_degree)
@@ -216,6 +218,33 @@ def test_dim2_nogo_refuses_non_orthogonal_input():
                  [("a", basis_vec(8, 0)), ("b", basis_vec(8, 0) + basis_vec(8, 1))])
     with pytest.raises(ValueError, match="orthogonal"):
         check_dim2_nogo(s)
+
+
+def non_orthogonal_set():
+    """{|000>, |000>+|001>, |111>} in 2x2x2: 'a' and 'b' overlap."""
+    return StateSet(PartySpec((2, 2, 2)),
+                    [("a", basis_vec(8, 0)), ("b", basis_vec(8, 0) + basis_vec(8, 1)),
+                     ("c", basis_vec(8, 7))])
+
+
+GATED_ENTRIES = {
+    "rank1_op_directions": lambda s: rank1_op_directions(s, (2,)),
+    "enumerate_op_pvms": lambda s: enumerate_op_pvms(s, (2,)),
+    "is_pvm_irreducible": lambda s: is_pvm_irreducible(s, Partition.trivial(3)),
+    "lpcc_search": lambda s: lpcc_search(s, Partition.trivial(3)),
+    "classify": classify,
+    "is_m_activable": lambda s: is_m_activable(s, 2),
+    "check_dim2_nogo": check_dim2_nogo,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATED_ENTRIES))
+def test_verdict_entries_refuse_non_orthogonal_input(entry):
+    # user input, so neither a failed re-verification (AssertionError,
+    # exit 70) nor a verdict
+    with pytest.raises(ValueError,
+                       match="^states 'a' and 'b' are not orthogonal$"):
+        GATED_ENTRIES[entry](non_orthogonal_set())
 
 
 def test_fully_product_422_nogo():

@@ -29,7 +29,8 @@ from lpcckit.exact import Vec, tensor
 from lpcckit.generators import random_product_set
 from lpcckit.indexing import embed_with_offsets
 from lpcckit.measurements import LocalPVM, apply
-from lpcckit.opsolve import MAX_EXACT_DIM, enumerate_op_pvms, is_pvm_irreducible
+from lpcckit.opsolve import (MAX_EXACT_DIM, clear_caches, enumerate_op_pvms,
+                             is_pvm_irreducible)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                build_named_set, group_support)
@@ -288,6 +289,27 @@ def test_strong_2_activability_runs_no_search(monkeypatch):
     assert (got.status, got.exact, got.trace) == ("not-activable", True,
                                                   STRONG_2_TRACE)
     assert got.witness is None and got.witness_partition is None
+
+
+def test_undecided_source_is_one_search_per_partition(monkeypatch):
+    # at depth 0 the finest search and each 2-partition's search stay
+    # unknown: one search per partition decides that, and no candidate of
+    # an undecided source is walked
+    clear_caches()
+    searched, walked = [], []
+
+    def spy_search(s, p, depth=4):
+        searched.append(p.blocks)
+        return lpcc_search(s, p, depth=depth)
+
+    monkeypatch.setattr(activation, "lpcc_search", spy_search)
+    monkeypatch.setattr(activation, "verify_activation",
+                        lambda *a, **k: walked.append(a))
+    got = is_m_activable(build_named_set("S2"), 2, depth=0)
+    assert (got.status, got.exact) == ("unknown", False)
+    partitions = [p.blocks for p in iter_m_partitions(3, 2)]
+    assert searched == [((0,), (1,), (2,))] + partitions
+    assert walked == []
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "Domino"])

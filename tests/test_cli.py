@@ -163,8 +163,18 @@ def test_failed_self_check_exit_code(monkeypatch, capsys):
     ["protocol", "--name", "S1"],
     ["sets", "check"],
     ["lemma", "1", "--samples", "-3"],
+    ["classify", "--name", "S2", "--joint", "A"],
+    ["classify", "--name", "S2", "--joint", "ABC"],
+    ["classify", "--name", "S1", "--joint", "AA"],
+    ["search", "--name", "Domino", "--partition", "AA|B"],
+    ["search", "--name", "S1", "--depth", "-2"],
+    ["classify", "--name", "S1", "--depth", "-1"],
+    ["activate", "--name", "S1", "--group", "B", "--pvm", "0;1", "--depth", "-1"],
 ], ids=["unknown-set", "protocol-without-script", "set-verb-without-set",
-        "negative-lemma-samples"])
+        "negative-lemma-samples", "joint-single-party", "joint-three-parties",
+        "joint-repeated-party", "partition-repeated-party",
+        "negative-search-depth", "negative-classify-depth",
+        "negative-activate-depth"])
 def test_usage_error(capsys, argv):
     assert main(argv) == 64
     err = capsys.readouterr().err

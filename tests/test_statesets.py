@@ -86,6 +86,29 @@ def test_orthogonality_witness():
     assert verdict.witness[2] == Scalar(1)
 
 
+def test_orthogonality_verdict_is_kept(monkeypatch):
+    # one pairwise pass per set; a repeated check returns the same verdict
+    import lpcckit.statesets as statesets
+    calls = []
+
+    def counting_inner(u, v):
+        calls.append(1)
+        return inner(u, v)
+
+    monkeypatch.setattr(statesets, "inner", counting_inner)
+    s = build_named_set("Domino")
+    first = check_mutual_orthogonality(s)
+    assert first and len(calls) == 9 * 8 // 2
+    assert check_mutual_orthogonality(s) is first
+    assert len(calls) == 36
+
+
+def test_partition_refuses_a_repeated_party():
+    for blocks in (((0, 0), (1,)), ((0,), (0, 1))):
+        with pytest.raises(ValueError, match="names a party twice"):
+            Partition(blocks)
+
+
 def test_redundancy_witness():
     spec = PartySpec((2, 2, 2))
     s = StateSet(spec, [("a", Vec([1] + [0] * 7)),
