@@ -22,7 +22,8 @@ from .measurements import (LocalPVM, apply, branch_survivals,
                            is_trivial_for_set, preserves_orthogonality)
 from .opsolve import (MAX_EXACT_DIM, IrreducibilityVerdict, _cache_get,
                       _cache_put, enumerate_op_pvms, is_pvm_irreducible)
-from .protocols import ProtocolTree, execute_and_verify, lpcc_search
+from .protocols import (ProtocolTree, execute_and_verify, lpcc_search,
+                        require_depth)
 from .statesets import (Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, group_support,
                         is_locally_redundant, merge_parties,
@@ -166,6 +167,7 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
     """
     p.validate(s.spec)
     first.validate(s.spec)
+    require_depth(search_depth)
     if not check_mutual_orthogonality(s):
         raise ActivationError("source set is not orthogonal")
     if not any(set(first.group) <= set(b) for b in p.blocks):
@@ -317,8 +319,10 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     single party can hide the information (TYPE-I), only a joint pair can
     (TYPE-II), or no activation was found (strong-local evidence; labeled
     exact only for the structurally recognized theorem cases). Refuses a
-    non-orthogonal set and a joint group other than two distinct parties."""
+    negative depth, a non-orthogonal set and a joint group other than two
+    distinct parties."""
     n = s.spec.n_parties
+    require_depth(depth)
     require_orthogonal(s)
     pairs = [tuple(pair) for pair in
              joint_pairs or itertools.combinations(range(n), 2)]
@@ -467,9 +471,10 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
     (m-1)-partition. Negative verdicts are exact only when every branch
     of every candidate was refuted by an explicit discrimination tree;
     bounded gaps surface as unknown, never as a silent negative. Strong
-    2-activability never holds, so it is refuted without a search. A set
-    with a non-orthogonal pair is refused."""
+    2-activability never holds, so it is refuted without a search. A
+    negative depth and a set with a non-orthogonal pair are refused."""
     n = s.spec.n_parties
+    require_depth(depth)
     require_orthogonal(s)
     if m < 2 or m > n:
         raise ValueError(f"m must be between 2 and {n}")

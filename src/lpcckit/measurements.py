@@ -143,9 +143,13 @@ class PVM:
     @staticmethod
     def completed(elements: Sequence[Projector], dim: int) -> "PVM":
         """The one completion of a partial PVM: the mutually orthogonal
-        elements, plus 1 minus their sum when that is nonzero."""
+        elements, plus 1 minus their sum when that is nonzero. It sums to 1
+        by construction, so `__init__`'s re-sum is skipped."""
         comp = complement(elements, dim)
-        return PVM(list(elements) if comp.is_zero() else [*elements, comp])
+        pvm = object.__new__(PVM)
+        pvm.elements = tuple(elements) if comp.is_zero() else (*elements, comp)
+        pvm.dim = dim
+        return pvm
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -25,8 +25,9 @@ contradiction.
 
 The pair matrices restricted to an open pattern are filtered once,
 before its case split: zero ones and later copies of equal ones are
-dropped. Each reduced form is N C N^dagger over the nullspace basis N of
-the linear constraints so far (`_reduced_form`).
+dropped. The pattern engine and the live-pattern walk run on integer
+rows, and each reduced form is a positive multiple of N C N^dagger over
+the nullspace basis N of the linear constraints so far (`_reduced_form`).
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterator, Sequence
 
-from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nonzeros, _wrap, basis_vec,
+from .exact import (ONE, Mat, Scalar, Vec, ZERO, _wrap, basis_vec,
                     in_span, nullspace, nullspace_with_free, rank, rref,
                     sort_keys, zero_vec)
 from .indexing import indexer, total_dim
@@ -83,19 +85,6 @@ def constraint_matrices(s: StateSet, group: Sequence[int]) -> list[ConstraintMat
             out.append(ConstraintMatrix(tuple(group), (i, j),
                                         _wrap(Mat, tuple(map(tuple, rows)))))
     return out
-
-
-def form_value(c: Mat, theta: Vec) -> Scalar:
-    """F(theta) = sum theta_a conj(theta_b) C[a][b]."""
-    acc = ZERO
-    for a, ta in enumerate(theta.entries):
-        if ta.is_zero():
-            continue
-        row = c.entries[a]
-        for b, tb in enumerate(theta.entries):
-            if not tb.is_zero() and not row[b].is_zero():
-                acc = acc + ta * tb.conj() * row[b]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -181,17 +170,10 @@ def _ray_as_combo(theta: Vec, base: Vec, step: Vec) -> Scalar | None:
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    if num is None or den is None:
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
         return None
     return Fraction(num, den)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    import math
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass
@@ -247,43 +229,77 @@ class SolutionReport:
 # ---------------------------------------------------------------------------
 # pattern engine
 
-def _reduced_form(c: Mat, basis: list[Vec]) -> Mat:
-    """M = N C N^dagger, M[k][l] = sum_{a,b} N_k[a] C[a][b] conj(N_l[b]):
-    w_l = C conj(N_l) once per l, then M[k][l] = sum_a N_k[a] w_l[a], each
-    over nonzero entries only."""
-    nz = [_nonzeros(n.entries) for n in basis]
-    crows = [(a, row) for a, row in enumerate(map(_nonzeros, c.entries)) if row]
+def _int_rows(mats: Sequence[Mat]) -> list[tuple]:
+    """Each matrix's nonzero rows as (a, ((b, re, im), ...)) over its
+    nonzero entries: the integer numerators of `sort_keys`, over one
+    denominator shared by all of them, so equal rows mean equal matrices."""
+    return [tuple((a, nz) for a, row in enumerate(key)
+                  if (nz := tuple((b, x, y) for b, (x, y) in enumerate(row) if x or y)))
+            for key in sort_keys(mats)]
+
+
+def _restricted(c: tuple, at: dict) -> tuple:
+    """The integer rows c restricted to the coordinates in at, renumbered."""
+    return tuple((at[a], nz) for a, row in c if a in at
+                 if (nz := tuple((at[b], x, y) for b, x, y in row if b in at)))
+
+
+def _basis_numerators(basis: list[Vec]) -> tuple[int, list[dict]]:
+    """(D, nums): nums[l] maps each nonzero coordinate of basis[l] to its
+    integer (re, im) numerator over D, the lcm of the vectors' own."""
+    reads = [b.int_read() for b in basis]
+    den = lcm(*(d for d, _ in reads))
+    return den, [{i: (x * (den // d), y * (den // d)) for i, x, y in nz}
+                 for d, nz in reads]
+
+
+def _form_vanishes(cmats: list[tuple], theta: Vec) -> bool:
+    """Every F(theta) = sum theta_a conj(theta_b) C[a][b] is 0: the 1 x 1
+    reduced form over the basis (theta)."""
+    nums = _basis_numerators([theta])[1]
+    return not any(mr[0] or mi[0] for mr, mi in (_reduced_form(c, nums) for c in cmats))
+
+
+def _reduced_form(c: tuple, nums: list[dict]) -> tuple[list[int], list[int]]:
+    """M = N C N^dagger, M[k][l] = sum_{a,b} N_k[a] C[a][b] conj(N_l[b]),
+    as flat real and imaginary parts (M[k][l] at k*f + l) on the integer
+    rows c and the basis numerators nums: w_l = C conj(N_l) once per l,
+    then M[k][l] = sum_a N_k[a] w_l[a], each over nonzero entries only."""
     ws = []
-    for nl in nz:
-        conj_l = {b: x.conj() for b, x in nl}
-        w = {}
-        for a, row in crows:
-            acc = ZERO
-            for b, x in row:
-                y = conj_l.get(b)
-                if y is not None:
-                    acc = acc + x * y
-            if not acc.is_zero():
-                w[a] = acc
+    for nl in nums:
+        w = []
+        for a, row in c:
+            re = im = 0
+            for b, x, y in row:
+                if b in nl:
+                    u, v = nl[b]
+                    re += x * u + y * v
+                    im += y * u - x * v
+            if re or im:
+                w.append((a, re, im))
         ws.append(w)
-    rows = []
-    for nk in nz:
-        row = []
+    mr, mi = [], []
+    for nk in nums:
         for w in ws:
-            acc = ZERO
-            for a, x in nk:
-                y = w.get(a)
-                if y is not None:
-                    acc = acc + x * y
-            row.append(acc)
-        rows.append(tuple(row))
-    return _wrap(Mat, tuple(rows))
+            re = im = 0
+            for a, x, y in w:
+                if a in nk:
+                    p, q = nk[a]
+                    re += p * x - q * y
+                    im += p * y + q * x
+            mr.append(re)
+            mi.append(im)
+    return mr, mi
 
 
-def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]]) -> list[tuple]:
-    """Solve one support pattern: cmats are restricted to the pattern's k
-    coordinates. Returns (tag, payload) outcomes with tag in
-    contradiction/solution/family/unresolved.
+def _recurse(cmats: list[tuple], k: int, lin_rows: list[list[Scalar]]) -> list[tuple]:
+    """Solve one support pattern: cmats are the pair matrices restricted
+    to the pattern's k coordinates, as `_int_rows`. Returns (tag, payload)
+    outcomes with tag in contradiction/solution/family/unresolved.
+
+    Each reduced form is a positive multiple of N C N^dagger, and every
+    constraint drawn from it is homogeneous: its rows go into an RREF, the
+    endgame's give the same roots, and its zero tests are exact.
 
     Every nested call adds one row that is a nonzero functional on the
     current nullspace, so it has exactly one free parameter fewer than its
@@ -300,53 +316,55 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]]) -> list[tup
     if f == 1:
         # the loop above already refused a zero coordinate of the one ray
         theta = basis[0]
-        if all(form_value(c, theta).is_zero() for c in cmats):
+        if _form_vanishes(cmats, theta):
             return [("solution", theta.normalized_leading())]
         return [("contradiction", "unique ray violates a pair constraint")]
 
+    nums = _basis_numerators(basis)[1]
+    tr = [l * f + kk for kk in range(f) for l in range(f)]  # M[k][l] -> M[l][k]
     reduced = []
     for c in cmats:
-        m = _reduced_form(c, basis)
-        if m.is_zero():
+        mr, mi = _reduced_form(c, nums)
+        if not (any(mr) or any(mi)):
             continue
-        reduced.append(m)
+        reduced.append((mr, mi))
         # the form value must vanish as a complex number, so its Hermitian
-        # and anti-Hermitian parts give two independent real constraints;
-        # the split parts are often lower-rank than the original
-        # (a zero part leaves the other equal to 2m, which adds nothing)
-        mh = m.conj_transpose()
-        herm = m + mh
-        skew = m - mh
-        if not herm.is_zero() and not skew.is_zero():
-            reduced.append(herm)
-            reduced.append(skew)
+        # and anti-Hermitian parts M +- M^dagger give two independent real
+        # constraints; the split parts are often lower-rank than M
+        # (a zero part leaves the other equal to 2M, which adds nothing)
+        hr, hi = [x + mr[t] for x, t in zip(mr, tr)], [y - mi[t] for y, t in zip(mi, tr)]
+        sr, si = [x - mr[t] for x, t in zip(mr, tr)], [y + mi[t] for y, t in zip(mi, tr)]
+        if (any(hr) or any(hi)) and (any(sr) or any(si)):
+            reduced += [(hr, hi), (sr, si)]
     if not reduced:
         return [("family", Family(kind="subspace", basis=tuple(basis)))]
 
     # linear propagation: a reduced form with a single nonzero row or
     # column yields a linear condition because the matching parameter is a
     # nonzero support coordinate
-    for m in reduced:
-        nz_rows = [i for i in range(f) if any(not x.is_zero() for x in m.entries[i])]
-        nz_cols = [j for j in range(f) if any(not m.entries[i][j].is_zero() for i in range(f))]
+    for mr, mi in reduced:
+        nz_rows = [r for r in range(0, f * f, f)
+                   if any(mr[r:r + f]) or any(mi[r:r + f])]
         if len(nz_rows) == 1:
             r = nz_rows[0]
             new_row = [ZERO] * k
             for l in range(f):
-                new_row[free[l]] = m.entries[r][l].conj()
+                new_row[free[l]] = Scalar(mr[r + l], -mi[r + l])
             return _recurse(cmats, k, lin_rows + [new_row])
+        nz_cols = [l for l in range(f) if any(mr[l::f]) or any(mi[l::f])]
         if len(nz_cols) == 1:
-            cidx = nz_cols[0]
+            l = nz_cols[0]
             new_row = [ZERO] * k
             for kk in range(f):
-                new_row[free[kk]] = m.entries[kk][cidx]
+                new_row[free[kk]] = Scalar(mr[kk * f + l], mi[kk * f + l])
             return _recurse(cmats, k, lin_rows + [new_row])
 
     if f == 2:
         return _binary_endgame(cmats, k, basis, free, reduced)
 
     # rank-1 reduced form: the constraint factors into two linear pieces
-    for m in reduced:
+    for mr, mi in reduced:
+        m = Mat([map(Scalar, mr[r:r + f], mi[r:r + f]) for r in range(0, f * f, f)])
         if rank(m) == 1:
             r0, c0 = m.first_nonzero()
             row_a = [ZERO] * k
@@ -363,16 +381,15 @@ def _recurse(cmats: list[Mat], k: int, lin_rows: list[list[Scalar]]) -> list[tup
              "constraints stay above rank 1 with three or more free parameters")]
 
 
-def _binary_endgame(cmats: list[Mat], k: int, basis: list[Vec], free: list[int],
-                    reduced: list[Mat]) -> list[tuple]:
+def _binary_endgame(cmats: list[tuple], k: int, basis: list[Vec], free: list[int],
+                    reduced: list[tuple[list[int], list[int]]]) -> list[tuple]:
     """Exact solve of F = M00 + conj(t)M01 + tM10 + |t|^2 M11 = 0 per pair,
-    with theta = N0 + t N1 and both free coordinates nonzero."""
+    with theta = N0 + t N1 and both free coordinates nonzero; the reduced
+    forms' positive multiples cancel in every ratio taken below."""
     real_rows = []   # (gamma, alpha, beta, const) for gamma(x^2+y^2)+ax+by+c=0
-    for m in reduced:
-        m00, m01, m10, m11 = (m.entries[0][0], m.entries[0][1],
-                              m.entries[1][0], m.entries[1][1])
-        real_rows.append((m11.re, m01.re + m10.re, m01.im - m10.im, m00.re))
-        real_rows.append((m11.im, m01.im + m10.im, m10.re - m01.re, m00.im))
+    for (r00, r01, r10, r11), (i00, i01, i10, i11) in reduced:
+        real_rows.append((r11, r01 + r10, i01 - i10, r00))
+        real_rows.append((i11, i01 + i10, r10 - r01, i00))
     real_rows = [r for r in real_rows if any(x != 0 for x in r)]
 
     quad = None
@@ -392,7 +409,7 @@ def _binary_endgame(cmats: list[Mat], k: int, basis: list[Vec], free: list[int],
         theta = basis[0] + basis[1].scale(tau)
         if any(a.is_zero() for a in theta.entries):
             return None
-        if all(form_value(c, theta).is_zero() for c in cmats):
+        if _form_vanishes(cmats, theta):
             return ("solution", theta.normalized_leading())
         return None
 
@@ -554,15 +571,16 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
 
     seen: set = set()
     live = _live_patterns(cm_small, k)
+    cm_int = _int_rows(cm_small)
     for pattern in _support_patterns(k):
         if pattern not in live:
             continue
         # zero pair matrices add nothing, and a copy of an earlier one adds
         # only rows that every later step meets after the first copy's
-        sub = [_restrict(c, pattern) for c in cm_small]
-        sub = list(dict.fromkeys(m for m in sub if not m.is_zero()))
+        at = {a: j for j, a in enumerate(pattern)}
+        sub = dict.fromkeys(filter(None, (_restricted(c, at) for c in cm_int)))
         on_group = tuple(coords[a] for a in pattern)
-        for tag, payload in _recurse(sub, len(pattern), []):
+        for tag, payload in _recurse(list(sub), len(pattern), []):
             if tag == "contradiction":
                 continue
             if tag == "solution":
@@ -615,13 +633,15 @@ def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
     diagonal in some basis element of L_P. Patterns are walked depth first
     from the full set, removing coordinates in increasing order; since L_Q
     lies inside L_P when Q lies inside P, an empty L_P closes its subtree.
+    Basis elements are held as Gaussian-integer numerators {t: (re, im)}.
     """
     cells = [(a, b) for a in range(k) for b in range(k)]
-    space = [v.entries for v in _operator_space(cmats, cells)]
+    space = [{i: (x, y) for i, x, y in v.int_read()[1]}
+             for v in _operator_space(cmats, cells)]
     live: set[tuple[int, ...]] = set()
 
     def walk(pattern: tuple[int, ...], space: list, start: int) -> None:
-        if all(any(not e[a * k + a].is_zero() for e in space) for a in pattern):
+        if all(any(a * k + a in e for e in space) for a in pattern):
             live.add(pattern)
         if len(pattern) == 1:
             return
@@ -653,22 +673,21 @@ def _operator_space(cmats: list[Mat], cells: Sequence[tuple[int, int]]
 def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
                   k: int) -> list:
     """Basis of the elements of span(space) whose row c and column c
-    vanish; space's elements already vanish outside pattern x pattern."""
-    rows = [[e[c * k + j] for e in space] for j in pattern]
-    rows += [[e[j * k + c] for e in space] for j in pattern if j != c]
-    rows = [r for r in rows if any(not x.is_zero() for x in r)]
+    vanish; space's elements already vanish outside pattern x pattern.
+    Coefficients are cleared to Gaussian integers, which keeps the span."""
+    cells = [c * k + j for j in pattern] + [j * k + c for j in pattern if j != c]
+    rows = [tuple(Scalar(*e[t]) if t in e else ZERO for e in space)
+            for t in cells if any(t in e for e in space)]
     if not rows:
         return space
     out = []
-    for coeffs in nullspace(Mat(rows)):
-        acc = [ZERO] * (k * k)
-        for x, e in zip(coeffs.entries, space):
-            if x.is_zero():
-                continue
-            for t, y in enumerate(e):
-                if not y.is_zero():
-                    acc[t] = acc[t] + x * y
-        out.append(acc)
+    for coeffs in nullspace(_wrap(Mat, tuple(rows))):
+        acc: dict[int, tuple[int, int]] = {}
+        for i, a, b in coeffs.int_read()[1]:
+            for t, (x, y) in space[i].items():
+                u, v = acc.get(t, (0, 0))
+                acc[t] = (u + a * x - b * y, v + a * y + b * x)
+        out.append({t: z for t, z in acc.items() if z != (0, 0)})
     return out
 
 

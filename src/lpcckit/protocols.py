@@ -382,6 +382,12 @@ MAX_CANDIDATES_PER_NODE = 12
 MAX_PVMS_PER_BLOCK = 32
 
 
+def require_depth(depth: int) -> None:
+    """The one refusal of a negative search depth."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+
+
 def lpcc_search(s: StateSet, p: Partition, depth: int = 4) -> Verdict:
     """Breadth-limited distinguishability decision within a partition.
 
@@ -393,8 +399,7 @@ def lpcc_search(s: StateSet, p: Partition, depth: int = 4) -> Verdict:
     the caller gets its own copy of the stored verdict. A set with a
     non-orthogonal pair and a negative depth are refused."""
     p.validate(s.spec)
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+    require_depth(depth)
     require_orthogonal(s)
     return _search(s, p, depth)
 

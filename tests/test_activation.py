@@ -247,6 +247,29 @@ def test_verdict_entries_refuse_non_orthogonal_input(entry):
         GATED_ENTRIES[entry](non_orthogonal_set())
 
 
+DEPTH_ENTRIES = {
+    # each would answer without searching, so the refusal must be at entry
+    "classify-two-state": lambda s1, s2: classify(
+        StateSet(PartySpec((2, 2)), [("a", basis_vec(4, 0)), ("b", basis_vec(4, 3))]),
+        depth=-1),
+    "classify-structural": lambda s1, s2: classify(
+        StateSet(PartySpec((2, 2)), [("a", basis_vec(4, 0)), ("b", basis_vec(4, 1)),
+                                     ("c", basis_vec(4, 3))]), depth=-1),
+    "is_m_activable-strong-2": lambda s1, s2: is_m_activable(s2, 2, strong=True,
+                                                             depth=-1),
+    "is_m_activable": lambda s1, s2: is_m_activable(s2, 2, depth=-1),
+    "verify_activation-with-protocol": lambda s1, s2: verify_activation(
+        *fixture_activation("s2_joint_activation"),
+        protocol=fixture_protocol("s2_discrimination")[1], search_depth=-1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEPTH_ENTRIES))
+def test_entries_refuse_negative_depth(s1, s2, entry):
+    with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+        DEPTH_ENTRIES[entry](s1, s2)
+
+
 def test_fully_product_422_nogo():
     rng = random.Random(77)
     s = random_product_set(rng, (4, 2, 2), 6, domino_moves=2)

@@ -158,6 +158,9 @@ def test_failed_self_check_exit_code(monkeypatch, capsys):
     assert "self-check" in capsys.readouterr().err
 
 
+TWO_STATES = "<|00>, |11> in 2x2>"
+
+
 @pytest.mark.parametrize("argv", [
     ["sets", "check", "--name", "NotASet"],
     ["protocol", "--name", "S1"],
@@ -169,13 +172,27 @@ def test_failed_self_check_exit_code(monkeypatch, capsys):
     ["search", "--name", "Domino", "--partition", "AA|B"],
     ["search", "--name", "S1", "--depth", "-2"],
     ["classify", "--name", "S1", "--depth", "-1"],
+    ["classify", "--file", TWO_STATES, "--depth", "-1"],
+    ["classify", "--file", TWO_STATES, "--depth", "-1", "--activable-m", "2", "--strong"],
     ["activate", "--name", "S1", "--group", "B", "--pvm", "0;1", "--depth", "-1"],
 ], ids=["unknown-set", "protocol-without-script", "set-verb-without-set",
         "negative-lemma-samples", "joint-single-party", "joint-three-parties",
         "joint-repeated-party", "partition-repeated-party",
         "negative-search-depth", "negative-classify-depth",
-        "negative-activate-depth"])
-def test_usage_error(capsys, argv):
+        "two-state-negative-classify-depth",
+        "two-state-negative-strong-activability-depth", "negative-activate-depth"])
+def test_usage_error(capsys, tmp_path, argv):
+    if TWO_STATES in argv:
+        # a set that classify and strong 2-activability answer without a
+        # search, so only the entries' own depth refusal stops it
+        path = tmp_path / "two_states.json"
+        path.write_text(json.dumps({"dims": [2, 2], "states": [
+            {"label": "a", "amps": [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]},
+            {"label": "b", "amps": [[0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]}]}))
+        argv = [str(path) if a == TWO_STATES else a for a in argv]
+        assert main(argv) == 64
+        assert capsys.readouterr().err == "error: depth must be nonnegative, got -1\n"
+        return
     assert main(argv) == 64
     err = capsys.readouterr().err
     assert "error: " in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import itertools
 import random
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,8 +21,7 @@ from lpcckit.measurements import (LocalPVM, PVM, Projector, apply, complement,
 from lpcckit import activation, opsolve
 from lpcckit.opsolve import (clear_caches, constraint_matrices,
                              diagonal_op_subsets, enumerate_op_pvms,
-                             form_value, is_pvm_irreducible,
-                             rank1_op_directions)
+                             is_pvm_irreducible, rank1_op_directions)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                group_support, local_support_vectors,
@@ -90,7 +90,8 @@ def test_form_value_matches_preservation():
     theta = Vec([1, 2, -1])
     p = Projector.from_ray(theta)
     lp = LocalPVM(PVM([p, p.complement()]), (0,))
-    all_zero = all(form_value(c.mat, theta).is_zero() for c in cmats)
+    all_zero = opsolve._form_vanishes(opsolve._int_rows([c.mat for c in cmats]),
+                                      theta)
     assert all_zero == bool(preserves_orthogonality(s, lp))
 
 
@@ -705,24 +706,48 @@ def _reference_reduced_form(c: Mat, basis: list[Vec]) -> Mat:
     return Mat(rows)
 
 
+def _den(mats) -> int:
+    """The lcm of the matrices' entry denominators."""
+    return lcm(*(q.denominator for m in mats for row in m.entries for x in row
+                 for q in (x.re, x.im)))
+
+
+def _rows_over(m: Mat, den: int) -> tuple:
+    """m's nonzero rows as the case split takes them, (a, ((b, re, im),
+    ...)): the integer numerators over den of each row's nonzero entries."""
+    return tuple((a, nz) for a, row in enumerate(m.entries)
+                 if (nz := tuple((b, int(x.re * den), int(x.im * den))
+                                 for b, x in enumerate(row) if not x.is_zero())))
+
+
 def _top_level_solves(monkeypatch, s, group):
-    """(restricted pair matrices as built, as handed to _recurse)
-    for every live pattern of the group, with every reduced form the solve
-    computed recorded as (pair matrix, basis)."""
+    """(restricted pair matrices as built, integer rows as handed to
+    _recurse) for every live pattern of the group, the pair matrices'
+    shared denominator, and every reduced form the solve computed recorded
+    as (exact pair matrix, basis, basis denominator, integer form)."""
     real_recurse, real_reduced = opsolve._recurse, opsolve._reduced_form
-    handed, forms = [], []
+    real_read = opsolve._basis_numerators
+    handed, reads, forms = [], [], []
 
     def recurse(cmats, k, lin_rows):
         if not lin_rows:                  # one top-level call per pattern
             handed.append(cmats)
         return real_recurse(cmats, k, lin_rows)
 
-    def reduced(c, basis):
-        forms.append((c, basis))
-        return real_reduced(c, basis)
+    def read(basis):
+        # a call's reduced forms all follow its one basis read
+        out = real_read(basis)
+        reads.append((basis, out[0]))
+        return out
+
+    def reduced(c, nums):
+        out = real_reduced(c, nums)
+        forms.append((c, reads[-1], out))
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(opsolve, "_recurse", recurse)
+        m.setattr(opsolve, "_basis_numerators", read)
         m.setattr(opsolve, "_reduced_form", reduced)
         clear_caches()
         rank1_op_directions(s, group)
@@ -734,7 +759,10 @@ def _top_level_solves(monkeypatch, s, group):
     patterns = [p for p in opsolve._support_patterns(len(coords)) if p in live]
     assert len(handed) == len(patterns)
     built = [[opsolve._restrict(c, p) for c in cm_small] for p in patterns]
-    return list(zip(built, handed)), forms
+    den = _den(cm_small)
+    exact = {_rows_over(m, den): m for ms in built for m in ms}
+    forms = [(exact[c], *read, out) for c, read, out in forms]
+    return list(zip(built, handed)), den, forms
 
 
 def _named_proper_groups(s1, s2, domino):
@@ -745,11 +773,18 @@ def test_reduced_form_matches_reference_on_named_solves(monkeypatch, s1, s2,
                                                          domino):
     count = 0
     for s, group in _named_proper_groups(s1, s2, domino):
-        _, forms = _top_level_solves(monkeypatch, s, group)
-        for c, basis in forms:
-            assert opsolve._reduced_form(c, basis) == _reference_reduced_form(c, basis)
+        _, c_den, forms = _top_level_solves(monkeypatch, s, group)
+        for c, basis, den, got in forms:
+            assert got == _scaled_parts(_reference_reduced_form(c, basis),
+                                        c_den * den * den)
         count += len(forms)
     assert count > 1000
+
+
+def _scaled_parts(m: Mat, scale: int) -> tuple[list, list]:
+    """scale * m as the engine's flat real and imaginary parts."""
+    return ([x.re * scale for row in m.entries for x in row],
+            [x.im * scale for row in m.entries for x in row])
 
 
 def _random_gaussian_rational(rng, zero_share):
@@ -769,20 +804,23 @@ def test_reduced_form_matches_reference_on_random_inputs():
                  for _ in range(k)])
         basis = [Vec([_random_gaussian_rational(rng, zero_share)
                       for _ in range(k)]) for _ in range(f)]
-        assert opsolve._reduced_form(c, basis) == _reference_reduced_form(c, basis)
+        [rows] = opsolve._int_rows([c])
+        den, nums = opsolve._basis_numerators(basis)
+        assert (opsolve._reduced_form(rows, nums)
+                == _scaled_parts(_reference_reduced_form(c, basis), _den([c]) * den * den))
 
 
 def test_recurse_gets_each_distinct_nonzero_pair_matrix_once(monkeypatch, s1,
                                                             s2, domino):
     dropped = 0
     for s, group in _named_proper_groups(s1, s2, domino):
-        solves, _ = _top_level_solves(monkeypatch, s, group)
+        solves, den, _ = _top_level_solves(monkeypatch, s, group)
         for built, handed in solves:
             kept = [m for i, m in enumerate(built)
                     if not m.is_zero() and m not in built[:i]]
-            assert handed == kept
+            assert handed == [_rows_over(m, den) for m in kept]
             k = built[0].rows
-            assert (opsolve._recurse(built, k, [])
+            assert (opsolve._recurse([_rows_over(m, den) for m in built], k, [])
                     == opsolve._recurse(handed, k, []))
             dropped += len(built) - len(handed)
     assert dropped > 0
