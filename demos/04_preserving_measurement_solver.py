@@ -58,6 +58,6 @@ from lpcckit.statesets import Partition
 
 dom = build_named_set("Domino")
 v = is_pvm_irreducible(dom, Partition(((0,), (1,))))
-print("nonlocal basis:", v.status, v.block_levels)
+print("nonlocal basis:", v.status, dict(v.block_levels))
 v2 = is_pvm_irreducible(s2, Partition.trivial(3))
 print("TYPE-II family:", v2.status, "witness on group", v2.witness.group)

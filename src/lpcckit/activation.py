@@ -14,7 +14,7 @@ the one branch walk.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .indexing import digits_of, indexer, relabel_digits
@@ -87,7 +87,7 @@ def support_triple_labels(s_before_merge: StateSet, p: Partition,
 # ---------------------------------------------------------------------------
 # activation verification
 
-@dataclass
+@dataclass(frozen=True)
 class BranchReport:
     outcome: int
     states: StateSet
@@ -109,15 +109,15 @@ class BranchReport:
                 "domino": self.domino.to_json() if self.domino else None}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivationReport:
     first: LocalPVM
     partition: Partition
-    branches: list[BranchReport]
+    branches: tuple[BranchReport, ...]
     genuine: bool
     distinguishable_before: str
     asserted: bool
-    trace: list[str] = field(default_factory=list)
+    trace: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {"asserted": self.asserted, "genuine": self.genuine,
@@ -226,9 +226,9 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
 
     asserted = (genuine and bool(branches)
                 and all(b.certified for b in branches))
-    return ActivationReport(first=first, partition=p, branches=branches,
+    return ActivationReport(first=first, partition=p, branches=tuple(branches),
                             genuine=genuine, distinguishable_before=before,
-                            asserted=asserted, trace=trace)
+                            asserted=asserted, trace=tuple(trace))
 
 
 def _domino_in_some_bipartition(branch: StateSet, p: Partition):
@@ -251,12 +251,12 @@ def _domino_in_some_bipartition(branch: StateSet, p: Partition):
 # ---------------------------------------------------------------------------
 # dimension-2 no-go (biseparable n x 2 x 2 sets)
 
-@dataclass
+@dataclass(frozen=True)
 class Dim2NogoReport:
     confirmed: bool
     parties_checked: tuple[int, ...]
     residual_party: int
-    trace: list[str] = field(default_factory=list)
+    trace: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {"confirmed": self.confirmed,
@@ -289,23 +289,23 @@ def check_dim2_nogo(s: StateSet, *, probes: int = 8, seed: int = 0) -> Dim2NogoR
         if first.factor(v) is None:
             raise ValueError(f"state {label!r} is not biseparable across "
                              f"first party | rest")
-    return Dim2NogoReport(True, (1, 2), 0, [
+    return Dim2NogoReport(True, (1, 2), 0, (
         "every state factors as a (x) w across first party | rest",
         "a rank-1 PVM on party 1 or 2 leaves each a (x) w fully product, so "
         f"every outcome is a product set in effective {dims[0]}x2 form",
-        "activation, if any, can only come from the first party"])
+        "activation, if any, can only come from the first party"))
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass
+@dataclass(frozen=True)
 class LocalityClass:
     klass: str            # strong-local-evidence | TYPE-I | TYPE-II |
                           # indistinguishable-already | unknown
     exact: bool = False
     witness: ActivationReport | None = None
-    trace: list[str] = field(default_factory=list)
+    trace: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {"class": self.klass, "exact": self.exact,
@@ -334,21 +334,21 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     if len(s) <= 2:
         return LocalityClass(
             "strong-local-evidence", exact=True,
-            trace=["at most two orthogonal states: distinguishable in every "
-                   "partition, activation impossible"])
+            trace=("at most two orthogonal states: distinguishable in every "
+                   "partition, activation impossible",))
     structural = _structural_strong_local(s)
     if structural:
         return LocalityClass("strong-local-evidence", exact=True,
-                             trace=[structural])
+                             trace=(structural,))
 
     singles = Partition.trivial(n)
     verdict = lpcc_search(s, singles, depth=depth)
     if verdict.status == "indistinguishable":
         return LocalityClass("indistinguishable-already",
-                             trace=["set is already locally indistinguishable"])
+                             trace=("set is already locally indistinguishable",))
     if verdict.status != "distinguishable":
-        trace.append(f"distinguishability search: {verdict.status}")
-        return LocalityClass("unknown", trace=trace)
+        return LocalityClass("unknown",
+                             trace=(f"distinguishability search: {verdict.status}",))
     # distinguishability in the finest partition carries to every
     # coarsening, so activation checks below need not re-search
     assume = "distinguishable (finest partition)"
@@ -378,15 +378,15 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                     search_depth=depth, fail_fast=True)
                 if report.asserted:
                     trace.append(f"{prefix}{name} activates")
-                    return LocalityClass(klass, witness=report, trace=trace)
+                    return LocalityClass(klass, witness=report, trace=tuple(trace))
             if len(candidates) > MAX_FIRST_ROUNDS:
                 exhaustive = False
         trace.append(f"no {kind} activates"
                      + ("" if exhaustive else " (bounded search)"))
-    return LocalityClass("strong-local-evidence", exact=False, trace=trace)
+    return LocalityClass("strong-local-evidence", exact=False, trace=tuple(trace))
 
 
-def _first_rounds(s: StateSet, block: tuple[int, ...]) -> list[LocalPVM] | None:
+def _first_rounds(s: StateSet, block: tuple[int, ...]) -> tuple[LocalPVM, ...] | None:
     """The candidate first rounds on one block: every nontrivial
     orthogonality-preserving PVM the solver pool assembles, or None when
     the block's effective dimension is beyond the enumeration bound."""
@@ -395,7 +395,7 @@ def _first_rounds(s: StateSet, block: tuple[int, ...]) -> list[LocalPVM] | None:
     return enumerate_op_pvms(s, block)
 
 
-def _activation_order(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:
+def _activation_order(s: StateSet, candidates: Sequence[LocalPVM]) -> list[LocalPVM]:
     """Most promising activators first: a hiding measurement keeps states
     alive, so sort by total branch survivals descending."""
     keyed = []
@@ -425,7 +425,7 @@ def _structural_strong_local(s: StateSet) -> str | None:
 # ---------------------------------------------------------------------------
 # m-activability
 
-@dataclass
+@dataclass(frozen=True)
 class MActivabilityVerdict:
     status: str               # activable | not-activable | unknown
     m: int
@@ -434,7 +434,7 @@ class MActivabilityVerdict:
     witness_partition: Partition | None = None
     weaker_partition: Partition | None = None
     exact: bool = False
-    trace: list[str] = field(default_factory=list)
+    trace: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {"status": self.status, "m": self.m, "strong": self.strong,
@@ -484,9 +484,9 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
         # is ever irreducible in the one-block partition
         return MActivabilityVerdict(
             "not-activable", m, strong, exact=True,
-            trace=["strong 2-activation needs branches irreducible as one "
+            trace=("strong 2-activation needs branches irreducible as one "
                    "block, and the projector onto one state reduces any "
-                   "two or more orthogonal states"])
+                   "two or more orthogonal states",))
     exhaustive = True
     any_unknown = False
     trace: list[str] = []
@@ -539,11 +539,11 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
             return MActivabilityVerdict(
                 "activable", m, strong, witness=report,
                 witness_partition=part, weaker_partition=weaker,
-                exact=True, trace=trace)
+                exact=True, trace=tuple(trace))
     if exhaustive and not any_unknown:
         return MActivabilityVerdict(
             "not-activable", m, strong, exact=True,
-            trace=trace + ["every candidate first round leaves some branch "
-                           "distinguishable"])
+            trace=(*trace, "every candidate first round leaves some branch "
+                           "distinguishable"))
     return MActivabilityVerdict("unknown", m, strong, exact=False,
-                                trace=trace + ["bounded search exhausted"])
+                                trace=(*trace, "bounded search exhausted"))

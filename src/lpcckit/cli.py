@@ -127,7 +127,8 @@ def cmd_solve(args, report: Report) -> int:
     group = _parse_group(args.group, s)
     if args.action == "rank1":
         rep = rank1_op_directions(s, group)
-        report.data["verdicts"].append(rep.to_json())
+        data = rep.to_json()
+        report.data["verdicts"].append(data)
         if rep.is_none_found:
             report.say(f"group {args.group}: no preserving rank-1 direction "
                        f"({rep.none_found['method']})")
@@ -138,7 +139,7 @@ def cmd_solve(args, report: Report) -> int:
             report.say(f"family: {fam.kind}"
                        + (" (annihilating)" if fam.annihilating else ""))
         if rep.unresolved:
-            report.say(f"unresolved patterns: {rep.unresolved}")
+            report.say(f"unresolved patterns: {data['unresolved']}")
             return UNKNOWN
         return OK
     pvms = enumerate_op_pvms(s, group, max_outcomes=args.max_outcomes)

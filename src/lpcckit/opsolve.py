@@ -32,12 +32,13 @@ the nullspace basis N of the linear constraints so far (`_reduced_form`).
 
 from __future__ import annotations
 
-import copy
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .exact import (ONE, Mat, Scalar, Vec, ZERO, _wrap, basis_vec,
@@ -176,26 +177,18 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionReport:
     group: tuple[int, ...]
-    solutions: list[RaySolution] = field(default_factory=list)
-    families: list[Family] = field(default_factory=list)
-    none_found: dict | None = None
-    unresolved: list[dict] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
+    solutions: tuple[RaySolution, ...] = ()
+    families: tuple[Family, ...] = ()
+    none_found: Mapping | None = None
+    unresolved: tuple[Mapping, ...] = ()        # each pattern a tuple
+    trace: tuple[str, ...] = ()
 
     @property
     def is_none_found(self) -> bool:
         return self.none_found is not None
-
-    def copy(self) -> "SolutionReport":
-        """A report whose lists and dicts are the caller's own (solutions
-        and families are frozen, so they are shared)."""
-        return SolutionReport(self.group, list(self.solutions),
-                              list(self.families),
-                              copy.deepcopy(self.none_found),
-                              copy.deepcopy(self.unresolved), list(self.trace))
 
     def nontrivial_directions(self) -> list[Vec]:
         """Exact directions with a component on the joint local support
@@ -218,8 +211,9 @@ class SolutionReport:
             "group": list(self.group),
             "solutions": [r.to_json() for r in self.solutions],
             "families": [f.to_json() for f in self.families],
-            "none_found": self.none_found,
-            "unresolved": self.unresolved,
+            "none_found": None if self.none_found is None else dict(self.none_found),
+            "unresolved": [{k: list(v) if isinstance(v, tuple) else v
+                            for k, v in u.items()} for u in self.unresolved],
         }
         if self.trace:
             data["trace"] = self.trace
@@ -542,33 +536,30 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     subset of computational coordinates, directions decompose as (support
     part) + (free part orthogonal to every state), and only the support
     part is constrained. Roots outside Q(i) are reported as unresolved
-    patterns, never as floating-point solutions. The caller gets its own
-    copy of the stored report.
+    patterns, never as floating-point solutions. The report is frozen, so
+    the stored one is handed out.
     """
     group = tuple(group)
     cache_key = ("rank1", group, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
-        return hit.copy()
+        return hit
     require_orthogonal(s)
     cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
     d = total_dim([s.spec.dims[p] for p in group])
-    report = SolutionReport(group=group)
-
     coords = group_support(s, group)[2]
     k = len(coords)
-    if k < d:
-        report.trace.append(f"support compression to coordinates {coords}")
+    trace = [f"support compression to coordinates {coords}"] if k < d else []
     cm_small = [_restrict(c.mat, coords) for c in cmats]
 
     if k > MAX_EXACT_DIM:
-        report.unresolved.append(
-            {"reason": "dimension-bound", "effective_dim": k,
-             "bound": MAX_EXACT_DIM})
-        report.trace.append(
+        trace.append(
             f"effective dimension {k} exceeds exact enumeration bound {MAX_EXACT_DIM}")
-        return report
+        return SolutionReport(group, unresolved=(MappingProxyType(
+            {"reason": "dimension-bound", "effective_dim": k,
+             "bound": MAX_EXACT_DIM}),), trace=tuple(trace))
 
+    solutions, families, unresolved = [], [], []
     seen: set = set()
     live = _live_patterns(cm_small, k)
     cm_int = _int_rows(cm_small)
@@ -593,26 +584,26 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
                         s, LocalPVM(PVM([p, p.complement()]), group)):
                     raise AssertionError(
                         "solver emitted a direction failing re-verification")
-                report.solutions.append(RaySolution(vector=cv))
+                solutions.append(RaySolution(vector=cv))
             elif tag == "family":
-                report.families.append(_lift_family(payload, on_group, d))
+                families.append(_lift_family(payload, on_group, d))
             elif tag == "unresolved":
-                report.unresolved.append(
-                    {"reason": payload, "pattern": [int(x) for x in pattern]})
+                unresolved.append(MappingProxyType({"reason": payload,
+                                                    "pattern": pattern}))
 
     if k < d:
         ann = tuple(basis_vec(d, a) for a in range(d) if a not in coords)
-        report.families.append(Family(kind="subspace", basis=ann,
-                                      annihilating=True))
-        report.trace.append(
-            f"{d - k}-dimensional annihilating subspace off the support")
+        families.append(Family(kind="subspace", basis=ann, annihilating=True))
+        trace.append(f"{d - k}-dimensional annihilating subspace off the support")
 
-    report.families = _dedupe_families(report.families)
-    if (not report.solutions and not report.families
-            and not report.unresolved):
-        report.none_found = {"method": "exact-case-split",
-                             "patterns": 2 ** k - 1}
-    return _cache_put(cache_key, report).copy()
+    families = tuple(_dedupe_families(families))
+    none_found = None
+    if not (solutions or families or unresolved):
+        none_found = MappingProxyType({"method": "exact-case-split",
+                                       "patterns": 2 ** k - 1})
+    return _cache_put(cache_key, SolutionReport(
+        group, tuple(solutions), families, none_found, tuple(unresolved),
+        tuple(trace)))
 
 
 def _support_patterns(k: int):
@@ -778,7 +769,7 @@ def _diagonal_subsets(cmats: list[ConstraintMatrix], support: list[Vec],
 
 def enumerate_op_pvms(s: StateSet, group: Sequence[int],
                       max_outcomes: int | None = None, *,
-                      max_pvms: int = 64) -> list[LocalPVM]:
+                      max_pvms: int = 64) -> tuple[LocalPVM, ...]:
     """Orthogonality-preserving PVMs on the group that are nontrivial for
     the set, assembled on the solver's working coordinates from a
     projector pool (exact rank-1 directions, family representatives
@@ -789,14 +780,14 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
 
     Completeness is relative to the pool: PVMs whose rank-1 elements are
     solver directions and whose higher-rank elements are diagonal
-    projectors or complements of pool sums. The caller gets its own copy
-    of the stored list.
+    projectors or complements of pool sums. The tuple is stored and handed
+    out as it is.
     """
     group = tuple(group)
     cache_key = ("pvms", group, max_outcomes, max_pvms, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
-        return list(hit)
+        return hit
     require_orthogonal(s)
     cmats = constraint_matrices(s, group)
     report = rank1_op_directions(s, group, _cmats=cmats)
@@ -806,7 +797,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     if max_outcomes is not None and max_outcomes < 2:
         raise ValueError("max_outcomes must be at least 2")
     if support_rank < 2:
-        return []                   # a one-dimensional support is inert
+        return ()                   # a one-dimensional support is inert
     cap = max_outcomes if max_outcomes is not None else k
 
     # every candidate lies in L already: solver rays were re-verified,
@@ -867,7 +858,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     keyed = [((len(pvm), tuple(sorted(next(keys) for _ in pvm.elements))), lp)
              for pvm, lp in kept]
     keyed.sort(key=lambda t: t[0])
-    return list(_cache_put(cache_key, [lp for _, lp in keyed]))
+    return _cache_put(cache_key, tuple(lp for _, lp in keyed))
 
 
 def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
@@ -887,22 +878,16 @@ def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
     return PVM.completed(lifted, d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrreducibilityVerdict:
     status: str                       # irreducible | reducible | two-state | unknown
-    witness: LocalPVM | None = None
-    block_levels: dict = field(default_factory=dict)
-    trace: list[str] = field(default_factory=list)
+    witness: LocalPVM | None
+    block_levels: Mapping[tuple[int, ...], str]
+    trace: tuple[str, ...]
 
     @property
     def irreducible(self) -> bool:
         return self.status == "irreducible"
-
-    def copy(self) -> "IrreducibilityVerdict":
-        """A verdict whose dict and list are the caller's own (the
-        witness is frozen, so it is shared)."""
-        return IrreducibilityVerdict(self.status, self.witness,
-                                     dict(self.block_levels), list(self.trace))
 
     def to_json(self) -> dict:
         return {"status": self.status,
@@ -916,8 +901,8 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
     irreducibility, which in turn certifies indistinguishability).
 
     Two-state sets are never certified irreducible: any pair of orthogonal
-    states is distinguishable. The caller gets its own copy of the stored
-    verdict.
+    states is distinguishable. The verdict is frozen, so the stored one is
+    handed out.
     """
     if len(s) < 2:
         raise ValueError("irreducibility needs at least two states")
@@ -925,20 +910,20 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
     cache_key = ("irr", p.blocks, s.ray_key)
     hit = _cache_get(cache_key)
     if hit is not None:
-        return hit.copy()
+        return hit
     require_orthogonal(s)
     if len(s) == 2:
         return IrreducibilityVerdict(
-            status="two-state",
-            trace=["two orthogonal states are always distinguishable; "
-                   "no irreducibility certificate is possible"])
-    verdict = IrreducibilityVerdict(status="irreducible")
+            "two-state", None, MappingProxyType({}),
+            ("two orthogonal states are always distinguishable; "
+             "no irreducibility certificate is possible",))
+    status, levels, trace = "irreducible", {}, []
     for block in p.blocks:
         d = total_dim([s.spec.dims[q] for q in block])
         support, k, _ = group_support(s, block)
         if k <= 1:
-            verdict.block_levels[block] = "inert"
-            verdict.trace.append(
+            levels[block] = "inert"
+            trace.append(
                 f"block {block}: one-dimensional local support, no PVM can "
                 f"eliminate or distinguish")
             continue
@@ -953,9 +938,9 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
         if witness_p is None:
             report = rank1_op_directions(s, block, _cmats=cmats)
             if report.unresolved:
-                verdict.status = "unknown"
-                verdict.trace.append(f"block {block}: solver could not close "
-                                     f"{report.unresolved}")
+                status = "unknown"
+                trace.append(f"block {block}: solver could not close "
+                             f"{report.to_json()['unresolved']}")
                 continue
             for theta in report.nontrivial_directions():
                 cand = Projector.from_ray(theta)
@@ -967,16 +952,15 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
             lp = LocalPVM(pvm, block)
             if not preserves_orthogonality(s, lp):
                 raise AssertionError("witness PVM failed re-verification")
-            verdict.status = "reducible"
-            verdict.witness = lp
-            verdict.trace.append(f"block {block}: nontrivial OP-PVM exists")
-            return _cache_put(cache_key, verdict).copy()
+            trace.append(f"block {block}: nontrivial OP-PVM exists")
+            return _cache_put(cache_key, IrreducibilityVerdict(
+                "reducible", lp, MappingProxyType(levels), tuple(trace)))
         if k == d and d <= 3:
-            verdict.block_levels[block] = "complete"
+            levels[block] = "complete"
         elif k <= 3:
-            verdict.block_levels[block] = f"support-compressed({k})"
+            levels[block] = f"support-compressed({k})"
         else:
-            verdict.block_levels[block] = "rank1-diagonal"
-        verdict.trace.append(f"block {block}: no nontrivial OP-PVM "
-                             f"[{verdict.block_levels[block]}]")
-    return _cache_put(cache_key, verdict).copy()
+            levels[block] = "rank1-diagonal"
+        trace.append(f"block {block}: no nontrivial OP-PVM [{levels[block]}]")
+    return _cache_put(cache_key, IrreducibilityVerdict(
+        status, None, MappingProxyType(levels), tuple(trace)))

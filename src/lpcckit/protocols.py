@@ -26,7 +26,7 @@ the verifier accepts. Trees are read-only and may be shared.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .exact import Vec, gram_schmidt, inner, sort_keys
@@ -84,22 +84,16 @@ class LemmaStructureError(ValueError):
     needs."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     status: str                                  # distinguishable | indistinguishable | unknown
     tree: ProtocolTree | None = None
     certificate: IrreducibilityVerdict | None = None
-    trace: list[str] = field(default_factory=list)
+    trace: tuple[str, ...] = ()
 
     @property
     def distinguishable(self) -> bool:
         return self.status == "distinguishable"
-
-    def copy(self) -> "Verdict":
-        """A verdict whose trace and certificate are the caller's own; the
-        read-only tree is shared."""
-        cert = self.certificate.copy() if self.certificate is not None else None
-        return Verdict(self.status, self.tree, cert, list(self.trace))
 
     def to_json(self) -> dict:
         out = {"status": self.status, "trace": self.trace}
@@ -126,7 +120,7 @@ def execute_and_verify(s: StateSet, tree: ProtocolTree,
         raise ProtocolError(str(exc)) from None
     trace: list[str] = []
     _exec(s, tree, (), trace, partition)
-    return Verdict(status="distinguishable", tree=tree, trace=trace)
+    return Verdict(status="distinguishable", tree=tree, trace=tuple(trace))
 
 
 def leaf_branches(s: StateSet, tree: ProtocolTree
@@ -395,8 +389,9 @@ def lpcc_search(s: StateSet, p: Partition, depth: int = 4) -> Verdict:
     terminal rules are the leaf rules of execute_and_verify. Returns an
     indistinguishability certificate when no block admits a nontrivial
     orthogonality-preserving PVM, and unknown when the bound bites.
-    Verdicts are memoized across calls (they depend only on exact data);
-    the caller gets its own copy of the stored verdict. A set with a
+    Verdicts are memoized across calls (they depend only on exact data)
+    and frozen, so the stored one is handed out; one is reused only at a
+    depth where a fresh search reaches the same status. A set with a
     non-orthogonal pair and a negative depth are refused."""
     p.validate(s.spec)
     require_depth(depth)
@@ -409,15 +404,25 @@ def _search(s: StateSet, p: Partition, depth: int) -> Verdict:
         return Verdict("distinguishable", tree=Leaf("identified"))
     if len(s) == 2:
         return Verdict("distinguishable", tree=Leaf("two-orthogonal"))
+    # stored as (verdict, depth searched), or (verdict, its tree's depth);
+    # the search is monotone in depth, so a fresh one reaches a
+    # certificate always, unknown at no greater depth, a tree at no less
     key = ("search", p.blocks, s.ray_key)
     hit = _cache_get(key)
-    # an unknown verdict is reused only if it was searched at least as deep
-    if hit is not None and (hit[0].status != "unknown" or hit[1] >= depth):
-        return hit[0].copy()
+    if hit is not None:
+        verdict, n = hit
+        if {"indistinguishable": True, "unknown": n >= depth,
+                "distinguishable": n <= depth}[verdict.status]:
+            return verdict
 
     def store(verdict: Verdict) -> Verdict:
-        _cache_put(key, (verdict, depth))
-        return verdict.copy()
+        # a shallower search's unknown does not replace a stored tree
+        if verdict.distinguishable:
+            _cache_put(key, (verdict, _depth(verdict.tree)))
+        elif not (hit is not None and hit[0].distinguishable
+                  and verdict.status == "unknown"):
+            _cache_put(key, (verdict, depth))
+        return verdict
 
     quick = _structural_leaf(s, p)
     if quick is not None:
@@ -431,14 +436,14 @@ def _search(s: StateSet, p: Partition, depth: int) -> Verdict:
         cert = is_pvm_irreducible(s, p)
         if cert.irreducible:
             return store(Verdict("indistinguishable", certificate=cert,
-                                 trace=["no block admits a nontrivial "
-                                        "orthogonality-preserving PVM"]))
+                                 trace=("no block admits a nontrivial "
+                                        "orthogonality-preserving PVM",)))
         return store(Verdict("unknown",
-                             trace=[f"no usable candidates; certificate status "
-                                    f"{cert.status}"] + cert.trace))
+                             trace=(f"no usable candidates; certificate status "
+                                    f"{cert.status}",) + cert.trace))
 
     if depth <= 0:
-        return store(Verdict("unknown", trace=["depth bound exhausted"]))
+        return store(Verdict("unknown", trace=("depth bound exhausted",)))
 
     candidates = _order_candidates(s, candidates)[:MAX_CANDIDATES_PER_NODE]
     for lp in candidates:
@@ -458,8 +463,13 @@ def _search(s: StateSet, p: Partition, depth: int) -> Verdict:
         if ok:
             return store(Verdict("distinguishable",
                                  tree=Node(lp.group, lp.pvm, children)))
-    return store(Verdict("unknown", trace=["no candidate measurement led to a "
-                                           "full discrimination tree"]))
+    return store(Verdict("unknown", trace=("no candidate measurement led to a "
+                                           "full discrimination tree",)))
+
+
+def _depth(tree: ProtocolTree) -> int:
+    """A leaf's depth is 0, a node's one more than its deepest child's."""
+    return 0 if isinstance(tree, Leaf) else 1 + max(map(_depth, tree.children.values()))
 
 
 def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]:

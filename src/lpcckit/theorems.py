@@ -150,7 +150,7 @@ def theorem2_replay() -> TheoremResult:
             exact_levels = all(v in ("complete", "inert")
                                for v in br.certificate.block_levels.values())
             res.add(f"outcome {br.outcome} exact-mode certificate", exact_levels,
-                    str(br.certificate.block_levels))
+                    str(dict(br.certificate.block_levels)))
     return res
 
 
@@ -178,10 +178,10 @@ def theorem3_replay() -> TheoremResult:
     s = build_named_set("S2")
     rep_a = rank1_op_directions(s, (0,))
     res.add("first party: none found (exact case split)",
-            rep_a.is_none_found, str(rep_a.none_found))
+            rep_a.is_none_found, str(rep_a.to_json()["none_found"]))
     rep_b = rank1_op_directions(s, (1,))
     res.add("second party: none found (exact case split)",
-            rep_b.is_none_found, str(rep_b.none_found))
+            rep_b.is_none_found, str(rep_b.to_json()["none_found"]))
     rep_c = rank1_op_directions(s, (2,))
     got = sorted(tuple(str(x) for x in th.entries)
                  for th in rep_c.nontrivial_directions())

@@ -332,8 +332,8 @@ def test_dimension_bound_bites_from_the_input():
     # longer exact, and m-activability cannot come out negative
     from lpcckit.opsolve import rank1_op_directions
     s = random_product_set(random.Random(1), (10, 2, 2), 5)
-    assert rank1_op_directions(s, (0,)).unresolved == [
-        {"reason": "dimension-bound", "effective_dim": 10, "bound": 9}]
+    assert rank1_op_directions(s, (0,)).unresolved == (
+        {"reason": "dimension-bound", "effective_dim": 10, "bound": 9},)
     out = classify(s)
     assert (out.klass, out.exact) == ("strong-local-evidence", False)
     assert "party 0: effective dimension 10 beyond enumeration bound" in out.trace
@@ -362,4 +362,4 @@ def test_three_fully_product_states_are_exactly_strong_local():
                  [(bits, ket(bits)) for bits in ("000", "011", "101")])
     c = classify(s)
     assert (c.klass, c.exact) == ("strong-local-evidence", True)
-    assert c.trace == ["three orthogonal fully product states are strong local"]
+    assert c.trace == ("three orthogonal fully product states are strong local",)

@@ -219,9 +219,9 @@ NAMED_CASES = [(name, m, strong) for name, ms in
                for m in ms for strong in (False, True)
                if (name, m, strong) != ("S1", 2, True)]      # reference: 5-10 s
 
-STRONG_2_TRACE = ["strong 2-activation needs branches irreducible as one "
+STRONG_2_TRACE = ("strong 2-activation needs branches irreducible as one "
                   "block, and the projector onto one state reduces any two "
-                  "or more orthogonal states"]
+                  "or more orthogonal states",)
 
 
 def _random_sets():
@@ -249,8 +249,8 @@ def _witness(report):
 def _same_class(got: LocalityClass, want: LocalityClass):
     # the one intended trace change: with no supplied candidates, a pair
     # beyond the enumeration bound is only skipped
-    want_trace = [line.replace(", verifying supplied candidates only", "")
-                  for line in want.trace]
+    want_trace = tuple(line.replace(", verifying supplied candidates only", "")
+                       for line in want.trace)
     assert (got.klass, got.exact, got.trace) == (want.klass, want.exact,
                                                  want_trace)
     assert _witness(got.witness) == _witness(want.witness)
@@ -266,7 +266,7 @@ def _same_m_verdict(got: MActivabilityVerdict, want: MActivabilityVerdict):
             assert (want.status, want.exact) == ("not-activable", True)
     else:
         assert (got.status, got.exact, got.trace) == (want.status, want.exact,
-                                                      want.trace)
+                                                      tuple(want.trace))
     assert _witness(got.witness) == _witness(want.witness)
     assert got.witness_partition == want.witness_partition
     assert got.weaker_partition == want.weaker_partition
@@ -310,6 +310,24 @@ def test_undecided_source_is_one_search_per_partition(monkeypatch):
     partitions = [p.blocks for p in iter_m_partitions(3, 2)]
     assert searched == [((0,), (1,), (2,))] + partitions
     assert walked == []
+
+
+def test_search_verdict_does_not_depend_on_call_history():
+    # a stored verdict is reused only at a depth from which a fresh search
+    # reaches it: classify's depth-3 trees do not answer a depth-0 search,
+    # and that search's unknown does not replace them
+    s = build_named_set("S2")
+    singles = Partition.trivial(3)
+    clear_caches()
+    cold = is_m_activable(s, 2, depth=0)
+    assert (cold.status, cold.exact) == ("unknown", False)
+    clear_caches()
+    assert classify(s).klass == "TYPE-II"
+    deep = lpcc_search(s, singles, depth=3)
+    assert deep.status == "distinguishable"
+    assert is_m_activable(s, 2, depth=0).to_json() == cold.to_json()
+    assert lpcc_search(s, singles, depth=0).status == "unknown"
+    assert lpcc_search(s, singles, depth=3) is deep
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "Domino"])
@@ -369,11 +387,11 @@ def _cli(tmp_path, s, *argv):
 
 def test_inert_block_has_no_candidates(tmp_path, capsys):
     s = inert_pair_set()
-    assert enumerate_op_pvms(s, (1, 2)) == []
-    assert enumerate_op_pvms(s, (1,)) == []
+    assert enumerate_op_pvms(s, (1, 2)) == ()
+    assert enumerate_op_pvms(s, (1,)) == ()
     out = classify(s)
     assert out.klass == "strong-local-evidence"
-    assert out.trace == ["no single party activates", "no joint pair activates"]
+    assert out.trace == ("no single party activates", "no joint pair activates")
     verdict = is_m_activable(s, 2)
     assert verdict.status == "not-activable" and verdict.exact
     assert _cli(tmp_path, s, "classify") == 0

@@ -1,12 +1,13 @@
 """Orthogonality-preserving measurement solver."""
 
-import copy
 import dataclasses
 import itertools
 import random
 from collections import Counter, OrderedDict
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 import pytest
 
@@ -231,7 +232,7 @@ def test_enumerate_bob_on_type1(s1):
 
 
 def test_enumerate_empty_for_dim2_none_found(s2):
-    assert enumerate_op_pvms(s2, (1,)) == []
+    assert enumerate_op_pvms(s2, (1,)) == ()
 
 
 def test_domino_irreducible(domino):
@@ -269,7 +270,7 @@ def test_annihilating_family_reported():
 
 def test_irrational_endgame_roots_are_unresolved(irrational_2x3):
     rep = rank1_op_directions(irrational_2x3, (1,))
-    assert rep.solutions == []
+    assert rep.solutions == ()
     assert rep.none_found is None
     assert [u["reason"] for u in rep.unresolved] == ["irrational endgame roots"]
     split = Partition(((0,), (1,)))
@@ -347,54 +348,72 @@ def test_result_store_is_one_bounded_lru(monkeypatch):
     assert len(opsolve._RESULTS) == 0
 
 
-def test_stored_results_are_not_shared_with_callers(s2):
-    clear_caches()
-    pvms = enumerate_op_pvms(s2, (2,))
-    assert pvms
-    pvms.clear()
-    assert len(enumerate_op_pvms(s2, (2,))) > 0
-    report = rank1_op_directions(s2, (2,))
-    want = report.to_json()
-    report.solutions.clear()
-    report.trace.append("changed by the caller")
-    again = rank1_op_directions(s2, (2,))
-    assert again.to_json() == want
-    again.unresolved.append({"reason": "changed by the caller"})
-    assert rank1_op_directions(s2, (2,)).to_json() == want
+def _assert_frozen(result) -> set[str]:
+    """Assigning any field of result, or of a dataclass, tuple or mapping
+    reachable from it, raises, and no list, dict or set is reachable;
+    returns the names of the dataclasses met."""
+    met, todo = set(), [result]
+    while todo:
+        x = todo.pop()
+        if dataclasses.is_dataclass(x):
+            met.add(type(x).__name__)
+            for f in dataclasses.fields(x):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, f.name, None)
+                todo.append(getattr(x, f.name))
+        elif isinstance(x, Mapping):
+            assert isinstance(x, MappingProxyType), type(x)
+            with pytest.raises(TypeError):
+                x["changed by the caller"] = None
+            todo.extend(x.items())
+        elif isinstance(x, tuple):
+            with pytest.raises(TypeError):
+                x[0] = None
+            todo.extend(x)
+        else:
+            assert not isinstance(x, (list, dict, set)), type(x)
+    return met
 
 
-def test_stored_verdicts_are_not_shared_with_callers(domino):
+def test_returned_results_are_frozen_and_equal_on_the_next_call(s2, domino):
     clear_caches()
     both = Partition.trivial(2)
-    verdict = is_pvm_irreducible(domino, both)
-    want = copy.deepcopy(verdict.to_json())
-    assert want["trace"] and want["block_levels"]
-    verdict.trace.clear()
-    verdict.block_levels.clear()
-    assert is_pvm_irreducible(domino, both).to_json() == want
-
-    search = lpcc_search(domino, both, depth=2)
-    want = copy.deepcopy(search.to_json())
-    search.trace.append("changed by the caller")
-    search.certificate.trace.clear()
-    assert lpcc_search(domino, both, depth=2).to_json() == want
-
     levels = [Vec([1, 0, 0]), Vec([0, 1, 0]), Vec([0, 0, 1])]
     grid = StateSet(PartySpec((3, 3)), [(f"{i}{j}", tensor(levels[i], levels[j]))
                                         for i in range(3) for j in range(3)])
-    # trees and redundancy verdicts are read-only, so they are shared
-    search = lpcc_search(grid, both, depth=2)
-    want = copy.deepcopy(search.to_json())
-    with pytest.raises((AttributeError, TypeError)):
-        search.tree.children.clear()
-    with pytest.raises(TypeError):
-        search.tree.children[0] = search.tree
-    assert lpcc_search(grid, both, depth=2).to_json() == want
-
-    redundancy = activation._cached_redundancy(domino)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        redundancy.redundant = not redundancy.redundant
-    assert activation._cached_redundancy(domino) == redundancy
+    bits = [Vec([1, 0]), Vec([0, 1])]
+    nogo = StateSet(PartySpec((2, 2, 2)), [(f"{a}{a}{a}", tensor(*[bits[a]] * 3))
+                                           for a in (0, 1)])
+    witness = activation.classify(s2, joint_pairs=[(1, 2)]).witness
+    calls = {
+        "rank1": lambda: rank1_op_directions(s2, (2,)),
+        "pvms": lambda: enumerate_op_pvms(s2, (2,)),
+        "irreducibility": lambda: is_pvm_irreducible(domino, both),
+        "certificate": lambda: lpcc_search(domino, both, depth=2),
+        "tree": lambda: lpcc_search(grid, both, depth=2),
+        "redundancy": lambda: activation._cached_redundancy(domino),
+        "activation": lambda: activation.verify_activation(
+            s2, witness.first, witness.partition, assume_distinguishable="given"),
+        "class": lambda: activation.classify(s2, joint_pairs=[(1, 2)]),
+        "m-activability": lambda: activation.is_m_activable(s2, 2),
+        "dim-2 no-go": lambda: activation.check_dim2_nogo(nogo),
+    }
+    stored = {"rank1", "pvms", "irreducibility", "certificate", "tree", "redundancy"}
+    met = set()
+    for name, call in calls.items():
+        got = call()
+        assert got is not None and got != (), name
+        met |= _assert_frozen(got)
+        again = call()
+        if name in stored:
+            assert again is got, name
+        elif hasattr(got, "to_json"):
+            assert again.to_json() == got.to_json(), name
+        else:
+            assert again == got, name
+    assert {"SolutionReport", "IrreducibilityVerdict", "Verdict", "BranchReport",
+            "ActivationReport", "LocalityClass", "MActivabilityVerdict",
+            "Dim2NogoReport", "Node", "RedundancyVerdict"} <= met
 
 
 def _pruned_matches_unpruned(monkeypatch, s, group):
