@@ -375,30 +375,10 @@ def _assert_frozen(result) -> set[str]:
     return met
 
 
-def test_returned_results_are_frozen_and_equal_on_the_next_call(s2, domino):
-    clear_caches()
-    both = Partition.trivial(2)
-    levels = [Vec([1, 0, 0]), Vec([0, 1, 0]), Vec([0, 0, 1])]
-    grid = StateSet(PartySpec((3, 3)), [(f"{i}{j}", tensor(levels[i], levels[j]))
-                                        for i in range(3) for j in range(3)])
-    bits = [Vec([1, 0]), Vec([0, 1])]
-    nogo = StateSet(PartySpec((2, 2, 2)), [(f"{a}{a}{a}", tensor(*[bits[a]] * 3))
-                                           for a in (0, 1)])
-    witness = activation.classify(s2, joint_pairs=[(1, 2)]).witness
-    calls = {
-        "rank1": lambda: rank1_op_directions(s2, (2,)),
-        "pvms": lambda: enumerate_op_pvms(s2, (2,)),
-        "irreducibility": lambda: is_pvm_irreducible(domino, both),
-        "certificate": lambda: lpcc_search(domino, both, depth=2),
-        "tree": lambda: lpcc_search(grid, both, depth=2),
-        "redundancy": lambda: activation._cached_redundancy(domino),
-        "activation": lambda: activation.verify_activation(
-            s2, witness.first, witness.partition, assume_distinguishable="given"),
-        "class": lambda: activation.classify(s2, joint_pairs=[(1, 2)]),
-        "m-activability": lambda: activation.is_m_activable(s2, 2),
-        "dim-2 no-go": lambda: activation.check_dim2_nogo(nogo),
-    }
-    stored = {"rank1", "pvms", "irreducibility", "certificate", "tree", "redundancy"}
+def _assert_frozen_and_equal_on_the_next_call(calls, stored) -> set[str]:
+    """Each call returns a frozen, non-empty result; a second call returns
+    the stored object itself (names in stored) or an equal result; returns
+    the names of the dataclasses met."""
     met = set()
     for name, call in calls.items():
         got = call()
@@ -411,7 +391,43 @@ def test_returned_results_are_frozen_and_equal_on_the_next_call(s2, domino):
             assert again.to_json() == got.to_json(), name
         else:
             assert again == got, name
-    assert {"SolutionReport", "IrreducibilityVerdict", "Verdict", "BranchReport",
+    return met
+
+
+def test_stored_results_are_not_shared_with_callers(s2):
+    clear_caches()
+    calls = {
+        "rank1": lambda: rank1_op_directions(s2, (2,)),
+        "pvms": lambda: enumerate_op_pvms(s2, (2,)),
+    }
+    met = _assert_frozen_and_equal_on_the_next_call(calls, set(calls))
+    assert "SolutionReport" in met
+
+
+def test_stored_verdicts_are_not_shared_with_callers(s2, domino):
+    clear_caches()
+    both = Partition.trivial(2)
+    levels = [Vec([1, 0, 0]), Vec([0, 1, 0]), Vec([0, 0, 1])]
+    grid = StateSet(PartySpec((3, 3)), [(f"{i}{j}", tensor(levels[i], levels[j]))
+                                        for i in range(3) for j in range(3)])
+    bits = [Vec([1, 0]), Vec([0, 1])]
+    nogo = StateSet(PartySpec((2, 2, 2)), [(f"{a}{a}{a}", tensor(*[bits[a]] * 3))
+                                           for a in (0, 1)])
+    witness = activation.classify(s2, joint_pairs=[(1, 2)]).witness
+    calls = {
+        "irreducibility": lambda: is_pvm_irreducible(domino, both),
+        "certificate": lambda: lpcc_search(domino, both, depth=2),
+        "tree": lambda: lpcc_search(grid, both, depth=2),
+        "redundancy": lambda: activation._cached_redundancy(domino),
+        "activation": lambda: activation.verify_activation(
+            s2, witness.first, witness.partition, assume_distinguishable="given"),
+        "class": lambda: activation.classify(s2, joint_pairs=[(1, 2)]),
+        "m-activability": lambda: activation.is_m_activable(s2, 2),
+        "dim-2 no-go": lambda: activation.check_dim2_nogo(nogo),
+    }
+    stored = {"irreducibility", "certificate", "tree", "redundancy"}
+    met = _assert_frozen_and_equal_on_the_next_call(calls, stored)
+    assert {"IrreducibilityVerdict", "Verdict", "BranchReport",
             "ActivationReport", "LocalityClass", "MActivabilityVerdict",
             "Dim2NogoReport", "Node", "RedundancyVerdict"} <= met
 
