@@ -7,8 +7,8 @@ are then classified by who can activate: a single party (TYPE-I), only a
 joint measurement of two parties (TYPE-II), or nobody that the bounded
 search can find (strong-local evidence); m-activability asks the same
 across m-partitions. Both searches take their candidates on a block from
-one rule (`_first_rounds`) and decide each through `verify_activation`,
-the one branch walk.
+one rule (`_first_rounds`) and decide each through `_walk`, the one branch
+walk, which `verify_activation` runs once it admits a supplied first round.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
     it in every coarsening).
 
     A domino match (merging the partition to a bipartition) is recorded
-    per branch as corroborating structure when it exists.
+    per branch as corroborating structure when it exists. `classify` and
+    `is_m_activable` skip the refusals: their candidates pass them.
     """
     p.validate(s.spec)
     first.validate(s.spec)
@@ -179,7 +180,6 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
         raise ActivationError(
             f"first-round PVM breaks orthogonality at {ov.witness}")
 
-    trace: list[str] = []
     if protocol is not None:
         execute_and_verify(s, protocol, p)
         before = "verified-by-protocol"
@@ -192,8 +192,13 @@ def verify_activation(s: StateSet, first: LocalPVM, p: Partition, *,
             raise _SourceUndecided(
                 f"could not establish LPCC-distinguishability of the source "
                 f"set (search says {verdict.status}); pass a protocol fixture")
-    trace.append(f"source distinguishability: {before}")
+    return _walk(s, first, p, before, fail_fast)
 
+
+def _walk(s: StateSet, first: LocalPVM, p: Partition, before: str,
+          fail_fast: bool) -> ActivationReport:
+    """The branch walk of an admitted first round; `before` notes the source."""
+    trace = [f"source distinguishability: {before}"]
     red = _cached_redundancy(s)
     genuine = not red.redundant
     trace.append("source set is locally "
@@ -372,10 +377,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                              f"enumeration bound")
                 continue
             for lp in _activation_order(s, candidates)[:MAX_FIRST_ROUNDS]:
-                # none is refused: each is nontrivial, preserving, in one block
-                report = verify_activation(
-                    s, lp, part, assume_distinguishable=assume,
-                    search_depth=depth, fail_fast=True)
+                report = _walk(s, lp, part, assume, fail_fast=True)
                 if report.asserted:
                     trace.append(f"{prefix}{name} activates")
                     return LocalityClass(klass, witness=report, trace=tuple(trace))
@@ -398,11 +400,9 @@ def _first_rounds(s: StateSet, block: tuple[int, ...]) -> tuple[LocalPVM, ...] |
 def _activation_order(s: StateSet, candidates: Sequence[LocalPVM]) -> list[LocalPVM]:
     """Most promising activators first: a hiding measurement keeps states
     alive, so sort by total branch survivals descending."""
-    keyed = []
-    for lp in candidates:
-        keyed.append((-branch_survivals(s, lp), len(lp.pvm), lp))
-    keyed.sort(key=lambda t: t[:2])
-    return [t[2] for t in keyed]
+    keyed = sorted(zip(candidates, branch_survivals(s, candidates)),
+                   key=lambda t: (-t[1], len(t[0].pvm)))
+    return [lp for lp, _ in keyed]
 
 
 def _structural_strong_local(s: StateSet) -> str | None:
@@ -468,11 +468,13 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
     """Search all m-partitions for a first-round OP-PVM on one block that
     leaves every branch certified irreducible within that partition; the
     strong variant additionally needs every branch irreducible in some
-    (m-1)-partition. Negative verdicts are exact only when every branch
-    of every candidate was refuted by an explicit discrimination tree;
-    bounded gaps surface as unknown, never as a silent negative. Strong
-    2-activability never holds, so it is refuted without a search. A
-    negative depth and a set with a non-orthogonal pair are refused."""
+    (m-1)-partition. A candidate is refuted by its first uncertified
+    branch when that has one state or `lpcc_search` finds it
+    distinguishable within the partition; a negative verdict is exact only
+    when every candidate was refuted, every block enumerated and every
+    source decided. Strong 2-activability never holds, so it is refuted
+    without a search. A negative depth and a non-orthogonal set are
+    refused."""
     n = s.spec.n_parties
     require_depth(depth)
     require_orthogonal(s)
@@ -511,13 +513,9 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
                 continue
             source = "distinguishable"
         for lp in _activation_order(s, candidates):
-            report = verify_activation(s, lp, part,
-                                       assume_distinguishable=source,
-                                       search_depth=depth, fail_fast=True)
+            report = _walk(s, lp, part, source, fail_fast=True)
             gap = next((b for b in report.branches if not b.certified), None)
             if gap is not None:
-                # the candidate is refuted when the uncertified branch is
-                # distinguishable within the partition (one state always is)
                 if len(gap.states) >= 2 and lpcc_search(
                         gap.states, part, depth=depth).status != "distinguishable":
                     any_unknown = True

@@ -343,32 +343,30 @@ def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
     return OPVerdict(True)
 
 
-def branch_survivals(s: StateSet, lp: LocalPVM) -> int:
-    """How many (outcome, state) pairs the measurement leaves nonzero:
-    `apply`'s survivors, counted on integers without building the
-    branches, and stopping at each state's first nonzero image."""
-    lp.validate(s.spec)
-    idx = indexer(s.spec.dims, lp.group)
-    _, mats = _int_rows(lp)
-    slices = [idx.int_slices(v)[1] for v in s.vectors()]
-    return sum(1 for rows in mats for sl in slices
-               if any(_image(rows, u) for u in sl.values()))
+def branch_survivals(s: StateSet, candidates: Sequence[LocalPVM]) -> list[int]:
+    """How many (outcome, state) pairs each candidate leaves nonzero:
+    `apply`'s survivors, counted on integers without building the branches.
+    A state survives an element whatever PVM holds it, so each distinct
+    (group, element) is counted once per call, up to each state's first
+    nonzero image, and a candidate's count is the sum over its elements."""
+    counts: dict[tuple, int] = {}
+    for lp in candidates:
+        lp.validate(s.spec)
+        idx = indexer(s.spec.dims, lp.group)
+        slices = [idx.int_slices(v)[1] for v in s.vectors()]
+        for e, rows in zip(lp.pvm.elements, _int_rows(lp)[1]):
+            if (lp.group, e.mat.entries) not in counts:
+                counts[lp.group, e.mat.entries] = sum(
+                    1 for sl in slices if any(_image(rows, u) for u in sl.values()))
+    return [sum(counts[lp.group, e.mat.entries] for e in lp.pvm.elements)
+            for lp in candidates]
 
 
 def acts_as_scalar_on(e: Projector, support: Sequence[Vec]) -> bool:
     """True when the element is 0 or the identity on span(support), i.e.
     trivial relative to the set living there."""
-    idx_all_fixed = True
-    idx_all_killed = True
-    for v in support:
-        image = mat_vec(e.mat, v)
-        if image != v:
-            idx_all_fixed = False
-        if not image.is_zero():
-            idx_all_killed = False
-        if not idx_all_fixed and not idx_all_killed:
-            return False
-    return idx_all_fixed or idx_all_killed
+    return (all(mat_vec(e.mat, v) == v for v in support)
+            or all(mat_vec(e.mat, v).is_zero() for v in support))
 
 
 def is_trivial_for_set(lp: LocalPVM, s: StateSet) -> bool:

@@ -773,10 +773,10 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     """Orthogonality-preserving PVMs on the group that are nontrivial for
     the set, assembled on the solver's working coordinates from a
     projector pool (exact rank-1 directions, family representatives
-    included, and diagonal subsets); any orthogonal partial family
-    completes with its (automatically orthogonality-preserving)
-    complement. On a compressed support each PVM is lifted to the whole
-    group space, with the off-support complement as one more outcome.
+    included, and diagonal subsets), each element judged nontrivial and
+    re-verified once; any orthogonal partial family completes with its
+    complement. On a compressed support each kept PVM is lifted to the
+    whole group space, with the off-support complement as one more outcome.
 
     Completeness is relative to the pool: PVMs whose rank-1 elements are
     solver directions and whose higher-rank elements are diagonal
@@ -815,44 +815,50 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
             pool.append(p)
 
     ranks = [p.rank() for p in pool]
+    # a scalar (0 or 1) on the support preserves orthogonality; orthogonal
+    # scalars hold at most one 1, so their completion and the off-support
+    # outcome are scalars too: a PVM is nontrivial iff a pool element in it is
+    on_coords = [Vec([u.entries[a] for a in coords]) for u in support]
+    nontrivial = [not acts_as_scalar_on(p, on_coords) for p in pool]
     # assembled PVMs in emit order, keyed by their element matrices
-    assemblies: dict[frozenset, PVM] = {}
+    assemblies: dict[frozenset, tuple[PVM, list[int]]] = {}
 
-    def emit(pvm: PVM):
-        assemblies.setdefault(frozenset(e.mat.entries for e in pvm), pvm)
+    def emit(chosen: list[int]):
+        pvm = PVM.completed([pool[i] for i in chosen], k)
+        assemblies.setdefault(frozenset(e.mat.entries for e in pvm),
+                              (pvm, chosen))
 
     # two-outcome completions first, so every pool element is represented
     # even when the deeper search hits its budget
-    for p in pool:
-        emit(PVM.completed([p], k))
+    for i in range(len(pool)):
+        emit([i])
 
-    def extend(chosen: list[Projector], total_rank: int, start: int):
+    def extend(chosen: list[int], total_rank: int, start: int):
         if len(assemblies) >= max_pvms:
             return
         # the completion adds an element exactly when the rank falls short
         if chosen and len(chosen) + (total_rank < k) <= cap:
-            emit(PVM.completed(chosen, k))
+            emit(chosen)
         if len(chosen) >= cap:
             return
         for i in range(start, len(pool)):
-            p = pool[i]
             if total_rank + ranks[i] > k:
                 continue
-            if all(p.orthogonal_to(q) for q in chosen):
-                extend(chosen + [p], total_rank + ranks[i], i + 1)
+            if all(pool[i].orthogonal_to(pool[j]) for j in chosen):
+                extend(chosen + [i], total_rank + ranks[i], i + 1)
 
     extend([], 0, 0)
 
-    # is_trivial_for_set, on the support built above; every assembly holds
-    # a pool element, which is neither 0 nor 1, so none is a trivial PVM
+    # only kept PVMs are lifted. A PVM preserves orthogonality exactly when
+    # each element does, so each nontrivial pool element is re-verified
+    # once, with its complement, in the two-outcome PVM that holds it
     kept = []
-    for pvm in assemblies.values():
-        lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
-        if all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
-            continue
-        if not preserves_orthogonality(s, lp):
-            raise AssertionError("assembled PVM failed re-verification")
-        kept.append((pvm, lp))
+    for pvm, chosen in assemblies.values():
+        if any(nontrivial[i] for i in chosen):
+            lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
+            if len(chosen) == 1 and not preserves_orthogonality(s, lp):
+                raise AssertionError("pool element failed re-verification")
+            kept.append((pvm, lp))
     # order by outcome count, then by the sorted element matrices
     keys = iter(sort_keys([e.mat for pvm, _ in kept for e in pvm.elements]))
     keyed = [((len(pvm), tuple(sorted(next(keys) for _ in pvm.elements))), lp)

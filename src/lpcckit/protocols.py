@@ -476,11 +476,9 @@ def _order_candidates(s: StateSet, candidates: list[LocalPVM]) -> list[LocalPVM]
     """Most informative first: fewest total survivals across outcomes,
     then fewer outcomes; deterministic tiebreak on the PVM itself."""
     keys = iter(sort_keys([e.mat for lp in candidates for e in lp.pvm.elements]))
-    keyed = []
-    for lp in candidates:
-        keyed.append((branch_survivals(s, lp), len(lp.pvm),
-                      tuple(row for _ in lp.pvm.elements for row in next(keys)),
-                      lp))
+    keyed = [(n, len(lp.pvm),
+              tuple(row for _ in lp.pvm.elements for row in next(keys)), lp)
+             for lp, n in zip(candidates, branch_survivals(s, candidates))]
     keyed.sort(key=lambda t: t[:3])
     return [t[3] for t in keyed]
 

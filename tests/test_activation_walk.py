@@ -303,13 +303,27 @@ def test_undecided_source_is_one_search_per_partition(monkeypatch):
         return lpcc_search(s, p, depth=depth)
 
     monkeypatch.setattr(activation, "lpcc_search", spy_search)
-    monkeypatch.setattr(activation, "verify_activation",
-                        lambda *a, **k: walked.append(a))
+    monkeypatch.setattr(activation, "_walk", lambda *a, **k: walked.append(a))
     got = is_m_activable(build_named_set("S2"), 2, depth=0)
     assert (got.status, got.exact) == ("unknown", False)
     partitions = [p.blocks for p in iter_m_partitions(3, 2)]
     assert searched == [((0,), (1,), (2,))] + partitions
     assert walked == []
+
+
+def test_enumerated_candidates_are_walked_without_refusal_checks(monkeypatch):
+    # classify hands the walk only candidates from enumerate_op_pvms, which
+    # are nontrivial, preserving, in one block and on an orthogonal source
+    def refused(*args):
+        raise AssertionError("a refusal check ran")
+
+    clear_caches()
+    for name in ("is_trivial_for_set", "preserves_orthogonality",
+                 "check_mutual_orthogonality"):
+        monkeypatch.setattr(activation, name, refused)
+    got = classify(build_named_set("S2"), joint_pairs=[(1, 2)])
+    assert got.klass == "TYPE-II" and got.witness.asserted
+    clear_caches()
 
 
 def test_search_verdict_does_not_depend_on_call_history():

@@ -170,7 +170,7 @@ def assert_same(s: StateSet, lp: LocalPVM, tally: Tally) -> None:
     new = apply(s, lp)
     assert _branches(new) == _branches(ref_apply(s, lp))
     tally.killed += sum(len(b.annihilated) for b in new.values())
-    assert branch_survivals(s, lp) == ref_branch_survivals(s, lp)
+    assert branch_survivals(s, [lp]) == [ref_branch_survivals(s, lp)]
     verdict = preserves_orthogonality(s, lp)
     assert verdict == ref_preserves_orthogonality(s, lp)
     tally.op.add(verdict.ok)

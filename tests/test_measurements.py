@@ -200,7 +200,7 @@ def test_apply_matches_dense_reference(s1, s2, union_s, name, group, text):
         survivors, killed = want[outcome]
         assert br.annihilated == killed
         assert (list(br.states.states) if br.states else []) == survivors
-    assert branch_survivals(s, lp) == sum(len(v[0]) for v in want.values())
+    assert branch_survivals(s, [lp]) == [sum(len(v[0]) for v in want.values())]
 
 
 def test_branch_survivals_counts_apply_survivors(domino, s1, s2):
@@ -213,7 +213,7 @@ def test_branch_survivals_counts_apply_survivors(domino, s1, s2):
                 for lp in enumerate_op_pvms(s, group):
                     want = sum(len(br.states) for br in apply(s, lp).values()
                                if br.states)
-                    assert branch_survivals(s, lp) == want
+                    assert branch_survivals(s, [lp]) == [want]
                     checked[s.provenance] = checked.get(s.provenance, 0) + 1
     assert len(checked) == 2
 

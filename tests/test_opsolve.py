@@ -17,7 +17,8 @@ from lpcckit.generators import (planted_direction_set, random_orthogonal_set,
                                 random_product_set)
 from lpcckit.indexing import GroupIndexer
 from lpcckit.kets import parse_pvm
-from lpcckit.measurements import (LocalPVM, PVM, Projector, apply, complement,
+from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
+                                  branch_survivals, complement,
                                   preserves_orthogonality)
 from lpcckit import activation, opsolve
 from lpcckit.opsolve import (clear_caches, constraint_matrices,
@@ -1090,3 +1091,174 @@ def test_dedupe_keeps_real_lines_that_differ_by_a_phase():
     kept = opsolve._dedupe_families([a, b])
     assert kept == [a, b]
     assert [f.contains(Vec([1, i])) for f in kept] == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# per-element decisions against the assembly-and-filter reference
+
+def _assembled_reference(s, group, max_outcomes=None, *, max_pvms=64):
+    """Reference: the enumeration that lifted, filtered and re-verified
+    every assembly (kept verbatim apart from the store, which it skips)."""
+    from lpcckit.exact import sort_keys
+    from lpcckit.indexing import total_dim
+    from lpcckit.measurements import acts_as_scalar_on
+    from lpcckit.opsolve import _by_size, _diagonal_subsets, _lift_pvm
+    from lpcckit.statesets import require_orthogonal
+    group = tuple(group)
+    require_orthogonal(s)
+    cmats = constraint_matrices(s, group)
+    report = rank1_op_directions(s, group, _cmats=cmats)
+    support, support_rank, coords = group_support(s, group)
+    k = len(coords)
+    d = total_dim([s.spec.dims[p] for p in group])
+    if max_outcomes is not None and max_outcomes < 2:
+        raise ValueError("max_outcomes must be at least 2")
+    if support_rank < 2:
+        return ()                   # a one-dimensional support is inert
+    cap = max_outcomes if max_outcomes is not None else k
+
+    # every candidate lies in L already: solver rays were re-verified,
+    # family members solve every pair form, diagonals are points of L
+    at = {a: i for i, a in enumerate(coords)}
+    candidates = [Projector.from_ray(Vec([theta.entries[a] for a in coords]))
+                  for theta in report.nontrivial_directions()]
+    diagonals = sorted(_diagonal_subsets(cmats, support, d), key=_by_size)
+    candidates += [Projector.diagonal([at[a] for a in sub], k) for sub in diagonals]
+    pool: list[Projector] = []
+    pooled: set = set()
+    for p in candidates:
+        if not (p.is_zero() or p.is_identity() or p.mat.entries in pooled):
+            pooled.add(p.mat.entries)
+            pool.append(p)
+
+    ranks = [p.rank() for p in pool]
+    # assembled PVMs in emit order, keyed by their element matrices
+    assemblies: dict[frozenset, PVM] = {}
+
+    def emit(pvm: PVM):
+        assemblies.setdefault(frozenset(e.mat.entries for e in pvm), pvm)
+
+    # two-outcome completions first, so every pool element is represented
+    # even when the deeper search hits its budget
+    for p in pool:
+        emit(PVM.completed([p], k))
+
+    def extend(chosen: list[Projector], total_rank: int, start: int):
+        if len(assemblies) >= max_pvms:
+            return
+        # the completion adds an element exactly when the rank falls short
+        if chosen and len(chosen) + (total_rank < k) <= cap:
+            emit(PVM.completed(chosen, k))
+        if len(chosen) >= cap:
+            return
+        for i in range(start, len(pool)):
+            p = pool[i]
+            if total_rank + ranks[i] > k:
+                continue
+            if all(p.orthogonal_to(q) for q in chosen):
+                extend(chosen + [p], total_rank + ranks[i], i + 1)
+
+    extend([], 0, 0)
+
+    # is_trivial_for_set, on the support built above; every assembly holds
+    # a pool element, which is neither 0 nor 1, so none is a trivial PVM
+    kept = []
+    for pvm in assemblies.values():
+        lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
+        if all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
+            continue
+        if not preserves_orthogonality(s, lp):
+            raise AssertionError("assembled PVM failed re-verification")
+        kept.append((pvm, lp))
+    # order by outcome count, then by the sorted element matrices
+    keys = iter(sort_keys([e.mat for pvm, _ in kept for e in pvm.elements]))
+    keyed = [((len(pvm), tuple(sorted(next(keys) for _ in pvm.elements))), lp)
+             for pvm, lp in kept]
+    keyed.sort(key=lambda t: t[0])
+    return tuple(lp for _, lp in keyed)
+
+
+def _per_pvm_survivals(s, lp):
+    """Reference: the survivor count of one PVM, every element counted
+    (kept verbatim)."""
+    from lpcckit.indexing import indexer
+    from lpcckit.measurements import _image, _int_rows
+    lp.validate(s.spec)
+    idx = indexer(s.spec.dims, lp.group)
+    _, mats = _int_rows(lp)
+    slices = [idx.int_slices(v)[1] for v in s.vectors()]
+    return sum(1 for rows in mats for sl in slices
+               if any(_image(rows, u) for u in sl.values()))
+
+
+def _element_inputs(s1, s2, domino, union_s):
+    """(set, group) for the differential: each party of the three branch
+    sets of theorem 5's coarse measurement on UnionS (the groups the
+    replay enumerates; a pair there is 64-dimensional), every proper group
+    of Domino, S1, S2 and 20 seeded random product sets, and the compressed
+    groups of the compressed branch sets."""
+    coarse = LocalPVM(parse_pvm("0,1,2;3,4,5;6,7", [8]), (0,))
+    for _, br in sorted(apply(union_s, coarse).items()):
+        for party in range(3):
+            yield br.states, (party,)
+    sets = [_set_3x2()]
+    for s, group, text in ((s1, (1,), "0;1"), (s2, (2,), "2;0,1"),
+                           (s2, (2,), "0-1;0+1,2"), (s2, (2,), "0+1;0-1,2")):
+        lp = LocalPVM(parse_pvm(text, [s.spec.dims[p] for p in group]), group)
+        sets += [br.states for _, br in sorted(apply(s, lp).items())
+                 if br.states is not None]
+    for s in (domino, s1, s2, *_random_compressed_sets()):
+        n = s.spec.n_parties
+        for size in range(1, n):
+            for group in itertools.combinations(range(n), size):
+                yield s, group
+    for s in sets:
+        for group in _compressed_groups(s):
+            yield s, group
+
+
+def _outcome(fn, s, group, kwargs):
+    """Every PVM's group and element matrices, in order; or the error."""
+    try:
+        pvms = fn(s, group, **kwargs)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(lp.group, [e.mat.entries for e in lp.pvm.elements]) for lp in pvms]
+
+
+def test_element_decisions_match_assembly_reference(s1, s2, domino, union_s):
+    variants = ({}, {"max_outcomes": 2}, {"max_outcomes": 3},
+                {"max_pvms": 8}, {"max_pvms": 32})
+    clear_caches()
+    cases = capped = counted = 0
+    for s, group in _element_inputs(s1, s2, domino, union_s):
+        cases += 1
+        for kwargs in variants:
+            want = _outcome(_assembled_reference, s, group, kwargs)
+            assert _outcome(enumerate_op_pvms, s, group, kwargs) == want, \
+                (s.provenance, group, kwargs)
+            if isinstance(want, tuple):
+                continue
+            pvms = enumerate_op_pvms(s, group, **kwargs)
+            assert branch_survivals(s, pvms) == [_per_pvm_survivals(s, lp)
+                                                 for lp in pvms]
+            counted += len(pvms)
+            capped += not kwargs and len(pvms) >= 64
+    clear_caches()
+    # the cap binds on 9 groups, S1 AC among them (73 PVMs)
+    assert (cases, capped, counted) == (97, 9, 5831)
+
+
+def test_each_pool_element_is_reverified_at_most_once(monkeypatch, s2):
+    # S2 BC's pool holds 42 elements, 21 complementary pairs; the 64
+    # assemblies used to be re-verified one by one
+    clear_caches()
+    rank1_op_directions(s2, (1, 2))
+    checked = []
+    real = opsolve.preserves_orthogonality
+    monkeypatch.setattr(opsolve, "preserves_orthogonality",
+                        lambda s, lp: checked.append(lp) or real(s, lp))
+    assert len(enumerate_op_pvms(s2, (1, 2))) == 64
+    assert 0 < len(checked) <= 42
+    assert all(len(lp.pvm) == 2 for lp in checked)
+    clear_caches()
