@@ -29,9 +29,6 @@ from .statesets import (Partition, StateSet, build_named_set,
                         is_locally_redundant, merge_parties,
                         require_orthogonal, separability_degree)
 
-# first rounds classify tries on each block, most promising first
-MAX_FIRST_ROUNDS = 24
-
 
 # ---------------------------------------------------------------------------
 # domino recognition
@@ -376,13 +373,11 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                              f"{len(group_support(s, block)[2])} beyond "
                              f"enumeration bound")
                 continue
-            for lp in _activation_order(s, candidates)[:MAX_FIRST_ROUNDS]:
+            for lp in _activation_order(s, candidates):
                 report = _walk(s, lp, part, assume, fail_fast=True)
                 if report.asserted:
                     trace.append(f"{prefix}{name} activates")
                     return LocalityClass(klass, witness=report, trace=tuple(trace))
-            if len(candidates) > MAX_FIRST_ROUNDS:
-                exhaustive = False
         trace.append(f"no {kind} activates"
                      + ("" if exhaustive else " (bounded search)"))
     return LocalityClass("strong-local-evidence", exact=False, trace=tuple(trace))

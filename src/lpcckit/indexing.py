@@ -9,11 +9,11 @@ keeps one per (dims, group). States are sparse, so `int_slices` maps a
 state's one sparse read, `Vec.int_read`, through the inverse table
 `where` into the slices it touches, as Gaussian-integer numerators over
 one denominator per state. Measurement application, the orthogonality-
-preservation test and `factor` run on those integers; `nonzero_slices`
-is the `Vec` view of the same read for the readers that need `Scalar`s
-(the solver's constraint matrices, support vectors, redundancy, the
-protocols' first-slice reads and `apply_operator`). Moving digits into
-other local spaces is the one `relabel_digits`.
+preservation test, the solver's pair forms and `factor` run on those
+integers; `nonzero_slices` is the `Vec` view of the same read for the
+readers that need `Scalar`s (support vectors, redundancy, the protocols'
+first-slice reads and `apply_operator`). Moving digits into other local
+spaces is the one `relabel_digits`.
 """
 
 from __future__ import annotations

@@ -146,8 +146,13 @@ class PVM:
         elements, plus 1 minus their sum when that is nonzero. It sums to 1
         by construction, so `__init__`'s re-sum is skipped."""
         comp = complement(elements, dim)
+        return PVM._trusted(elements if comp.is_zero() else (*elements, comp), dim)
+
+    @staticmethod
+    def _trusted(elements: Sequence[Projector], dim: int) -> "PVM":
+        """The PVM of projectors already known to sum to 1, unchecked."""
         pvm = object.__new__(PVM)
-        pvm.elements = tuple(elements) if comp.is_zero() else (*elements, comp)
+        pvm.elements = tuple(elements)
         pvm.dim = dim
         return pvm
 
@@ -347,18 +352,20 @@ def branch_survivals(s: StateSet, candidates: Sequence[LocalPVM]) -> list[int]:
     """How many (outcome, state) pairs each candidate leaves nonzero:
     `apply`'s survivors, counted on integers without building the branches.
     A state survives an element whatever PVM holds it, so each distinct
-    (group, element) is counted once per call, up to each state's first
-    nonzero image, and a candidate's count is the sum over its elements."""
+    (group, element object) is counted once per call, up to each state's
+    first nonzero image, and a candidate's count is the sum over its
+    elements. The candidates hold their elements for the whole call, so
+    an element's id is a key that hashes no matrix."""
     counts: dict[tuple, int] = {}
     for lp in candidates:
         lp.validate(s.spec)
         idx = indexer(s.spec.dims, lp.group)
         slices = [idx.int_slices(v)[1] for v in s.vectors()]
         for e, rows in zip(lp.pvm.elements, _int_rows(lp)[1]):
-            if (lp.group, e.mat.entries) not in counts:
-                counts[lp.group, e.mat.entries] = sum(
+            if (lp.group, id(e)) not in counts:
+                counts[lp.group, id(e)] = sum(
                     1 for sl in slices if any(_image(rows, u) for u in sl.values()))
-    return [sum(counts[lp.group, e.mat.entries] for e in lp.pvm.elements)
+    return [sum(counts[lp.group, id(e)] for e in lp.pvm.elements)
             for lp in candidates]
 
 

@@ -23,11 +23,13 @@ support is closed without one (`_live_patterns`). A nonexistence
 certificate is emitted only when every pattern is closed, by L or by a
 contradiction.
 
-The pair matrices restricted to an open pattern are filtered once,
-before its case split: zero ones and later copies of equal ones are
-dropped. The pattern engine and the live-pattern walk run on integer
-rows, and each reduced form is a positive multiple of N C N^dagger over
-the nullspace basis N of the linear constraints so far (`_reduced_form`).
+Each pair form C_ij is held one way, as Gaussian-integer rows built
+straight from the states' `int_slices` over one denominator per group
+(`_pair_rows`). Restricted to an open pattern they are filtered once,
+before its case split: zero forms and later copies of equal ones are
+dropped. The pattern engine and the live-pattern walk run on these rows,
+and each reduced form is a positive multiple of N C N^dagger over the
+nullspace basis N of the linear constraints so far (`_reduced_form`).
 """
 
 from __future__ import annotations
@@ -54,37 +56,34 @@ from .statesets import Partition, StateSet, group_support, require_orthogonal
 MAX_EXACT_DIM = 9
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    group: tuple[int, ...]
-    pair: tuple[int, int]
-    mat: Mat
-
-
-def constraint_matrices(s: StateSet, group: Sequence[int]) -> list[ConstraintMatrix]:
-    """One matrix per unordered state pair; exact entries."""
+def _pair_rows(s: StateSet, group: Sequence[int]) -> list[tuple]:
+    """Each unordered pair's form C_ij, in (i, j) order, as its nonzero
+    rows (a, ((b, re, im), ...)) in ascending a and b: the Gaussian-integer
+    numerators over lcm(F_i)^2, one denominator for the whole group, so
+    equal rows mean equal forms. Each state's `int_slices` is read once."""
     idx = indexer(s.spec.dims, group)
-    slices = [idx.nonzero_slices(v) for v in s.vectors()]
-    d = idx.group_dim
+    reads = [idx.int_slices(v) for v in s.vectors()]
+    den = lcm(*(f for f, _ in reads))
+    slices = [{r: [(g, a * (den // f), b * (den // f)) for g, a, b in u]
+               for r, u in sl.items()} for f, sl in reads]
     out = []
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            rows = [[ZERO] * d for _ in range(d)]
-            sj = slices[j]
-            for r, ui in slices[i].items():
+    for i, si in enumerate(slices):
+        for sj in slices[i + 1:]:
+            acc: dict[int, dict[int, tuple[int, int]]] = {}
+            for r, ui in si.items():
                 uj = sj.get(r)
                 if uj is None:
                     continue
-                for a in range(d):
-                    ca = ui.entries[a].conj()
-                    if ca.is_zero():
-                        continue
-                    row = rows[a]
-                    for b in range(d):
-                        if not uj.entries[b].is_zero():
-                            row[b] = row[b] + ca * uj.entries[b]
-            out.append(ConstraintMatrix(tuple(group), (i, j),
-                                        _wrap(Mat, tuple(map(tuple, rows)))))
+                for a, x, y in ui:
+                    row = acc.setdefault(a, {})
+                    for b, p, q in uj:
+                        # conj(x + yi) * (p + qi)
+                        re, im = row.get(b, (0, 0))
+                        row[b] = (re + x * p + y * q, im + x * q - y * p)
+            out.append(tuple(
+                (a, nz) for a, row in sorted(acc.items())
+                if (nz := tuple((b, re, im) for b, (re, im) in sorted(row.items())
+                                if re or im))))
     return out
 
 
@@ -223,15 +222,6 @@ class SolutionReport:
 # ---------------------------------------------------------------------------
 # pattern engine
 
-def _int_rows(mats: Sequence[Mat]) -> list[tuple]:
-    """Each matrix's nonzero rows as (a, ((b, re, im), ...)) over its
-    nonzero entries: the integer numerators of `sort_keys`, over one
-    denominator shared by all of them, so equal rows mean equal matrices."""
-    return [tuple((a, nz) for a, row in enumerate(key)
-                  if (nz := tuple((b, x, y) for b, (x, y) in enumerate(row) if x or y)))
-            for key in sort_keys(mats)]
-
-
 def _restricted(c: tuple, at: dict) -> tuple:
     """The integer rows c restricted to the coordinates in at, renumbered."""
     return tuple((at[a], nz) for a, row in c if a in at
@@ -287,9 +277,10 @@ def _reduced_form(c: tuple, nums: list[dict]) -> tuple[list[int], list[int]]:
 
 
 def _recurse(cmats: list[tuple], k: int, lin_rows: list[list[Scalar]]) -> list[tuple]:
-    """Solve one support pattern: cmats are the pair matrices restricted
-    to the pattern's k coordinates, as `_int_rows`. Returns (tag, payload)
-    outcomes with tag in contradiction/solution/family/unresolved.
+    """Solve one support pattern: cmats are the pair forms' integer rows
+    (as `_pair_rows`) restricted to the pattern's k coordinates. Returns
+    (tag, payload) outcomes with tag in
+    contradiction/solution/family/unresolved.
 
     Each reduced form is a positive multiple of N C N^dagger, and every
     constraint drawn from it is homogeneous: its rows go into an RREF, the
@@ -526,8 +517,7 @@ def clear_caches() -> None:
     _RESULTS.clear()
 
 
-def rank1_op_directions(s: StateSet, group: Sequence[int], *,
-                        _cmats: list[ConstraintMatrix] | None = None) -> SolutionReport:
+def rank1_op_directions(s: StateSet, group: Sequence[int]) -> SolutionReport:
     """All rank-1 directions theta (up to phase/scale) with
     F_ij(theta) = 0 for every pair, via exact support-pattern case split.
 
@@ -545,12 +535,10 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
     if hit is not None:
         return hit
     require_orthogonal(s)
-    cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
     d = total_dim([s.spec.dims[p] for p in group])
     coords = group_support(s, group)[2]
     k = len(coords)
     trace = [f"support compression to coordinates {coords}"] if k < d else []
-    cm_small = [_restrict(c.mat, coords) for c in cmats]
 
     if k > MAX_EXACT_DIM:
         trace.append(
@@ -559,17 +547,19 @@ def rank1_op_directions(s: StateSet, group: Sequence[int], *,
             {"reason": "dimension-bound", "effective_dim": k,
              "bound": MAX_EXACT_DIM}),), trace=tuple(trace))
 
+    # zero pair forms add nothing, and a copy of an earlier one adds only
+    # rows that every later step meets after the first copy's
+    at = {a: j for j, a in enumerate(coords)}
+    forms = list(dict.fromkeys(filter(None, (_restricted(c, at)
+                                             for c in _pair_rows(s, group)))))
     solutions, families, unresolved = [], [], []
     seen: set = set()
-    live = _live_patterns(cm_small, k)
-    cm_int = _int_rows(cm_small)
+    live = _live_patterns(forms, k)
     for pattern in _support_patterns(k):
         if pattern not in live:
             continue
-        # zero pair matrices add nothing, and a copy of an earlier one adds
-        # only rows that every later step meets after the first copy's
         at = {a: j for j, a in enumerate(pattern)}
-        sub = dict.fromkeys(filter(None, (_restricted(c, at) for c in cm_int)))
+        sub = dict.fromkeys(filter(None, (_restricted(c, at) for c in forms)))
         on_group = tuple(coords[a] for a in pattern)
         for tag, payload in _recurse(list(sub), len(pattern), []):
             if tag == "contradiction":
@@ -611,15 +601,16 @@ def _support_patterns(k: int):
         yield from itertools.combinations(range(k), size)
 
 
-def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
+def _live_patterns(forms: list[tuple], k: int) -> set[tuple[int, ...]]:
     """The support patterns that the operator space L leaves open.
 
     L holds the k x k operators E with sum E[a][b] C[a][b] = 0 and
-    sum E[a][b] conj(C[b][a]) = 0 for every pair matrix C; over C it is
-    spanned by the Hermitian operators that preserve orthogonality. A
-    rank-1 solution theta with support exactly P puts theta theta^dagger
-    in L_P, the part of L vanishing outside P x P, with a nonzero diagonal
-    on all of P, and so does the generic member of any family on P. So P
+    sum E[a][b] conj(C[b][a]) = 0 for every pair form C (integer rows, as
+    `_pair_rows`); over C it is spanned by the Hermitian operators that
+    preserve orthogonality. A rank-1 solution theta with support exactly P
+    puts theta theta^dagger in L_P, the part of L vanishing outside P x P,
+    with a nonzero diagonal on all of P, and so does the generic member of
+    any family on P. So P
     can hold a solution only if each of its coordinates has a nonzero
     diagonal in some basis element of L_P. Patterns are walked depth first
     from the full set, removing coordinates in increasing order; since L_Q
@@ -628,7 +619,7 @@ def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
     """
     cells = [(a, b) for a in range(k) for b in range(k)]
     space = [{i: (x, y) for i, x, y in v.int_read()[1]}
-             for v in _operator_space(cmats, cells)]
+             for v in _operator_space(forms, cells)]
     live: set[tuple[int, ...]] = set()
 
     def walk(pattern: tuple[int, ...], space: list, start: int) -> None:
@@ -646,18 +637,21 @@ def _live_patterns(cmats: list[Mat], k: int) -> set[tuple[int, ...]]:
     return live
 
 
-def _operator_space(cmats: list[Mat], cells: Sequence[tuple[int, int]]
+def _operator_space(forms: list[tuple], cells: Sequence[tuple[int, int]]
                     ) -> list[Vec]:
     """Basis of L on the unknowns E[a][b], (a, b) in cells, with every
     other entry of E held at zero: sum E[a][b] C[a][b] = 0 and
-    sum E[a][b] conj(C[b][a]) = 0 for each pair matrix C."""
+    sum E[a][b] conj(C[b][a]) = 0 for each pair form C, whose integer
+    rows (as `_pair_rows`) share one denominator, which drops out."""
     rows = []
-    for c in cmats:
-        e = c.entries
-        for row in ([e[a][b] for a, b in cells],
-                    [e[b][a].conj() for a, b in cells]):
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
+    for c in forms:
+        e = {(a, b): (x, y) for a, row in c for b, x, y in row}
+        fwd = [e.get(cell) for cell in cells]
+        back = [e.get((b, a)) for a, b in cells]
+        if any(fwd):
+            rows.append([ZERO if z is None else Scalar(*z) for z in fwd])
+        if any(back):
+            rows.append([ZERO if z is None else Scalar(z[0], -z[1]) for z in back])
     return nullspace(Mat(rows or [[ZERO] * len(cells)]))
 
 
@@ -680,11 +674,6 @@ def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
                 acc[t] = (u + a * x - b * y, v + a * y + b * x)
         out.append({t: z for t, z in acc.items() if z != (0, 0)})
     return out
-
-
-def _restrict(c: Mat, coords: Sequence[int]) -> Mat:
-    return _wrap(Mat, tuple(tuple(c.entries[a][b] for b in coords)
-                            for a in coords))
 
 
 def _lift(v: Vec, coords: Sequence[int], dim: int) -> Vec:
@@ -734,26 +723,23 @@ def diagonal_op_subsets(s: StateSet, group: Sequence[int]) -> list[tuple[int, ..
     Indices off the joint support never change preservation or the action
     on the set, so only occupied indices are considered.
     """
-    group = tuple(group)
-    return sorted(_diagonal_subsets(constraint_matrices(s, group),
-                                    group_support(s, group)[0],
-                                    total_dim([s.spec.dims[p] for p in group])),
-                  key=_by_size)
+    return sorted(_diagonal_subsets(s, tuple(group)), key=_by_size)
 
 
 def _by_size(sub: tuple[int, ...]) -> tuple:
     return len(sub), sub
 
 
-def _diagonal_subsets(cmats: list[ConstraintMatrix], support: list[Vec],
-                      group_dim: int) -> Iterator[tuple[int, ...]]:
+def _diagonal_subsets(s: StateSet, group: tuple[int, ...]
+                      ) -> Iterator[tuple[int, ...]]:
     """The 0/1 points of L restricted to diagonal operators on the
     occupied indices, yielded lazily in walk order. Its equations come in
     conjugate pairs, so its reduced basis is rational, and each basis
     vector is 1 at its own free unknown and 0 at the others: every 0/1
     point is the sum of the basis vectors whose free unknown it sets to 1."""
-    occupied = sorted({a for u in support for a in u.support()})
-    basis = _operator_space([c.mat for c in cmats], [(a, a) for a in occupied])
+    group_dim = total_dim([s.spec.dims[p] for p in group])
+    occupied = sorted({a for u in group_support(s, group)[0] for a in u.support()})
+    basis = _operator_space(_pair_rows(s, group), [(a, a) for a in occupied])
 
     def walk(i: int, x: Vec) -> Iterator[tuple[int, ...]]:
         if i < len(basis):
@@ -789,8 +775,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     if hit is not None:
         return hit
     require_orthogonal(s)
-    cmats = constraint_matrices(s, group)
-    report = rank1_op_directions(s, group, _cmats=cmats)
+    report = rank1_op_directions(s, group)
     support, support_rank, coords = group_support(s, group)
     k = len(coords)
     d = total_dim([s.spec.dims[p] for p in group])
@@ -805,7 +790,7 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     at = {a: i for i, a in enumerate(coords)}
     candidates = [Projector.from_ray(Vec([theta.entries[a] for a in coords]))
                   for theta in report.nontrivial_directions()]
-    diagonals = sorted(_diagonal_subsets(cmats, support, d), key=_by_size)
+    diagonals = sorted(_diagonal_subsets(s, group), key=_by_size)
     candidates += [Projector.diagonal([at[a] for a in sub], k) for sub in diagonals]
     pool: list[Projector] = []
     pooled: set = set()
@@ -849,13 +834,16 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
 
     extend([], 0, 0)
 
-    # only kept PVMs are lifted. A PVM preserves orthogonality exactly when
-    # each element does, so each nontrivial pool element is re-verified
-    # once, with its complement, in the two-outcome PVM that holds it
+    # only kept PVMs are lifted, each with the one off-support outcome. A
+    # PVM preserves orthogonality exactly when each element does, so each
+    # nontrivial pool element is re-verified once, with its complement, in
+    # the two-outcome PVM that holds it
+    off = (Projector.diagonal([a for a in range(d) if a not in at], d)
+           if k < d else None)
     kept = []
     for pvm, chosen in assemblies.values():
         if any(nontrivial[i] for i in chosen):
-            lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
+            lp = LocalPVM(_lift_pvm(pvm, coords, off), group)
             if len(chosen) == 1 and not preserves_orthogonality(s, lp):
                 raise AssertionError("pool element failed re-verification")
             kept.append((pvm, lp))
@@ -867,12 +855,14 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     return _cache_put(cache_key, tuple(lp for _, lp in keyed))
 
 
-def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
+def _lift_pvm(pvm: PVM, coords: tuple[int, ...], off: Projector | None) -> PVM:
     """Scatter a PVM on the working coordinates to the whole group space;
-    off a compressed support, the complement is one more (all-
-    annihilating) outcome."""
-    if len(coords) == d:
+    off a compressed support, off (the projector onto the other
+    coordinates) is one more (all-annihilating) outcome. The scattered
+    elements sum to the projector onto coords, so nothing is re-summed."""
+    if off is None:
         return pvm
+    d = off.dim
     lifted: list[Projector] = []
     for e in pvm.elements:
         rows = [[ZERO] * d for _ in range(d)]
@@ -881,7 +871,7 @@ def _lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
                 rows[a][b] = e.mat.entries[i][j]
         lifted.append(Projector(_wrap(Mat, tuple(map(tuple, rows))),
                                 _validated=True))
-    return PVM.completed(lifted, d)
+    return PVM._trusted((*lifted, off), d)
 
 
 @dataclass(frozen=True)
@@ -934,15 +924,14 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
                 f"eliminate or distinguish")
             continue
         # cheap witnesses first: the diagonal points of L
-        cmats = constraint_matrices(s, block)
         witness_p = None
-        for sub in _diagonal_subsets(cmats, support, d):
+        for sub in _diagonal_subsets(s, block):
             cand = Projector.diagonal(sub, d)
             if not acts_as_scalar_on(cand, support):
                 witness_p = cand
                 break
         if witness_p is None:
-            report = rank1_op_directions(s, block, _cmats=cmats)
+            report = rank1_op_directions(s, block)
             if report.unresolved:
                 status = "unknown"
                 trace.append(f"block {block}: solver could not close "

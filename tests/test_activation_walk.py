@@ -1,8 +1,10 @@
 """One activation walk: classify and is_m_activable against the
 previous implementation, kept below as the reference with its logic
 verbatim (it ran its own branch walk and its own candidate gathering; the
-supplied-candidate table it read is always empty here, and its bounds are
-the module constants), and the sets on which the previous one raised."""
+supplied-candidate table it read is always empty here, its bounds are the
+module constants, and it keeps its own cap of 24 first rounds per block,
+which classify no longer has), and the sets on which the previous one
+raised."""
 
 import itertools
 import json
@@ -18,11 +20,10 @@ import pytest
 
 import lpcckit
 from lpcckit import activation
-from lpcckit.activation import (MAX_FIRST_ROUNDS, ActivationError,
-                                LocalityClass, MActivabilityVerdict,
-                                _activation_order, _cached_redundancy,
-                                _structural_strong_local, classify,
-                                is_m_activable, iter_m_partitions,
+from lpcckit.activation import (ActivationError, LocalityClass,
+                                MActivabilityVerdict, _activation_order,
+                                _cached_redundancy, _structural_strong_local,
+                                classify, is_m_activable, iter_m_partitions,
                                 verify_activation)
 from lpcckit.cli import main
 from lpcckit.exact import Vec, tensor
@@ -39,33 +40,40 @@ from lpcckit.statesets import (Partition, PartySpec, StateSet,
 # ---------------------------------------------------------------------------
 # reference: the previous classify and is_m_activable
 
+# first rounds the reference classify tried on each block, most promising first
+MAX_FIRST_ROUNDS = 24
+
+
 def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
-                 depth: int = 3) -> LocalityClass:
+                 depth: int = 3) -> tuple[LocalityClass, bool]:
     """Place a set on the locality line: already indistinguishable, a
     single party can hide the information (TYPE-I), only a joint pair can
     (TYPE-II), or no activation was found (strong-local evidence; labeled
-    exact only for the structurally recognized theorem cases)."""
+    exact only for the structurally recognized theorem cases). Returned
+    with whether the cap of MAX_FIRST_ROUNDS bit on some block."""
     n = s.spec.n_parties
     trace: list[str] = []
+    capped = False
 
     if len(s) <= 2:
         return LocalityClass(
             "strong-local-evidence", exact=True,
             trace=["at most two orthogonal states: distinguishable in every "
-                   "partition, activation impossible"])
+                   "partition, activation impossible"]), capped
     structural = _structural_strong_local(s)
     if structural:
         return LocalityClass("strong-local-evidence", exact=True,
-                             trace=[structural])
+                             trace=[structural]), capped
 
     singles = Partition.trivial(n)
     verdict = lpcc_search(s, singles, depth=depth)
     if verdict.status == "indistinguishable":
-        return LocalityClass("indistinguishable-already",
-                             trace=["set is already locally indistinguishable"])
+        return LocalityClass(
+            "indistinguishable-already",
+            trace=["set is already locally indistinguishable"]), capped
     if verdict.status != "distinguishable":
         trace.append(f"distinguishability search: {verdict.status}")
-        return LocalityClass("unknown", trace=trace)
+        return LocalityClass("unknown", trace=trace), capped
     # distinguishability in the finest partition carries to every
     # coarsening, so activation checks below need not re-search
     assume = "distinguishable (finest partition)"
@@ -87,9 +95,10 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
                 continue
             if report.asserted:
                 trace.append(f"party {party} activates")
-                return LocalityClass("TYPE-I", witness=report, trace=trace)
+                return LocalityClass("TYPE-I", witness=report, trace=trace), capped
         if len(candidates) > MAX_FIRST_ROUNDS:
             exhaustive = False
+            capped = True
     trace.append("no single party activates"
                  + ("" if exhaustive else " (bounded search)"))
 
@@ -117,12 +126,13 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
                 continue
             if report.asserted:
                 trace.append(f"joint pair {pair} activates")
-                return LocalityClass("TYPE-II", witness=report, trace=trace)
+                return LocalityClass("TYPE-II", witness=report, trace=trace), capped
         if len(candidates) > MAX_FIRST_ROUNDS:
             exhaustive = False
+            capped = True
     trace.append("no joint pair activates"
                  + ("" if exhaustive else " (bounded search)"))
-    return LocalityClass("strong-local-evidence", exact=False, trace=trace)
+    return LocalityClass("strong-local-evidence", exact=False, trace=trace), capped
 
 
 def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
@@ -246,11 +256,20 @@ def _witness(report):
     return None if report is None else report.to_json()
 
 
-def _same_class(got: LocalityClass, want: LocalityClass):
-    # the one intended trace change: with no supplied candidates, a pair
-    # beyond the enumeration bound is only skipped
+def _same_class(got: LocalityClass, want: LocalityClass, capped: bool):
+    # the intended trace changes: with no supplied candidates, a pair
+    # beyond the enumeration bound is only skipped; and classify walks
+    # every first round, so where the reference's cap bit, its search was
+    # bounded and classify's is not, unless an earlier line puts a block
+    # beyond the enumeration bound
     want_trace = tuple(line.replace(", verifying supplied candidates only", "")
                        for line in want.trace)
+    if capped:
+        lines, beyond = [], False
+        for line in want_trace:
+            lines.append(line if beyond else line.removesuffix(" (bounded search)"))
+            beyond = beyond or line.endswith("beyond enumeration bound")
+        want_trace = tuple(lines)
     assert (got.klass, got.exact, got.trace) == (want.klass, want.exact,
                                                  want_trace)
     assert _witness(got.witness) == _witness(want.witness)
@@ -347,17 +366,17 @@ def test_search_verdict_does_not_depend_on_call_history():
 @pytest.mark.parametrize("name", ["S1", "S2", "Domino"])
 def test_classify_matches_reference_on_named_sets(name):
     s = build_named_set(name)
-    _same_class(classify(s), ref_classify(s))
+    _same_class(classify(s), *ref_classify(s))
     if name == "S2":
         _same_class(classify(s, joint_pairs=[(1, 2)]),
-                    ref_classify(s, joint_pairs=[(1, 2)]))
+                    *ref_classify(s, joint_pairs=[(1, 2)]))
 
 
 def test_walk_matches_reference_on_random_product_sets():
     compared = 0
     for s in _random_sets():
         n = s.spec.n_parties
-        _same_class(classify(s), ref_classify(s))
+        _same_class(classify(s), *ref_classify(s))
         for m in range(2, n + 1):
             for strong in (False, True):
                 _same_m_verdict(is_m_activable(s, m, strong),
@@ -373,7 +392,7 @@ def test_walk_matches_reference_when_a_branch_stays_undecided(strong):
     # reducible (A tells the halves apart) but not separated by the
     # search, so that candidate is neither refuted nor an activation
     s = side_by_side("S1")
-    _same_class(classify(s), ref_classify(s))
+    _same_class(classify(s), *ref_classify(s))
     got = is_m_activable(s, 3, strong)
     _same_m_verdict(got, ref_is_m_activable(s, 3, strong))
     assert got.status == "unknown"

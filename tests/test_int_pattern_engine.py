@@ -1,8 +1,8 @@
 """The Gaussian-integer pattern engine against the Scalar engine it replaced.
 
-`opsolve._recurse` takes each open pattern's pair matrices as integer
-rows (`_int_rows`: numerators over the group's one denominator, which is
-dropped), and `_live_patterns` walks integer vectors. The Scalar versions
+`opsolve._recurse` takes each open pattern's pair forms as integer rows
+(`_pair_rows`: numerators over the group's one denominator lcm(F_i)^2,
+which is dropped), and `_live_patterns` walks integer vectors. The Scalar versions
 they replaced are kept below verbatim as references: `_recurse`,
 `_reduced_form`, `_binary_endgame` and `form_value`, and `_live_patterns`
 with `_operator_space` and `_vanishing_on`. On every proper party group
@@ -24,9 +24,10 @@ from lpcckit import opsolve
 from lpcckit.exact import (Mat, Scalar, Vec, ZERO, _nonzeros, _wrap, nullspace,
                            nullspace_with_free, rank, tensor)
 from lpcckit.generators import planted_direction_set, random_product_set
-from lpcckit.opsolve import (Family, _quad_on_line, _quad_value, _solve_affine,
-                             _support_patterns, clear_caches,
-                             constraint_matrices, rank1_op_directions)
+from lpcckit.indexing import indexer
+from lpcckit.opsolve import (Family, _pair_rows, _quad_on_line, _quad_value,
+                             _solve_affine, _support_patterns, clear_caches,
+                             rank1_op_directions)
 from lpcckit.statesets import (PartySpec, StateSet, build_named_set,
                                group_support)
 
@@ -315,12 +316,6 @@ def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
 # the comparison
 
 
-def _den(mats) -> int:
-    """The lcm of the matrices' entry denominators."""
-    return lcm(*(q.denominator for m in mats for row in m.entries for x in row
-                 for q in (x.re, x.im)))
-
-
 def _rows_over(m: Mat, den: int) -> tuple:
     """m's nonzero rows as the case split takes them, (a, ((b, re, im),
     ...)): the integer numerators over den of each row's nonzero entries."""
@@ -329,18 +324,43 @@ def _rows_over(m: Mat, den: int) -> tuple:
                                  for b, x in enumerate(row) if not x.is_zero())))
 
 
+def _pair_den(s, group) -> int:
+    """The denominator of `_pair_rows`: lcm(F_i)^2 over the states' int
+    slices."""
+    idx = indexer(s.spec.dims, group)
+    return lcm(*(idx.int_slices(v)[0] for v in s.vectors())) ** 2
+
+
+def _pair_matrices(s, group) -> list[Mat]:
+    """Each pair form of `_pair_rows` as its exact matrix: its integer
+    rows divided by `_pair_den`."""
+    den, d = _pair_den(s, group), indexer(s.spec.dims, group).group_dim
+    out = []
+    for rows in _pair_rows(s, group):
+        m = [[ZERO] * d for _ in range(d)]
+        for a, row in rows:
+            for b, x, y in row:
+                m[a][b] = Scalar(Fraction(x, den), Fraction(y, den))
+        out.append(Mat(m))
+    return out
+
+
+def _restrict(c: Mat, coords) -> Mat:
+    return Mat([[c.entries[a][b] for b in coords] for a in coords])
+
+
 def _reference_solve(s, group):
     """The live set and, per open pattern in walk order, the pair matrices
     the Scalar engine handed to its case split and the outcomes it got."""
     coords = group_support(s, group)[2]
     k = len(coords)
-    cm_small = [opsolve._restrict(c.mat, coords) for c in constraint_matrices(s, group)]
+    cm_small = [_restrict(c, coords) for c in _pair_matrices(s, group)]
     live = _live_patterns(cm_small, k)
     runs = []
     for pattern in _support_patterns(k):
         if pattern not in live:
             continue
-        sub = [opsolve._restrict(c, pattern) for c in cm_small]
+        sub = [_restrict(c, pattern) for c in cm_small]
         sub = list(dict.fromkeys(m for m in sub if not m.is_zero()))
         runs.append((sub, _recurse(sub, len(pattern), [])))
     return cm_small, live, runs
@@ -368,10 +388,11 @@ def _engine_solve(monkeypatch, s, group):
 
 def _assert_engines_agree(monkeypatch, s, group) -> int:
     cm_small, live, reference = _reference_solve(s, group)
-    assert opsolve._live_patterns(cm_small, len(cm_small[0].entries)) == live
+    den = _pair_den(s, group)
+    assert opsolve._live_patterns([_rows_over(m, den) for m in cm_small],
+                                  len(cm_small[0].entries)) == live
     runs = _engine_solve(monkeypatch, s, group)
     assert len(runs) == len(reference)
-    den = _den(cm_small)
     for (handed, got), (sub, want) in zip(runs, reference):
         assert handed == [_rows_over(m, den) for m in sub]
         assert got == want
@@ -413,7 +434,8 @@ def test_engines_agree_on_planted_and_random_sets(monkeypatch):
 def test_rational_multiple_pair_matrices_stay_distinct(monkeypatch):
     # the computational basis of 2x2 with one state halved: the pairs
     # (00, 10) and (01/2, 11) have pair matrices E01 and E01/2 on party A,
-    # which are rational multiples of each other and differ as matrices
+    # which are rational multiples of each other and differ as matrices;
+    # over the shared denominator lcm(F_i)^2 = 4 they are 4 E01 and 2 E01
     basis = [Vec([1, 0]), Vec([0, 1])]
     s = StateSet(PartySpec((2, 2)), [
         ("a", tensor(basis[0], basis[0])), ("b", tensor(basis[1], basis[0])),
@@ -421,5 +443,6 @@ def test_rational_multiple_pair_matrices_stay_distinct(monkeypatch):
         ("d", tensor(basis[1], basis[1]))])
     _assert_engines_agree(monkeypatch, s, (0,))
     runs = _engine_solve(monkeypatch, s, (0,))
-    assert any(((0, ((1, 2, 0),)),) in handed and ((0, ((1, 1, 0),)),) in handed
+    assert _pair_den(s, (0,)) == 4
+    assert any(((0, ((1, 4, 0),)),) in handed and ((0, ((1, 2, 0),)),) in handed
                for handed, _ in runs)

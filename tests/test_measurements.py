@@ -310,7 +310,7 @@ def test_rank_from_span_matches_dense_rank():
                   Projector.zero(4), Projector.full(4), ray.complement(),
                   wide.complement(), Projector.full(4).complement()]
     pvm = PVM([Projector.from_ray(Vec([1, i])), Projector.from_ray(Vec([i, 1]))])
-    lifted = _lift_pvm(pvm, (1, 3), 4)
+    lifted = _lift_pvm(pvm, (1, 3), Projector.diagonal([0, 2], 4))
     projectors += list(lifted.elements)
     projectors += [Projector.from_json(p.to_json()) for p in projectors]
     assert [p.rank() for p in projectors[:4]] == [1, 2, 1, 2]

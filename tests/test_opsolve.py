@@ -15,15 +15,15 @@ from lpcckit.exact import (Mat, Scalar, Vec, ZERO, inner, nullspace_with_free,
                            rank, tensor)
 from lpcckit.generators import (planted_direction_set, random_orthogonal_set,
                                 random_product_set)
-from lpcckit.indexing import GroupIndexer
+from lpcckit.indexing import GroupIndexer, indexer
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
                                   branch_survivals, complement,
                                   preserves_orthogonality)
 from lpcckit import activation, opsolve
-from lpcckit.opsolve import (clear_caches, constraint_matrices,
-                             diagonal_op_subsets, enumerate_op_pvms,
-                             is_pvm_irreducible, rank1_op_directions)
+from lpcckit.opsolve import (clear_caches, diagonal_op_subsets,
+                             enumerate_op_pvms, is_pvm_irreducible,
+                             rank1_op_directions)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
                                group_support, local_support_vectors,
@@ -39,8 +39,30 @@ def ray_of(e):
     return e.mat.col(e.mat.first_nonzero()[1]).normalized_leading()
 
 
+def _pair_den(s, group) -> int:
+    """The denominator of `_pair_rows`: lcm(F_i)^2 over the states' int
+    slices."""
+    idx = indexer(s.spec.dims, group)
+    return lcm(*(idx.int_slices(v)[0] for v in s.vectors())) ** 2
+
+
+def _pair_matrices(s, group) -> dict:
+    """Each pair form of `_pair_rows` as its exact matrix, keyed by the
+    pair: its integer rows divided by `_pair_den`."""
+    den, d = _pair_den(s, group), indexer(s.spec.dims, group).group_dim
+    out = {}
+    for pair, rows in zip(itertools.combinations(range(len(s)), 2),
+                          opsolve._pair_rows(s, group)):
+        m = [[ZERO] * d for _ in range(d)]
+        for a, row in rows:
+            for b, x, y in row:
+                m[a][b] = Scalar(Fraction(x, den), Fraction(y, den))
+        out[pair] = Mat(m)
+    return out
+
+
 def test_constraint_matrix_forcing_pattern(s2):
-    cmats = {c.pair: c.mat for c in constraint_matrices(s2, (0,))}
+    cmats = _pair_matrices(s2, (0,))
     c13 = cmats[(0, 2)]
     # the only coupling between these two states is through levels 0 and 1
     for a in range(3):
@@ -53,7 +75,7 @@ def test_constraint_matrix_zero_for_locally_orthogonal():
     spec = PartySpec((2, 2))
     s = StateSet(spec, [("a", tensor(Vec([1, 0]), Vec([1, 1]))),
                         ("b", tensor(Vec([0, 1]), Vec([1, -1])))])
-    c = constraint_matrices(s, (0,))[0].mat
+    c = _pair_matrices(s, (0,))[0, 1]
     assert c.is_zero()
 
 
@@ -74,26 +96,23 @@ def test_constraint_matrix_product_structure_oracle():
             rest = Vec([inner(alpha, u) for u in slices]).scale(
                 sc(1) / sc(alpha.norm2()))
             factors.append((alpha, rest))
-        for cm in constraint_matrices(s, (0,)):
-            i, j = cm.pair
+        for (i, j), m in _pair_matrices(s, (0,)).items():
             ai, ri = factors[i]
             aj, rj = factors[j]
             overlap = inner(ri, rj)
             for a in range(3):
                 for b in range(3):
                     want = ai.entries[a].conj() * aj.entries[b] * overlap
-                    assert cm.mat.entries[a][b] == want
+                    assert m.entries[a][b] == want
 
 
 def test_form_value_matches_preservation():
     rng = random.Random(4)
     s = random_orthogonal_set(rng, (3, 3), 3, complex_amps=True)
-    cmats = constraint_matrices(s, (0,))
     theta = Vec([1, 2, -1])
     p = Projector.from_ray(theta)
     lp = LocalPVM(PVM([p, p.complement()]), (0,))
-    all_zero = opsolve._form_vanishes(opsolve._int_rows([c.mat for c in cmats]),
-                                      theta)
+    all_zero = opsolve._form_vanishes(opsolve._pair_rows(s, (0,)), theta)
     assert all_zero == bool(preserves_orthogonality(s, lp))
 
 
@@ -606,17 +625,18 @@ def test_compressed_pvms_reuse_the_stored_rank1_report():
     clear_caches()
 
 
-def _scanned_subsets(s, group, _cmats=None, max_support=12):
+def _scanned_subsets(s, group, max_support=12):
     """Reference: the subset scan diagonal_op_subsets ran before it walked
-    the 0/1 points of L restricted to the diagonal (kept verbatim)."""
+    the 0/1 points of L restricted to the diagonal (kept verbatim, on the
+    exact pair matrices)."""
     group = tuple(group)
-    cmats = _cmats if _cmats is not None else constraint_matrices(s, group)
+    cmats = _pair_matrices(s, group).values()
     occupied = sorted({a for u in local_support_vectors(s, group)
                        for a in u.support()})
     if len(occupied) > max_support:
         return []
     group_dim = GroupIndexer(s.spec.dims, group).group_dim
-    diags = [[c.mat.entries[a][a] for a in occupied] for c in cmats]
+    diags = [[c.entries[a][a] for a in occupied] for c in cmats]
     out = []
     for size in range(1, len(occupied) + 1):
         for pick in itertools.combinations(range(len(occupied)), size):
@@ -693,8 +713,7 @@ def test_irreducibility_stops_at_the_first_diagonal_witness():
     s = StateSet(PartySpec((16, 2)), [
         (str(a), tensor(Vec([int(b == a) for b in range(16)]), Vec([1, 0])))
         for a in range(16)])
-    walk = opsolve._diagonal_subsets(constraint_matrices(s, (0,)),
-                                     local_support_vectors(s, (0,)), 16)
+    walk = opsolve._diagonal_subsets(s, (0,))
     assert 0 < len(next(walk)) < 16
     verdict = is_pvm_irreducible(s, Partition(((0,), (1,))))
     assert verdict.status == "reducible"
@@ -756,11 +775,16 @@ def _rows_over(m: Mat, den: int) -> tuple:
                                  for b, x in enumerate(row) if not x.is_zero())))
 
 
+def _restrict(c: Mat, coords) -> Mat:
+    return Mat([[c.entries[a][b] for b in coords] for a in coords])
+
+
 def _top_level_solves(monkeypatch, s, group):
     """(restricted pair matrices as built, integer rows as handed to
-    _recurse) for every live pattern of the group, the pair matrices'
-    shared denominator, and every reduced form the solve computed recorded
-    as (exact pair matrix, basis, basis denominator, integer form)."""
+    _recurse) for every live pattern of the group, the pair forms' shared
+    denominator lcm(F_i)^2, and every reduced form the solve computed
+    recorded as (exact pair matrix, basis, basis denominator, integer
+    form)."""
     real_recurse, real_reduced = opsolve._recurse, opsolve._reduced_form
     real_read = opsolve._basis_numerators
     handed, reads, forms = [], [], []
@@ -789,13 +813,13 @@ def _top_level_solves(monkeypatch, s, group):
         rank1_op_directions(s, group)
     clear_caches()
     coords = group_support(s, group)[2]
-    cm_small = [opsolve._restrict(c.mat, coords)
-                for c in constraint_matrices(s, group)]
-    live = opsolve._live_patterns(cm_small, len(coords))
+    cm_small = [_restrict(c, coords) for c in _pair_matrices(s, group).values()]
+    den = _pair_den(s, group)
+    live = opsolve._live_patterns([_rows_over(m, den) for m in cm_small],
+                                  len(coords))
     patterns = [p for p in opsolve._support_patterns(len(coords)) if p in live]
     assert len(handed) == len(patterns)
-    built = [[opsolve._restrict(c, p) for c in cm_small] for p in patterns]
-    den = _den(cm_small)
+    built = [[_restrict(c, p) for c in cm_small] for p in patterns]
     exact = {_rows_over(m, den): m for ms in built for m in ms}
     forms = [(exact[c], *read, out) for c, read, out in forms]
     return list(zip(built, handed)), den, forms
@@ -840,7 +864,7 @@ def test_reduced_form_matches_reference_on_random_inputs():
                  for _ in range(k)])
         basis = [Vec([_random_gaussian_rational(rng, zero_share)
                       for _ in range(k)]) for _ in range(f)]
-        [rows] = opsolve._int_rows([c])
+        rows = _rows_over(c, _den([c]))
         den, nums = opsolve._basis_numerators(basis)
         assert (opsolve._reduced_form(rows, nums)
                 == _scaled_parts(_reference_reduced_form(c, basis), _den([c]) * den * den))
@@ -1096,18 +1120,35 @@ def test_dedupe_keeps_real_lines_that_differ_by_a_phase():
 # ---------------------------------------------------------------------------
 # per-element decisions against the assembly-and-filter reference
 
+def _parent_lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
+    """Reference: the lift that completed every lifted PVM by a dense
+    re-sum (kept verbatim)."""
+    from lpcckit.exact import _wrap
+    if len(coords) == d:
+        return pvm
+    lifted: list[Projector] = []
+    for e in pvm.elements:
+        rows = [[ZERO] * d for _ in range(d)]
+        for i, a in enumerate(coords):
+            for j, b in enumerate(coords):
+                rows[a][b] = e.mat.entries[i][j]
+        lifted.append(Projector(_wrap(Mat, tuple(map(tuple, rows))),
+                                _validated=True))
+    return PVM.completed(lifted, d)
+
+
 def _assembled_reference(s, group, max_outcomes=None, *, max_pvms=64):
     """Reference: the enumeration that lifted, filtered and re-verified
-    every assembly (kept verbatim apart from the store, which it skips)."""
+    every assembly (kept verbatim apart from the store, which it skips,
+    and the solver inputs, which it takes from the current builders)."""
     from lpcckit.exact import sort_keys
     from lpcckit.indexing import total_dim
     from lpcckit.measurements import acts_as_scalar_on
-    from lpcckit.opsolve import _by_size, _diagonal_subsets, _lift_pvm
+    from lpcckit.opsolve import _by_size, _diagonal_subsets
     from lpcckit.statesets import require_orthogonal
     group = tuple(group)
     require_orthogonal(s)
-    cmats = constraint_matrices(s, group)
-    report = rank1_op_directions(s, group, _cmats=cmats)
+    report = rank1_op_directions(s, group)
     support, support_rank, coords = group_support(s, group)
     k = len(coords)
     d = total_dim([s.spec.dims[p] for p in group])
@@ -1122,7 +1163,7 @@ def _assembled_reference(s, group, max_outcomes=None, *, max_pvms=64):
     at = {a: i for i, a in enumerate(coords)}
     candidates = [Projector.from_ray(Vec([theta.entries[a] for a in coords]))
                   for theta in report.nontrivial_directions()]
-    diagonals = sorted(_diagonal_subsets(cmats, support, d), key=_by_size)
+    diagonals = sorted(_diagonal_subsets(s, group), key=_by_size)
     candidates += [Projector.diagonal([at[a] for a in sub], k) for sub in diagonals]
     pool: list[Projector] = []
     pooled: set = set()
@@ -1164,7 +1205,7 @@ def _assembled_reference(s, group, max_outcomes=None, *, max_pvms=64):
     # a pool element, which is neither 0 nor 1, so none is a trivial PVM
     kept = []
     for pvm in assemblies.values():
-        lp = LocalPVM(_lift_pvm(pvm, coords, d), group)
+        lp = LocalPVM(_parent_lift_pvm(pvm, coords, d), group)
         if all(acts_as_scalar_on(e, support) for e in lp.pvm.elements):
             continue
         if not preserves_orthogonality(s, lp):
@@ -1262,3 +1303,41 @@ def test_each_pool_element_is_reverified_at_most_once(monkeypatch, s2):
     assert 0 < len(checked) <= 42
     assert all(len(lp.pvm) == 2 for lp in checked)
     clear_caches()
+
+
+def test_lift_appends_one_off_support_outcome(monkeypatch, union_s):
+    # every PVM an enumeration lifts equals the dense completion of the
+    # previous lift, element by element and in order, on the compressed
+    # groups of theorem 3's residues and of theorem 5's UnionS branches
+    # (single parties); the off-support outcome is one object per call
+    from lpcckit.theorems import _type2_case_residue
+    lifts = []
+    real = opsolve._lift_pvm
+
+    def spy(pvm, coords, off):
+        lifts.append((pvm, coords, off, real(pvm, coords, off)))
+        return lifts[-1][-1]
+
+    coarse = LocalPVM(parse_pvm("0,1,2;3,4,5;6,7", [8]), (0,))
+    problems = [(br.states, (p,)) for _, br in sorted(apply(union_s, coarse).items())
+                for p in range(3)]
+    for text in ("2;0,1", "0-1;0+1,2", "0+1;0-1,2"):
+        branch = _type2_case_residue(text, 1)
+        problems += [(branch, g) for g in _compressed_groups(branch)]
+    monkeypatch.setattr(opsolve, "_lift_pvm", spy)
+    clear_caches()
+    offs = set()
+    for s, group in problems:
+        start = len(lifts)
+        enumerate_op_pvms(s, group)
+        offs |= {id(off) for _, _, off, _ in lifts[start:]}
+        assert len({id(off) for _, _, off, _ in lifts[start:]}) <= 1
+    clear_caches()
+    for pvm, coords, off, got in lifts:
+        want = _parent_lift_pvm(pvm, coords, off.dim)
+        assert ([e.mat.entries for e in got.elements]
+                == [e.mat.entries for e in want.elements])
+        assert got.dim == want.dim
+    # UnionS: three single parties with 4 PVMs each; residue 1: C with 1
+    # and BC with 20 (the other residues compress on no group)
+    assert (len(offs), len(lifts)) == (5, 33)
