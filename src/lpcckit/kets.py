@@ -77,8 +77,12 @@ def parse_pvm(text: str, dims: Sequence[int]) -> PVM:
         elements.append(Projector.from_span(vecs, dim))
     if tilde_at is not None:
         listed = [e for e in elements if e is not None]
-        if any(not p.orthogonal_to(q) for i, p in enumerate(listed)
-               for q in listed[i + 1:]):
+        comp = complement(listed or [Projector.zero(dim)], dim)
+        # sum |C_ab|^2 - tr C is the sum over i != j of ||P_i P_j||_F^2,
+        # and tr C (dim minus the listed ranks, an integer) is C.rank()
+        if sum(x.norm2() for row in comp.mat.entries for x in row
+               if not x.is_zero()) != comp.rank():
             raise ValueError("elements listed with '~' are not mutually orthogonal")
-        elements[tilde_at] = complement(listed or [Projector.zero(dim)], dim)
-    return PVM([e for e in elements if e is not None])
+        elements[tilde_at] = comp
+        return PVM._trusted(elements, dim)     # sums to 1 by construction
+    return PVM(elements)

@@ -23,8 +23,7 @@ from .statesets import PartySpec, StateSet, group_support
 
 class Projector:
     """Exact orthogonal projector; square, Hermitian, idempotent. A
-    projector is its matrix: its rank is its trace, and PQ = 0 is tested
-    as tr(PQ) = 0."""
+    projector is its matrix, and its rank is its trace."""
 
     def __init__(self, mat: Mat, *, _validated: bool = False):
         if mat.rows != mat.cols:
@@ -88,16 +87,6 @@ class Projector:
 
     def __hash__(self) -> int:
         return hash(self.mat)
-
-    def orthogonal_to(self, other: "Projector") -> bool:
-        """PQ = 0, tested as tr(PQ) = sum P_ij conj(Q_ij) = 0: for
-        projectors that sum is ||QP||_F^2, zero exactly when QP = 0."""
-        acc = ZERO
-        for row_p, row_q in zip(self.mat.entries, other.mat.entries):
-            for x, y in zip(row_p, row_q):
-                if (x._a or x._b) and (y._a or y._b):
-                    acc = acc + x * y.conj()
-        return acc.is_zero()
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank()})"

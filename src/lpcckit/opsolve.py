@@ -40,12 +40,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .exact import (ONE, Mat, Scalar, Vec, ZERO, _wrap, basis_vec,
-                    in_span, nullspace, nullspace_with_free, rank, rref,
-                    sort_keys, zero_vec)
+                    identity, in_span, nullspace, nullspace_with_free, rank,
+                    rref, sort_keys, zero_vec)
 from .indexing import indexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            preserves_orthogonality)
@@ -571,7 +572,7 @@ def rank1_op_directions(s: StateSet, group: Sequence[int]) -> SolutionReport:
                 seen.add(cv)
                 p = Projector.from_ray(cv)
                 if not preserves_orthogonality(
-                        s, LocalPVM(PVM([p, p.complement()]), group)):
+                        s, LocalPVM(PVM.completed([p], d), group)):
                     raise AssertionError(
                         "solver emitted a direction failing re-verification")
                 solutions.append(RaySolution(vector=cv))
@@ -761,14 +762,19 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     projector pool (exact rank-1 directions, family representatives
     included, and diagonal subsets), each element judged nontrivial and
     re-verified once; any orthogonal partial family completes with its
-    complement. On a compressed support each kept PVM is lifted to the
-    whole group space, with the off-support complement as one more outcome.
+    complement. The assembly runs on the pool's `sort_keys` integers over
+    one D (keys dot to D^2 tr(PQ), zero iff orthogonal; a completion is
+    D 1 minus a key sum), and only kept PVMs are built as matrices. On a
+    compressed support each kept PVM is lifted to the whole group space,
+    with the off-support complement as one more outcome.
 
     Completeness is relative to the pool: PVMs whose rank-1 elements are
     solver directions and whose higher-rank elements are diagonal
     projectors or complements of pool sums. The tuple is stored and handed
     out as it is.
     """
+    if max_outcomes is not None and max_outcomes < 2:
+        raise ValueError("max_outcomes must be at least 2")
     group = tuple(group)
     cache_key = ("pvms", group, max_outcomes, max_pvms, s.ray_key)
     hit = _cache_get(cache_key)
@@ -779,8 +785,6 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
     support, support_rank, coords = group_support(s, group)
     k = len(coords)
     d = total_dim([s.spec.dims[p] for p in group])
-    if max_outcomes is not None and max_outcomes < 2:
-        raise ValueError("max_outcomes must be at least 2")
     if support_rank < 2:
         return ()                   # a one-dimensional support is inert
     cap = max_outcomes if max_outcomes is not None else k
@@ -792,67 +796,69 @@ def enumerate_op_pvms(s: StateSet, group: Sequence[int],
                   for theta in report.nontrivial_directions()]
     diagonals = sorted(_diagonal_subsets(s, group), key=_by_size)
     candidates += [Projector.diagonal([at[a] for a in sub], k) for sub in diagonals]
-    pool: list[Projector] = []
-    pooled: set = set()
-    for p in candidates:
-        if not (p.is_zero() or p.is_identity() or p.mat.entries in pooled):
-            pooled.add(p.mat.entries)
-            pool.append(p)
-
-    ranks = [p.rank() for p in pool]
+    # one denominator for all keys, so they compare, dedupe and sort as
+    # the rational matrices do; the first key is D 1
+    ident, *read = [tuple(x for row in key for pair in row for x in pair)
+                    for key in sort_keys([identity(k), *(p.mat for p in candidates)])]
+    pooled: dict[tuple, Projector] = {}
+    for p, key in zip(candidates, read):
+        if any(key) and key != ident:
+            pooled.setdefault(key, p)
+    pool, keys = list(pooled.values()), list(pooled)
+    ranks = [sum(key[::2 * k + 2]) // ident[0] for key in keys]   # trace / D
     # a scalar (0 or 1) on the support preserves orthogonality; orthogonal
     # scalars hold at most one 1, so their completion and the off-support
     # outcome are scalars too: a PVM is nontrivial iff a pool element in it is
     on_coords = [Vec([u.entries[a] for a in coords]) for u in support]
     nontrivial = [not acts_as_scalar_on(p, on_coords) for p in pool]
-    # assembled PVMs in emit order, keyed by their element matrices
-    assemblies: dict[frozenset, tuple[PVM, list[int]]] = {}
+    # assembled PVMs in emit order, keyed by their element keys
+    assemblies: dict[frozenset, list[int]] = {}
 
-    def emit(chosen: list[int]):
-        pvm = PVM.completed([pool[i] for i in chosen], k)
-        assemblies.setdefault(frozenset(e.mat.entries for e in pvm),
-                              (pvm, chosen))
+    def emit(chosen: list[int], total: tuple, total_rank: int):
+        elements = {keys[i] for i in chosen}
+        if total_rank < k:
+            elements.add(tuple(map(sub, ident, total)))
+        assemblies.setdefault(frozenset(elements), chosen)
 
     # two-outcome completions first, so every pool element is represented
     # even when the deeper search hits its budget
     for i in range(len(pool)):
-        emit([i])
+        emit([i], keys[i], ranks[i])
 
-    def extend(chosen: list[int], total_rank: int, start: int):
+    def extend(chosen: list[int], total: tuple, total_rank: int, start: int):
         if len(assemblies) >= max_pvms:
             return
         # the completion adds an element exactly when the rank falls short
         if chosen and len(chosen) + (total_rank < k) <= cap:
-            emit(chosen)
+            emit(chosen, total, total_rank)
         if len(chosen) >= cap:
             return
         for i in range(start, len(pool)):
             if total_rank + ranks[i] > k:
                 continue
-            if all(pool[i].orthogonal_to(pool[j]) for j in chosen):
-                extend(chosen + [i], total_rank + ranks[i], i + 1)
+            if not any(sum(map(mul, keys[i], keys[j])) for j in chosen):
+                extend(chosen + [i], tuple(map(add, total, keys[i])),
+                       total_rank + ranks[i], i + 1)
 
-    extend([], 0, 0)
+    extend([], (0,) * len(ident), 0, 0)
 
-    # only kept PVMs are lifted, each with the one off-support outcome. A
-    # PVM preserves orthogonality exactly when each element does, so each
-    # nontrivial pool element is re-verified once, with its complement, in
-    # the two-outcome PVM that holds it
+    # only kept PVMs are built and lifted, each with the one off-support
+    # outcome. A PVM preserves orthogonality exactly when each element does,
+    # so each nontrivial pool element is re-verified once, with its
+    # complement, in the two-outcome PVM that holds it
     off = (Projector.diagonal([a for a in range(d) if a not in at], d)
            if k < d else None)
     kept = []
-    for pvm, chosen in assemblies.values():
+    for elements, chosen in assemblies.items():
         if any(nontrivial[i] for i in chosen):
+            pvm = PVM.completed([pool[i] for i in chosen], k)
             lp = LocalPVM(_lift_pvm(pvm, coords, off), group)
             if len(chosen) == 1 and not preserves_orthogonality(s, lp):
                 raise AssertionError("pool element failed re-verification")
-            kept.append((pvm, lp))
-    # order by outcome count, then by the sorted element matrices
-    keys = iter(sort_keys([e.mat for pvm, _ in kept for e in pvm.elements]))
-    keyed = [((len(pvm), tuple(sorted(next(keys) for _ in pvm.elements))), lp)
-             for pvm, lp in kept]
-    keyed.sort(key=lambda t: t[0])
-    return _cache_put(cache_key, tuple(lp for _, lp in keyed))
+            kept.append(((len(elements), tuple(sorted(elements))), lp))
+    # order by outcome count, then by the sorted element keys
+    kept.sort(key=lambda t: t[0])
+    return _cache_put(cache_key, tuple(lp for _, lp in kept))
 
 
 def _lift_pvm(pvm: PVM, coords: tuple[int, ...], off: Projector | None) -> PVM:
@@ -943,8 +949,7 @@ def is_pvm_irreducible(s: StateSet, p: Partition) -> IrreducibilityVerdict:
                     witness_p = cand
                     break
         if witness_p is not None:
-            pvm = PVM([witness_p, witness_p.complement()])
-            lp = LocalPVM(pvm, block)
+            lp = LocalPVM(PVM.completed([witness_p], d), block)
             if not preserves_orthogonality(s, lp):
                 raise AssertionError("witness PVM failed re-verification")
             trace.append(f"block {block}: nontrivial OP-PVM exists")

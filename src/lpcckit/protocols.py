@@ -359,7 +359,7 @@ def three_product_protocol(s: StateSet) -> ProtocolTree:
         raise LemmaStructureError(
             "the first two states have no orthogonal factor pair")
     p0 = Projector.from_ray(factors[0][j][0])
-    pvm = PVM([p0, p0.complement()])
+    pvm = PVM.completed([p0], p0.dim)
     # P keeps state 0 and 1 - P keeps state 1, so both outcomes survive
     branches = apply(s, LocalPVM(pvm, (j,)))
     children = {o: Leaf("identified" if len(br.states) == 1 else "two-orthogonal")

@@ -76,6 +76,16 @@ def test_complement_needs_mutually_orthogonal_elements():
         parse_pvm("0,1;1;~", [3])
     assert main(["measure", "apply", "--name", "S1", "--group", "A",
                  "--pvm", "0,1;1;~"]) == 64
+    # overlaps off the diagonal: tr(PQ) = 1/4; three elements, one pair
+    # overlapping
+    for text, dims in (("0+1;0+2;~", [3]), ("0;1+2;2;~", [4])):
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
+            parse_pvm(text, dims)
+    assert main(["measure", "apply", "--name", "S2", "--group", "C",
+                 "--pvm", "0+1;0+2;~"]) == 64
+    # orthogonal non-diagonal elements still complete
+    pvm = parse_pvm("0+1;0-1,2;~", [4])
+    assert [e.rank() for e in pvm] == [1, 2, 1]
 
 
 def test_solve_rank1_exit_codes(capsys):

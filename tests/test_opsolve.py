@@ -1140,12 +1140,24 @@ def _parent_lift_pvm(pvm: PVM, coords: tuple[int, ...], d: int) -> PVM:
 def _assembled_reference(s, group, max_outcomes=None, *, max_pvms=64):
     """Reference: the enumeration that lifted, filtered and re-verified
     every assembly (kept verbatim apart from the store, which it skips,
-    and the solver inputs, which it takes from the current builders)."""
+    the solver inputs, which it takes from the current builders, and the
+    projector orthogonality test, a local copy of the method it called)."""
     from lpcckit.exact import sort_keys
     from lpcckit.indexing import total_dim
     from lpcckit.measurements import acts_as_scalar_on
     from lpcckit.opsolve import _by_size, _diagonal_subsets
     from lpcckit.statesets import require_orthogonal
+
+    def orthogonal_to(self, other: "Projector") -> bool:
+        """PQ = 0, tested as tr(PQ) = sum P_ij conj(Q_ij) = 0: for
+        projectors that sum is ||QP||_F^2, zero exactly when QP = 0."""
+        acc = ZERO
+        for row_p, row_q in zip(self.mat.entries, other.mat.entries):
+            for x, y in zip(row_p, row_q):
+                if (x._a or x._b) and (y._a or y._b):
+                    acc = acc + x * y.conj()
+        return acc.is_zero()
+
     group = tuple(group)
     require_orthogonal(s)
     report = rank1_op_directions(s, group)
@@ -1196,7 +1208,7 @@ def _assembled_reference(s, group, max_outcomes=None, *, max_pvms=64):
             p = pool[i]
             if total_rank + ranks[i] > k:
                 continue
-            if all(p.orthogonal_to(q) for q in chosen):
+            if all(orthogonal_to(p, q) for q in chosen):
                 extend(chosen + [p], total_rank + ranks[i], i + 1)
 
     extend([], 0, 0)
@@ -1302,6 +1314,36 @@ def test_each_pool_element_is_reverified_at_most_once(monkeypatch, s2):
     assert len(enumerate_op_pvms(s2, (1, 2))) == 64
     assert 0 < len(checked) <= 42
     assert all(len(lp.pvm) == 2 for lp in checked)
+    clear_caches()
+
+
+def test_only_kept_pvms_are_completed(monkeypatch, s1, s2):
+    # the assembly runs on integer keys; a completion is built as a matrix
+    # once per kept PVM, not once per visited family
+    from lpcckit import measurements
+    real = measurements.complement
+    for s, group in ((s2, (1, 2)), (s1, (0, 2))):
+        clear_caches()
+        rank1_op_directions(s, group)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(measurements, "complement",
+                      lambda elements, dim: calls.append(dim)
+                      or real(elements, dim))
+            pvms = enumerate_op_pvms(s, group)
+        assert 0 < len(calls) <= len(pvms)
+    clear_caches()
+
+
+def test_bad_max_outcomes_is_refused_before_any_solve(monkeypatch, domino):
+    clear_caches()
+    calls = []
+    real = opsolve._live_patterns
+    monkeypatch.setattr(opsolve, "_live_patterns",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match="max_outcomes must be at least 2"):
+        enumerate_op_pvms(domino, (0, 1), max_outcomes=1)
+    assert calls == []
     clear_caches()
 
 
