@@ -9,6 +9,7 @@ text, or as one JSON document with --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -53,8 +54,9 @@ def _parse_group(text: str, s: StateSet) -> tuple[int, ...]:
 class Report:
     def __init__(self, command: list[str]):
         self.data = {"command": command, "tool": "lpcckit",
-                     "version": __version__, "verdicts": [], "started": time.time()}
+                     "version": __version__, "verdicts": []}
         self.lines: list[str] = []
+        self.started = time.perf_counter()   # monotonic, unlike the wall clock
 
     def say(self, text: str, **payload):
         self.lines.append(text)
@@ -64,7 +66,7 @@ class Report:
             self.data["verdicts"].append({"text": text})
 
     def emit(self, as_json: bool, code: int) -> int:
-        self.data["elapsed_s"] = round(time.time() - self.data.pop("started"), 3)
+        self.data["elapsed_s"] = round(time.perf_counter() - self.started, 3)
         self.data["exit_code"] = code
         if as_json:
             print(json.dumps(self.data, indent=2))
@@ -257,7 +259,10 @@ def cmd_diagram(args, report: Report) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call; its
+    verbs are module functions, which look up their callees when called."""
     ap = argparse.ArgumentParser(
         prog="lpcckit",
         description="Exact verification of local distinguishability and "

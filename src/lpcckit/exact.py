@@ -6,7 +6,8 @@ imaginary parts, no floating point, equality is literal equality.
 
 The one sparse read of a `Vec` lives on it: `int_read()`, its nonzero
 entries as Gaussian-integer numerators over one denominator, kept after
-first use. `inner` and `GroupIndexer.int_slices` read only that.
+first use or set by `GroupIndexer.scatter`. `inner`,
+`GroupIndexer.int_slices` and `StateSet.ray_key` read only that.
 
 Index convention for tensors: leftmost factor is slowest (row-major).
 """
@@ -176,6 +177,12 @@ def _nonzeros(entries: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
     return [(j, y) for j, y in enumerate(entries) if y._a or y._b]
 
 
+def _read_of(nz: Sequence[tuple[int, Scalar]]) -> tuple[int, tuple]:
+    """`Vec.int_read` of the nonzero (i, x) pairs nz, in ascending i."""
+    den = lcm(*{x._d for _, x in nz})
+    return den, tuple((i, x._a * (den // x._d), x._b * (den // x._d)) for i, x in nz)
+
+
 def _wrap(cls, entries: tuple):
     """A Vec or Mat around entries (rows of) Scalars built by this module,
     skipping the coercion and checks of the public constructors."""
@@ -254,13 +261,11 @@ class Vec:
     def int_read(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """(F, ((i, a, b), ...)): the nonzero entries (a + b*i)/F in
         ascending i, where F is the lcm of their denominators. Computed
-        once and kept; the entries never change."""
+        once and kept, unless `GroupIndexer.scatter` already set it from
+        the entries it wrote; the entries never change."""
         read = getattr(self, "_read", None)
         if read is None:
-            nz = [(i, x) for i, x in enumerate(self.entries) if x._a or x._b]
-            den = lcm(*{x._d for _, x in nz})
-            read = self._read = (den, tuple((i, x._a * (den // x._d), x._b * (den // x._d))
-                                            for i, x in nz))
+            read = self._read = _read_of(_nonzeros(self.entries))
         return read
 
     def normalized_leading(self) -> "Vec":

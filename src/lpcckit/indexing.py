@@ -8,7 +8,8 @@ operator, factorization, permutation and merge reads its rows; `indexer`
 keeps one per (dims, group). States are sparse, so `int_slices` maps a
 state's one sparse read, `Vec.int_read`, through the inverse table
 `where` into the slices it touches, as Gaussian-integer numerators over
-one denominator per state. Measurement application, the orthogonality-
+one denominator per state; `scatter` sets that read on the states it
+builds. Measurement application, the orthogonality-
 preservation test, the solver's pair forms and `factor` run on those
 integers; `nonzero_slices` is the `Vec` view of the same read for the
 readers that need `Scalar`s (support vectors, redundancy, the protocols'
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import Mat, Vec, ZERO, _wrap, mat_vec
+from .exact import Mat, Vec, ZERO, _read_of, _wrap, mat_vec
 
 MAX_INDEXERS = 128   # kept by `indexer`; a query meets far fewer pairs
 
@@ -153,12 +154,19 @@ class GroupIndexer:
 
     def scatter(self, slices: Mapping[int, Sequence]) -> Vec:
         """The state whose slice u^r is slices[r] (a `Vec` or a list of
-        `Scalar`s), zero on every other r."""
+        `Scalar`s), zero on every other r, carrying from the start the
+        `int_read` of the nonzero entries it writes."""
         out = [ZERO] * len(self.where)
+        nz = []
         for r, u in slices.items():
             for i, x in zip(self.cells[r], u):
-                out[i] = x
-        return _wrap(Vec, tuple(out))
+                if x._a or x._b:
+                    out[i] = x
+                    nz.append((i, x))
+        nz.sort()   # the flat indices are distinct, so no Scalars compare
+        v = _wrap(Vec, tuple(out))
+        v._read = _read_of(nz)
+        return v
 
     def assemble(self, slices: Sequence[Vec]) -> Vec:
         return self.scatter(dict(enumerate(slices)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, identity, mat_mul,
-                    mat_vec, projector_onto)
+from .exact import (Mat, Scalar, Vec, ZERO, ONE, _reduced, _wrap, identity,
+                    mat_mul, mat_vec, projector_onto)
 from .indexing import indexer, total_dim
 from .statesets import PartySpec, StateSet, group_support
 
@@ -71,9 +71,6 @@ class Projector:
             tr = tr + row[i]
         return int(tr.re)
 
-    def complement(self) -> "Projector":
-        return complement([self], self.dim)
-
     def is_zero(self) -> bool:
         return self.rank() == 0
 
@@ -101,18 +98,25 @@ class Projector:
 
 def complement(elements: Sequence[Projector], dim: int) -> Projector:
     """1 minus the sum of mutually orthogonal projectors (the zero
-    projector when they already sum to 1)."""
-    total = elements[0].mat
-    for e in elements[1:]:
-        total = total + e.mat
-    return Projector(identity(dim) - total, _validated=True)
+    projector when they already sum to 1). A projector's row h is zero
+    when P_hh = ||P e_h||^2 is, so only the other rows are subtracted."""
+    rows = [list(row) for row in identity(dim).entries]
+    for e in elements:
+        for h, row in enumerate(e.mat.entries):
+            if row[h]._a or row[h]._b:
+                out = rows[h]
+                for g, x in enumerate(row):
+                    if x._a or x._b:
+                        out[g] = out[g] - x
+    return Projector(_wrap(Mat, tuple(map(tuple, rows))), _validated=True)
 
 
 class PVM:
     """Complete set of mutually orthogonal projectors summing to identity.
 
     Hermiticity + idempotence of each element + sum-to-identity already
-    force pairwise orthogonality, so that is the whole validity check.
+    force pairwise orthogonality, so that is the whole validity check:
+    the `complement` of the elements is zero.
     """
 
     def __init__(self, elements: Sequence[Projector]):
@@ -121,10 +125,7 @@ class PVM:
         dim = elements[0].dim
         if any(e.dim != dim for e in elements):
             raise ValueError("PVM elements have mixed dimensions")
-        total = elements[0].mat
-        for e in elements[1:]:
-            total = total + e.mat
-        if total != identity(dim):
+        if not complement(elements, dim).mat.is_zero():
             raise ValueError("PVM elements do not sum to the identity")
         self.elements = tuple(elements)
         self.dim = dim
@@ -229,13 +230,15 @@ class OutcomeBranch:
 def _int_rows(lp: LocalPVM) -> tuple[int, list[list]]:
     """One denominator D for the PVM's elements, and each element's
     nonzero rows as (h, {g: (re, im)}): the integer numerators over D of
-    the row's nonzero entries only. Built per call and not kept, so the
-    PVMs that results hold stay small."""
+    the row's nonzero entries only, read from the rows whose diagonal
+    entry is nonzero (the others are zero). Built per call and not kept,
+    so the PVMs that results hold stay small."""
     nonzeros = [[(h, [(g, x) for g, x in enumerate(row) if x._a or x._b])
-                 for h, row in enumerate(e.mat.entries)] for e in lp.pvm.elements]
+                 for h, row in enumerate(e.mat.entries) if row[h]._a or row[h]._b]
+                for e in lp.pvm.elements]
     den = lcm(*{x._d for m in nonzeros for _, row in m for _, x in row})
     return den, [[(h, {g: (x._a * (den // x._d), x._b * (den // x._d))
-                       for g, x in row}) for h, row in m if row] for m in nonzeros]
+                       for g, x in row}) for h, row in m] for m in nonzeros]
 
 
 def _image(rows, u) -> list[tuple[int, int, int]]:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exact import Scalar, Vec, ZERO, inner, vectors_rank
@@ -127,11 +128,19 @@ class StateSet:
         per-state scalars: the dims plus the sorted rays, each ray in its
         `normalized_leading` form and kept as its nonzero cells: the index
         and the entry's canonical integer triple (a, b, d) for
-        (a + b*i)/d. Computed once; the states never change."""
-        rays = (tuple((i, x._a, x._b, x._d)
-                      for i, x in enumerate(v.normalized_leading().entries)
-                      if x._a or x._b)
-                for v in self.vectors())
+        (a + b*i)/d, read off `int_read` as (a + b*i)/(c + e*i) over the
+        first entry c + e*i. Computed once; the states never change."""
+        rays = []
+        for v in self.vectors():
+            read = v.int_read()[1]
+            _, c, e = read[0]
+            n = c * c + e * e
+            ray = []
+            for i, a, b in read:
+                re, im = a * c + b * e, b * c - a * e
+                g = gcd(re, im, n)
+                ray.append((i, re // g, im // g, n // g))
+            rays.append(tuple(ray))
         return (self.spec.dims, tuple(sorted(rays)))
 
     def state(self, label: str) -> Vec:

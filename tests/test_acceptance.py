@@ -9,7 +9,8 @@ from lpcckit.activation import check_dim2_nogo, classify, is_m_activable
 from lpcckit.generators import (planted_direction_set, random_biseparable_322,
                                 random_orthogonal_set, random_product_set,
                                 random_two_state_set)
-from lpcckit.measurements import LocalPVM, PVM, Projector, apply
+from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
+                                  complement)
 from lpcckit.opsolve import is_pvm_irreducible, rank1_op_directions
 from lpcckit.statesets import (Partition, build_named_set,
                                check_mutual_orthogonality,
@@ -121,7 +122,7 @@ def test_criterion_9_property_suites():
             theta = Vec([Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
                          for _ in range(3)])
         p = Projector.from_ray(theta)
-        lp = LocalPVM(PVM([p, p.complement()]), (1,))
+        lp = LocalPVM(PVM([p, complement([p], p.dim)]), (1,))
         branches = apply(s, lp)
         for label, v in s.states:
             from fractions import Fraction

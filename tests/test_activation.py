@@ -12,7 +12,8 @@ from lpcckit.generators import (random_biseparable_322,
                                 random_orthogonal_basis, random_product_set,
                                 random_two_state_set)
 from lpcckit.kets import parse_pvm
-from lpcckit.measurements import PVM, LocalPVM, Projector, apply
+from lpcckit.measurements import (PVM, LocalPVM, Projector, apply,
+                                  complement)
 from lpcckit.opsolve import (enumerate_op_pvms, is_pvm_irreducible,
                              rank1_op_directions)
 from lpcckit.protocols import ProtocolError, lpcc_search
@@ -189,7 +190,7 @@ def test_dim2_nogo_oracle_product_degree():
         for party in (1, 2):
             for theta in directions:
                 p = Projector.from_ray(theta)
-                lp = LocalPVM(PVM([p, p.complement()]), (party,))
+                lp = LocalPVM(PVM([p, complement([p], p.dim)]), (party,))
                 for br in apply(s, lp).values():
                     if br.states is None:
                         continue

@@ -17,7 +17,7 @@ from lpcckit.indexing import GroupIndexer as NewIndexer, total_dim
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, OPVerdict, OutcomeBranch, PVM,
                                   Projector, apply, branch_survivals,
-                                  preserves_orthogonality)
+                                  complement, preserves_orthogonality)
 from lpcckit.opsolve import enumerate_op_pvms
 from lpcckit.statesets import PartySpec, StateSet
 
@@ -238,7 +238,8 @@ def test_planted_sets_match_reference():
         s, theta = planted_direction_set(rng, group_dim=2 + trial % 3,
                                          rest_dim=3 + trial % 2, n_states=3)
         ray = Projector.from_ray(theta)
-        assert_same(s, LocalPVM(PVM([ray, ray.complement()]), (0,)), tally)
+        assert_same(s, LocalPVM(PVM([ray, complement([ray], ray.dim)]), (0,)),
+                    tally)
         assert_same(s, LocalPVM(parse_pvm("0;1-2;~", [s.spec.dims[1]]), (1,)),
                     tally)
         assert_same(s, LocalPVM(parse_pvm("00,11;~", s.spec.dims), (1, 0))
@@ -288,7 +289,7 @@ def problems(draw):
         p = Projector.diagonal(keep, idx.group_dim)
     else:
         p = Projector.from_ray(ray)
-    return s, LocalPVM(PVM([p, p.complement()]), group)
+    return s, LocalPVM(PVM([p, complement([p], p.dim)]), group)
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,8 +12,8 @@ from lpcckit.generators import random_orthogonal_set
 from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
-                                  branch_survivals, embed, is_trivial_for_set,
-                                  preserves_orthogonality)
+                                  branch_survivals, complement, embed,
+                                  is_trivial_for_set, preserves_orthogonality)
 from lpcckit.opsolve import enumerate_op_pvms
 from lpcckit.statesets import (Partition, check_mutual_orthogonality,
                                merge_parties)
@@ -47,7 +47,7 @@ def test_pvm_validation():
     p = Projector.diagonal([0], 2)
     with pytest.raises(ValueError):
         PVM([p, p])
-    pvm = PVM([p, p.complement()])
+    pvm = PVM([p, complement([p], p.dim)])
     assert len(pvm) == 2
 
 
@@ -159,7 +159,7 @@ def test_preservation_matches_dense_reference(s1, s2, union_s):
             elements = [Projector.from_ray(v) for v in rays if not v.is_zero()]
             elements += [Projector.diagonal([a], d) for a in range(min(d, 3))]
             for p in elements:
-                lp = LocalPVM(PVM([p, p.complement()]), group)
+                lp = LocalPVM(PVM([p, complement([p], p.dim)]), group)
                 verdict = preserves_orthogonality(s, lp)
                 want = _dense_preserves(s, lp)
                 assert (verdict.ok, verdict.witness) == want, (s.provenance, group)
@@ -222,7 +222,7 @@ def test_is_trivial():
     assert PVM([Projector.full(2)]).is_trivial()
     assert not parse_pvm("0;1", [2]).is_trivial()
     p = Projector.diagonal([0, 1], 3)
-    assert not PVM([p, p.complement()]).is_trivial()
+    assert not PVM([p, complement([p], p.dim)]).is_trivial()
 
 
 def test_rank2_in_dim2_is_identity():
@@ -240,7 +240,7 @@ def test_norm_conservation():
         if direction.is_zero():
             continue
         p = Projector.from_ray(direction)
-        lp = LocalPVM(PVM([p, p.complement()]), (1,))
+        lp = LocalPVM(PVM([p, complement([p], p.dim)]), (1,))
         branches = apply(s, lp)
         for label, v in s.states:
             total = Fraction(0)
@@ -307,8 +307,9 @@ def test_rank_from_span_matches_dense_rank():
     wide = Projector.from_span(dependent, 4)
     projectors = [ray, wide, Projector.from_span([a, a.scale(i)], 4),
                   Projector.diagonal([0, 2, 2], 4), Projector.diagonal([], 4),
-                  Projector.zero(4), Projector.full(4), ray.complement(),
-                  wide.complement(), Projector.full(4).complement()]
+                  Projector.zero(4), Projector.full(4), complement([ray], ray.dim),
+                  complement([wide], wide.dim),
+                  complement([Projector.full(4)], 4)]
     pvm = PVM([Projector.from_ray(Vec([1, i])), Projector.from_ray(Vec([i, 1]))])
     lifted = _lift_pvm(pvm, (1, 3), Projector.diagonal([0, 2], 4))
     projectors += list(lifted.elements)

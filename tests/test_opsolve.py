@@ -111,7 +111,7 @@ def test_form_value_matches_preservation():
     s = random_orthogonal_set(rng, (3, 3), 3, complex_amps=True)
     theta = Vec([1, 2, -1])
     p = Projector.from_ray(theta)
-    lp = LocalPVM(PVM([p, p.complement()]), (0,))
+    lp = LocalPVM(PVM([p, complement([p], p.dim)]), (0,))
     all_zero = opsolve._form_vanishes(opsolve._pair_rows(s, (0,)), theta)
     assert all_zero == bool(preserves_orthogonality(s, lp))
 
@@ -145,7 +145,7 @@ def test_solutions_reverify(s2):
     rep = rank1_op_directions(s2, (2,))
     for sol in rep.solutions:
         p = Projector.from_ray(sol.vector)
-        lp = LocalPVM(PVM([p, p.complement()]), (2,))
+        lp = LocalPVM(PVM([p, complement([p], p.dim)]), (2,))
         assert preserves_orthogonality(s2, lp)
 
 
@@ -158,7 +158,8 @@ def _assert_members_preserve(s, fam):
     for theta in fam.members():
         assert fam.contains(theta)
         p = Projector.from_ray(theta)
-        assert preserves_orthogonality(s, LocalPVM(PVM([p, p.complement()]), (0,)))
+        assert preserves_orthogonality(
+            s, LocalPVM(PVM([p, complement([p], p.dim)]), (0,)))
 
 
 def test_circle_family_members_and_membership():
@@ -687,8 +688,8 @@ def test_diagonal_subsets_match_scanned_reference(s1, s2, domino, union_s):
         assert got == _scanned_subsets(s, group), (s.provenance, group)
         for sub in got:
             p = Projector.diagonal(sub, d)
-            assert preserves_orthogonality(s, LocalPVM(PVM([p, p.complement()]),
-                                                       group))
+            assert preserves_orthogonality(
+                s, LocalPVM(PVM([p, complement([p], p.dim)]), group))
         found += len(got)
     assert len(problems) == 105 and found >= 700
 
