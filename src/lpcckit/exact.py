@@ -459,9 +459,8 @@ def reshape(v: Vec, rows: int, cols: int) -> Mat:
 def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """In-place fraction-exact reduced row echelon; returns (rows, pivot
     columns). The row lists themselves are overwritten. Eliminating
-    touches only the pivot row's nonzero columns, since x - f*0 = x."""
-    if not rows:
-        return rows, []
+    touches only the pivot row's nonzero columns, since x - f*0 = x. Every
+    caller passes at least one row."""
     n_rows, n_cols = len(rows), len(rows[0])
     pivots = []
     r = 0

@@ -346,7 +346,7 @@ def _recurse(cmats: list[tuple], k: int, lin_rows: list[list[Scalar]]) -> list[t
             return _recurse(cmats, k, lin_rows + [new_row])
 
     if f == 2:
-        return _binary_endgame(cmats, k, basis, free, reduced)
+        return _binary_endgame(basis, reduced)
 
     # rank-1 reduced form: the constraint factors into two linear pieces
     for mr, mi in reduced:
@@ -367,11 +367,13 @@ def _recurse(cmats: list[tuple], k: int, lin_rows: list[list[Scalar]]) -> list[t
              "constraints stay above rank 1 with three or more free parameters")]
 
 
-def _binary_endgame(cmats: list[tuple], k: int, basis: list[Vec], free: list[int],
+def _binary_endgame(basis: list[Vec],
                     reduced: list[tuple[list[int], list[int]]]) -> list[tuple]:
     """Exact solve of F = M00 + conj(t)M01 + tM10 + |t|^2 M11 = 0 per pair,
     with theta = N0 + t N1 and both free coordinates nonzero; the reduced
-    forms' positive multiples cancel in every ratio taken below."""
+    forms' positive multiples cancel in every ratio taken below. A candidate
+    meets every real row, so it solves every pair with a nonzero reduced
+    form; `reduced` is nonempty, so with no affine row left `quad` is set."""
     real_rows = []   # (gamma, alpha, beta, const) for gamma(x^2+y^2)+ax+by+c=0
     for (r00, r01, r10, r11), (i00, i01, i10, i11) in reduced:
         real_rows.append((r11, r01 + r10, i01 - i10, r00))
@@ -395,9 +397,7 @@ def _binary_endgame(cmats: list[tuple], k: int, basis: list[Vec], free: list[int
         theta = basis[0] + basis[1].scale(tau)
         if any(a.is_zero() for a in theta.entries):
             return None
-        if _form_vanishes(cmats, theta):
-            return ("solution", theta.normalized_leading())
-        return None
+        return ("solution", theta.normalized_leading())
 
     sol = _solve_affine(affine)
     if sol == "inconsistent":
@@ -420,15 +420,9 @@ def _binary_endgame(cmats: list[tuple], k: int, basis: list[Vec], free: list[int
             return [("contradiction", "endgame quadratic has no real roots on the line")]
         if roots == "irrational":
             return [("unresolved", "irrational endgame roots")]
-        out = []
-        for x, y in roots:
-            got = emit(Scalar(x, y))
-            if got:
-                out.append(got)
+        out = [got for x, y in roots if (got := emit(Scalar(x, y)))]
         return out or [("contradiction", "endgame roots off-support")]
     # no affine information at all
-    if quad is None:
-        return [("family", Family(kind="subspace", basis=tuple(basis)))]
     g, a, b, c = quad
     cx, cy = Fraction(-a, 2 * g), Fraction(-b, 2 * g)
     r2 = cx * cx + cy * cy - Fraction(c, g)

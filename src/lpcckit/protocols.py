@@ -35,8 +35,8 @@ from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
                            preserves_orthogonality)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
-from .statesets import (Partition, PartySpec, StateSet, group_support,
-                        require_orthogonal)
+from .statesets import (Partition, PartySpec, StateSet, check_mutual_orthogonality,
+                        group_support, require_orthogonal)
 
 LEAF_RULES = ("identified", "two-orthogonal", "lemma1-2xn", "three-product")
 
@@ -114,20 +114,26 @@ def execute_and_verify(s: StateSet, tree: ProtocolTree,
     preserves orthogonality, children cover exactly the surviving
     outcomes, and every leaf claim checks out. With a partition, every
     node's group must also lie inside one block."""
-    try:
-        require_orthogonal(s)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
     trace: list[str] = []
-    _exec(s, tree, (), trace, partition)
+    _walk(s, tree, trace, partition)
     return Verdict(status="distinguishable", tree=tree, trace=tuple(trace))
 
 
 def leaf_branches(s: StateSet, tree: ProtocolTree
                   ) -> list[tuple[tuple[int, ...], StateSet]]:
     """(path, branch set) of every leaf, in outcome order, from one
-    verification of the whole tree."""
-    return _exec(s, tree, (), [], None)
+    verification of the whole tree, which refuses a non-orthogonal set."""
+    return _walk(s, tree, [], None)
+
+
+def _walk(s: StateSet, tree: ProtocolTree, trace: list[str],
+          partition: Partition | None) -> list[tuple[tuple[int, ...], StateSet]]:
+    """`_exec` from the root of a set that `require_orthogonal` accepts."""
+    try:
+        require_orthogonal(s)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    return _exec(s, tree, (), trace, partition)
 
 
 def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
@@ -170,8 +176,8 @@ def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
 
 def _check_leaf(s: StateSet, claim: str, path: tuple[int, ...],
                 trace: list[str], partition: Partition | None) -> None:
-    """Decide one leaf claim; a constructive claim builds its protocol and
-    replays it under the same partition."""
+    """Decide one leaf claim on an orthogonal set; a constructive claim
+    builds its protocol and replays it under the same partition."""
     n = len(s)
     if claim == "identified":
         if n != 1:
@@ -179,10 +185,6 @@ def _check_leaf(s: StateSet, claim: str, path: tuple[int, ...],
     elif claim == "two-orthogonal":
         if n > 2:
             raise ProtocolError(f"leaf claims at most two states, found {n}", path)
-        if n == 2:
-            a, b = s.vectors()
-            if not inner(a, b).is_zero():
-                raise ProtocolError("two-state leaf is not orthogonal", path)
     else:
         build = lemma1_protocol if claim == "lemma1-2xn" else three_product_protocol
         try:
@@ -203,15 +205,15 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
     Round 1 groups the wide side by blocks, round 2 measures the
     two-dimensional side in a direction pair, round 3 identifies states
     with rank-1 projectors. Parties whose joint support is
-    one-dimensional are inert and never measured.
+    one-dimensional are inert and never measured. Alphas are orthogonal
+    only across the sides of one class, so the etas each round separates
+    are orthogonal exactly when the states are, which one check decides.
     """
     if len(s) == 1:
         return Leaf("identified")
     dims = s.spec.dims
     sup = [group_support(s, (p,))[1] for p in range(len(dims))]
     live = [p for p in range(len(dims)) if sup[p] > 1]
-    if not live:
-        raise LemmaStructureError("multiple states share every local factor")
     if len(live) == 1:
         # degenerate instance: all structure sits on one party, whose
         # slices are mutually orthogonal; rank-1 projectors finish it
@@ -236,27 +238,9 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
     # nonzero state has one
     etas = [next(iter(rest_idx.nonzero_slices(v).values())) for v in s.vectors()]
 
-    # the alphas span the narrow party's support, which has rank 2
-    v_basis = gram_schmidt(alphas)
-
-    classes = _alpha_classes(alphas, v_basis)
-    # cross-class rest spans must be orthogonal
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            for si in classes[i]["members"][0] + classes[i]["members"][1]:
-                for sj in classes[j]["members"][0] + classes[j]["members"][1]:
-                    if not inner(etas[si], etas[sj]).is_zero():
-                        raise LemmaStructureError(
-                            "wide-side blocks of different direction classes overlap")
-    # within a class and side, rest vectors must be mutually orthogonal
-    for cls in classes:
-        for side in (0, 1):
-            mem = cls["members"][side]
-            for x in range(len(mem)):
-                for y in range(x + 1, len(mem)):
-                    if not inner(etas[mem[x]], etas[mem[y]]).is_zero():
-                        raise LemmaStructureError(
-                            "same-direction states are not orthogonal on the wide side")
+    if not check_mutual_orthogonality(s):
+        raise LemmaStructureError("states are not mutually orthogonal")
+    classes = _alpha_classes(alphas)
 
     rest_dim = rest_idx.group_dim
     two_dim = dims[narrow]
@@ -287,23 +271,21 @@ def lemma1_protocol(s: StateSet) -> ProtocolTree:
 
 
 def _single_party_identification(s: StateSet, party: int) -> ProtocolTree:
-    """Rank-1 discrimination on the only varying party."""
+    """Rank-1 discrimination on the only varying party's rays, which are
+    orthogonal exactly when the states are."""
+    if not check_mutual_orthogonality(s):
+        raise LemmaStructureError("states are not mutually orthogonal")
     idx = indexer(s.spec.dims, (party,))
     rays = [next(iter(idx.nonzero_slices(v).values())) for v in s.vectors()]
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            if not inner(rays[i], rays[j]).is_zero():
-                raise LemmaStructureError(
-                    "single varying party with non-orthogonal local factors")
     children: dict[int, Node | Leaf] = {i: Leaf("identified")
                                         for i in range(len(rays))}
     return Node((party,), PVM.completed([Projector.from_ray(r) for r in rays],
                                         idx.group_dim), children)
 
 
-def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
-    """Group states by two-side rays, pairing each ray with its
-    orthocomplement inside the two-dimensional support."""
+def _alpha_classes(alphas: list[Vec]) -> list[dict]:
+    """Group states by two-side rays, pairing each with its one orthogonal
+    ray in the alphas' 2-dim span, or else with its perpendicular there."""
     by_ray: dict[Vec, list[int]] = {}
     for i, a in enumerate(alphas):
         by_ray.setdefault(a.normalized_leading(), []).append(i)
@@ -324,17 +306,17 @@ def _alpha_classes(alphas: list[Vec], v_basis: list[Vec]) -> list[dict]:
             classes.append({"dirs": (r, rays[partner]),
                             "members": (ray_members[k], ray_members[partner])})
         else:
-            perp = _orthocomplement_in(r, v_basis)
+            perp = _orthocomplement_in(r, rays)
             classes.append({"dirs": (r, perp),
                             "members": (ray_members[k], [])})
     return classes
 
 
-def _orthocomplement_in(ray: Vec, v_basis: list[Vec]) -> Vec:
-    """The ray orthogonal to `ray` inside the 2-dim span of v_basis: the
-    nonzero ray lies in that span, so Gram-Schmidt from it yields exactly
-    one more vector."""
-    return gram_schmidt([ray, *v_basis])[1].normalized_leading()
+def _orthocomplement_in(ray: Vec, vecs: list[Vec]) -> Vec:
+    """The ray orthogonal to `ray` in the 2-dim span of vecs, whichever
+    vecs span it, in `normalized_leading` form: Gram-Schmidt from the
+    nonzero ray yields exactly one more vector."""
+    return gram_schmidt([ray, *vecs])[1].normalized_leading()
 
 
 def three_product_protocol(s: StateSet) -> ProtocolTree:

@@ -107,7 +107,7 @@ class StateSet:
         for label, v in self.states:
             if v.dim != spec.total_dim:
                 raise ValueError(f"state {label!r} has dim {v.dim}, expected {spec.total_dim}")
-            if v.is_zero():
+            if not v.int_read()[1]:
                 raise ValueError(f"state {label!r} is the zero vector")
 
     def __len__(self) -> int:

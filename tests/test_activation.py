@@ -17,7 +17,7 @@ from lpcckit.measurements import (PVM, LocalPVM, Projector, apply,
 from lpcckit.opsolve import (enumerate_op_pvms, is_pvm_irreducible,
                              rank1_op_directions)
 from lpcckit.protocols import ProtocolError, lpcc_search
-from lpcckit.statesets import (Partition, PartySpec, StateSet,
+from lpcckit.statesets import (Partition, PartySpec, StateSet, build_named_set,
                                merge_parties, separability_degree)
 from lpcckit.theorems import fixture_activation, fixture_protocol
 
@@ -364,3 +364,35 @@ def test_three_fully_product_states_are_exactly_strong_local():
     c = classify(s)
     assert (c.klass, c.exact) == ("strong-local-evidence", True)
     assert c.trace == ("three orthogonal fully product states are strong local",)
+
+
+def _with_zero_party(s, d):
+    z = basis_vec(d, 0)
+    return StateSet(PartySpec(s.spec.dims + (d,)),
+                    [(label, tensor(v, z)) for label, v in s.states])
+
+
+def test_per_partition_source_search_decides_the_source(monkeypatch):
+    # Domino (x) |0> is indistinguishable in the finest partition, so each
+    # partition with candidates decides its source by one search
+    from lpcckit import activation
+    s = _with_zero_party(build_named_set("Domino"), 2)
+    seen = []
+
+    def spy(t, p, depth=4):
+        verdict = lpcc_search(t, p, depth=depth)
+        if t is s:
+            seen.append((p.blocks, verdict.status))
+        return verdict
+    monkeypatch.setattr(activation, "lpcc_search", spy)
+    verdict = is_m_activable(s, 2)
+    assert seen[0] == (((0,), (1,), (2,)), "indistinguishable")
+    assert any(status == "distinguishable" for _, status in seen[1:])
+    assert verdict.status != "activable"
+
+
+def test_activation_of_a_locally_redundant_set_is_skipped():
+    s = _with_zero_party(build_named_set("S2"), 2)
+    verdict = is_m_activable(s, 3)
+    assert "activation found but set is locally redundant" in verdict.trace
+    assert verdict.status != "activable"

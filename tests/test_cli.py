@@ -304,3 +304,41 @@ def test_lemma_fixture_tree_failing_verification_is_refuted(capsys, monkeypatch)
     assert code == 1
     assert "FAIL s1_discrimination tree" in out
     assert out.endswith("lemma 1: REFUTED\n")
+
+
+def test_sets_list_names_every_named_set(capsys):
+    code, out = run(capsys, "sets", "list")
+    assert code == 0
+    assert len(out.splitlines()) == 8
+
+
+def test_sets_check_reports_the_non_orthogonal_pair(capsys, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(NON_ORTHOGONAL))
+    code, out = run(capsys, "--json", "sets", "check", "--file", str(path))
+    assert code == 1
+    assert json.loads(out)["verdicts"][1]["witness"] == [0, 1]
+
+
+def test_measure_apply_lists_an_outcome_that_annihilates_every_state(capsys, tmp_path):
+    # level 2 of A carries no amplitude, so outcome 0 of "2;~" keeps nothing
+    e = lambda k: [[1 if j == k else 0, 1, 0, 1] for j in range(6)]
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"dims": [3, 2], "states": [
+        {"label": "a", "amps": e(0)}, {"label": "b", "amps": e(3)}]}))
+    code, out = run(capsys, "--json", "measure", "apply", "--file", str(path),
+                    "--group", "A", "--pvm", "2;~")
+    assert code == 0
+    first = json.loads(out)["verdicts"][1]
+    assert first["outcome"] == 0 and first["states"] == []
+
+
+def test_classify_without_search_depth_is_unknown(capsys):
+    code, _ = run(capsys, "classify", "--name", "S1", "--depth", "0")
+    assert code == 2
+
+
+def test_only_lemma_1_is_implemented(capsys):
+    code, out = run(capsys, "lemma", "2")
+    assert code == 64
+    assert out == "only lemma 1 is implemented\n"

@@ -4,18 +4,19 @@ import random
 
 import pytest
 
-from lpcckit.exact import Scalar, Vec, inner, tensor
+from lpcckit.exact import Scalar, Vec, gram_schmidt, inner, tensor
 from lpcckit.generators import (random_lemma_structured_set,
                                 random_orthogonal_set, random_product_set)
+from lpcckit.indexing import indexer
 from lpcckit.kets import parse_pvm
-from lpcckit.measurements import LocalPVM, apply
+from lpcckit.measurements import PVM, LocalPVM, Projector, apply
 from lpcckit.protocols import (Leaf, LemmaStructureError, Node, ProtocolError,
                                _orthocomplement_in,
                                execute_and_verify, leaf_branches,
                                lemma1_protocol, lpcc_search,
                                three_product_protocol, tree_from_script)
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
-                               check_mutual_orthogonality)
+                               check_mutual_orthogonality, group_support)
 from lpcckit.theorems import fixture_protocol
 
 
@@ -290,3 +291,68 @@ def test_lemma1_completes_a_lone_ray_with_its_nonzero_perpendicular():
             assert not any(e.mat.is_zero() for e in node.pvm)
             nodes.extend(node.children.values())
     assert execute_and_verify(s, tree).distinguishable
+
+
+def _ket(d, k):
+    return Vec([1 if j == k else 0 for j in range(d)])
+
+
+@pytest.mark.parametrize("states", [
+    # one side of a direction class holds overlapping wide-side vectors
+    [(_ket(2, 0), _ket(3, 0)), (_ket(2, 0), Vec([1, 1, 0])), (_ket(2, 1), _ket(3, 2))],
+    # two direction classes overlap on the wide side
+    [(_ket(2, 0), _ket(3, 0)), (Vec([1, 1]), _ket(3, 0)), (_ket(2, 1), _ket(3, 1))],
+    # one live party, whose rays overlap
+    [(_ket(2, 0), _ket(3, 0)), (Vec([1, 1]), _ket(3, 0))],
+], ids=["same-side", "cross-class", "single-party"])
+def test_lemma1_refuses_a_non_orthogonal_set_with_one_gate(states):
+    s = StateSet(PartySpec((2, 3)), [(str(i), tensor(a, b))
+                                     for i, (a, b) in enumerate(states)])
+    with pytest.raises(LemmaStructureError, match="states are not mutually orthogonal"):
+        lemma1_protocol(s)
+
+
+def test_leaf_branches_refuses_a_non_orthogonal_set():
+    s = StateSet(PartySpec((2, 2)), [("a", Vec([1, 0, 0, 0])), ("b", Vec([1, 1, 0, 0]))])
+    with pytest.raises(ProtocolError, match="not orthogonal"):
+        leaf_branches(s, Leaf("two-orthogonal"))
+
+
+def _lemma1_inputs():
+    rng = random.Random(5)
+    for i in range(40):
+        if i % 2:
+            yield random_lemma_structured_set(rng, rng.randint(2, 6))
+        else:
+            yield random_product_set(rng, rng.choice(((2, 3), (2, 4), (2, 2, 2), (2, 3, 2))),
+                                     rng.randint(2, 4))
+
+
+def test_lemma1_trees_hold_valid_projectors_and_the_same_lone_perpendiculars():
+    # PVM.completed trusts its elements, so each one is re-validated here;
+    # a lone ray's perpendicular from the distinct rays is the one
+    # Gram-Schmidt of all the alphas gives
+    built = lone = 0
+    for s in _lemma1_inputs():
+        nodes = [lemma1_protocol(s)]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, Node):
+                for e in node.pvm:
+                    Projector(e.mat)
+                PVM(list(node.pvm))
+                nodes.extend(node.children.values())
+                built += 1
+        sup = [group_support(s, (p,))[1] for p in range(s.spec.n_parties)]
+        live = [p for p, r in enumerate(sup) if r > 1]
+        if len(live) < 2:
+            continue
+        narrow = next(p for p in live if sup[p] == 2)
+        alphas = [indexer(s.spec.dims, (narrow,)).factor(v)[0] for v in s.vectors()]
+        rays = list(dict.fromkeys(a.normalized_leading() for a in alphas))
+        for r in rays:
+            if not any(inner(r, q).is_zero() for q in rays):
+                lone += 1
+                assert _orthocomplement_in(r, rays) == \
+                    _orthocomplement_in(r, gram_schmidt(alphas))
+    assert built >= 40 and lone >= 10
