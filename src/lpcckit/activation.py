@@ -27,7 +27,7 @@ from .protocols import (ProtocolTree, execute_and_verify, lpcc_search,
 from .statesets import (Partition, StateSet, build_named_set,
                         check_mutual_orthogonality, group_support,
                         is_locally_redundant, merge_parties,
-                        require_orthogonal, separability_degree)
+                        require_orthogonal)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,8 @@ def _activation_order(s: StateSet, candidates: Sequence[LocalPVM]) -> list[Local
 
 def _structural_strong_local(s: StateSet) -> str | None:
     """Theorem-level recognitions: bipartite product sets with a (<=2)-
-    dimensional side; three fully product states."""
+    dimensional side; three fully product states (a pure state is fully
+    product exactly when it factors across every single party)."""
     n = s.spec.n_parties
     if n == 2:
         first = indexer(s.spec.dims, (0,))
@@ -411,8 +412,8 @@ def _structural_strong_local(s: StateSet) -> str | None:
                 if group_support(s, (party,))[1] <= 2:
                     return ("orthogonal product set with a two-dimensional "
                             "side: activation impossible in n x 2")
-    if len(s) == 3 and all(separability_degree(v, s.spec)[0] == n
-                           for v in s.vectors()):
+    if len(s) == 3 and all(indexer(s.spec.dims, (p,)).factor(v) is not None
+                           for v in s.vectors() for p in range(n)):
         return "three orthogonal fully product states are strong local"
     return None
 

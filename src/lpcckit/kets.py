@@ -77,7 +77,7 @@ def parse_pvm(text: str, dims: Sequence[int]) -> PVM:
         elements.append(Projector.from_span(vecs, dim))
     if tilde_at is not None:
         listed = [e for e in elements if e is not None]
-        comp = complement(listed or [Projector.zero(dim)], dim)
+        comp = complement(listed, dim)
         # sum |C_ab|^2 - tr C is the sum over i != j of ||P_i P_j||_F^2,
         # and tr C (dim minus the listed ranks, an integer) is C.rank()
         if sum(x.norm2() for row in comp.mat.entries for x in row

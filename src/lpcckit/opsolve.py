@@ -25,11 +25,12 @@ contradiction.
 
 Each pair form C_ij is held one way, as Gaussian-integer rows built
 straight from the states' `int_slices` over one denominator per group
-(`_pair_rows`). Restricted to an open pattern they are filtered once,
-before its case split: zero forms and later copies of equal ones are
-dropped. The pattern engine and the live-pattern walk run on these rows,
-and each reduced form is a positive multiple of N C N^dagger over the
-nullspace basis N of the linear constraints so far (`_reduced_form`).
+(`statesets._pair_rows`, which the redundancy test shares). Restricted to
+an open pattern they are filtered once, before its case split: zero forms
+and later copies of equal ones are dropped. The pattern engine and the
+live-pattern walk run on these rows, and each reduced form is a positive
+multiple of N C N^dagger over the nullspace basis N of the linear
+constraints so far (`_reduced_form`).
 """
 
 from __future__ import annotations
@@ -50,42 +51,12 @@ from .exact import (ONE, Mat, Scalar, Vec, ZERO, _wrap, basis_vec,
 from .indexing import indexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            preserves_orthogonality)
-from .statesets import Partition, StateSet, group_support, require_orthogonal
+from .statesets import (Partition, StateSet, _pair_rows, group_support,
+                        require_orthogonal)
 
 # the largest effective block dimension the rank-1 case split enumerates;
 # a larger block is reported unresolved ("dimension-bound")
 MAX_EXACT_DIM = 9
-
-
-def _pair_rows(s: StateSet, group: Sequence[int]) -> list[tuple]:
-    """Each unordered pair's form C_ij, in (i, j) order, as its nonzero
-    rows (a, ((b, re, im), ...)) in ascending a and b: the Gaussian-integer
-    numerators over lcm(F_i)^2, one denominator for the whole group, so
-    equal rows mean equal forms. Each state's `int_slices` is read once."""
-    idx = indexer(s.spec.dims, group)
-    reads = [idx.int_slices(v) for v in s.vectors()]
-    den = lcm(*(f for f, _ in reads))
-    slices = [{r: [(g, a * (den // f), b * (den // f)) for g, a, b in u]
-               for r, u in sl.items()} for f, sl in reads]
-    out = []
-    for i, si in enumerate(slices):
-        for sj in slices[i + 1:]:
-            acc: dict[int, dict[int, tuple[int, int]]] = {}
-            for r, ui in si.items():
-                uj = sj.get(r)
-                if uj is None:
-                    continue
-                for a, x, y in ui:
-                    row = acc.setdefault(a, {})
-                    for b, p, q in uj:
-                        # conj(x + yi) * (p + qi)
-                        re, im = row.get(b, (0, 0))
-                        row[b] = (re + x * p + y * q, im + x * q - y * p)
-            out.append(tuple(
-                (a, nz) for a, row in sorted(acc.items())
-                if (nz := tuple((b, re, im) for b, (re, im) in sorted(row.items())
-                                if re or im))))
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 States are kept unnormalized with integer (more generally Gaussian
 rational) amplitudes, so every orthogonality / redundancy / separability
-question below is answered by an exact zero test.
+question below is answered by an exact zero test. The integer pair
+forms of `_pair_rows` live here: the redundancy test and `opsolve` read them.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .exact import Scalar, Vec, ZERO, inner, vectors_rank
 from .indexing import (embed_with_offsets, index_of, indexer, permute_axes,
@@ -226,33 +227,50 @@ def is_locally_redundant(s: StateSet) -> RedundancyVerdict:
     """Can some subsystems be discarded with all states staying
     perfectly distinguishable (reduced states pairwise trace-orthogonal)?
 
-    Tr(rho_i rho_j) = sum |<u_j^e | u_i^d>|^2 over discarded indices d, e,
-    where u^d are the kept-side slices, so the test reduces to exact inner
-    products of slices.
+    Discarding the group D keeps rho_i^K with Tr(rho_i^K rho_j^K) =
+    sum_{d,e} |C^D_ij[d][e]|^2 over the pair forms of `_pair_rows` on D,
+    so D can go exactly when they are all zero (the lazy forms stop at the
+    first nonzero one). Keeping more parties keeps orthogonal supports
+    orthogonal, so D can go only if each of its parties can.
     """
     n = s.spec.n_parties
     if n < 2:
         raise ValueError("redundancy needs at least two parties")
-    vecs = s.vectors()
-    for k in range(1, n):
-        for discard in combinations(range(n), k):
-            kept = tuple(p for p in range(n) if p not in discard)
-            idx = indexer(s.spec.dims, kept)
-            slices = [list(idx.nonzero_slices(v).values()) for v in vecs]
-            if _all_pairs_slice_orthogonal(slices):
-                return RedundancyVerdict(True, discard)
+    for p in range(n):
+        if not any(_pair_rows(s, (p,))):
+            return RedundancyVerdict(True, (p,))
     return RedundancyVerdict(False)
 
 
-def _all_pairs_slice_orthogonal(slices: list[list[Vec]]) -> bool:
-    m = len(slices)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for u in slices[i]:
-                for w in slices[j]:
-                    if not inner(u, w).is_zero():
-                        return False
-    return True
+def _pair_rows(s: StateSet, group: Sequence[int]) -> Iterator[tuple]:
+    """Each unordered pair's form C_ij[a][b] = sum_r conj(u_i^r[a]) u_j^r[b]
+    over the group-side slices u^r, yielded lazily in (i, j) order, as its
+    nonzero rows (a, ((b, re, im), ...)) in ascending a and b: the
+    Gaussian-integer numerators over lcm(F_i)^2, one denominator for the
+    whole group, so equal rows mean equal forms. Each state's
+    `int_slices` is read once."""
+    idx = indexer(s.spec.dims, group)
+    reads = [idx.int_slices(v) for v in s.vectors()]
+    den = lcm(*(f for f, _ in reads))
+    slices = [{r: [(g, a * (den // f), b * (den // f)) for g, a, b in u]
+               for r, u in sl.items()} for f, sl in reads]
+    for i, si in enumerate(slices):
+        for sj in slices[i + 1:]:
+            acc: dict[int, dict[int, tuple[int, int]]] = {}
+            for r, ui in si.items():
+                uj = sj.get(r)
+                if uj is None:
+                    continue
+                for a, x, y in ui:
+                    row = acc.setdefault(a, {})
+                    for b, p, q in uj:
+                        # conj(x + yi) * (p + qi)
+                        re, im = row.get(b, (0, 0))
+                        row[b] = (re + x * p + y * q, im + x * q - y * p)
+            yield tuple(
+                (a, nz) for a, row in sorted(acc.items())
+                if (nz := tuple((b, re, im) for b, (re, im) in sorted(row.items())
+                                if re or im)))
 
 
 def merge_parties(s: StateSet, p: Partition) -> StateSet:

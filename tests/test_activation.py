@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from lpcckit.activation import (ActivationError, classify, check_dim2_nogo,
-                                domino_match, is_m_activable,
-                                verify_activation)
+from lpcckit.activation import (ActivationError, _structural_strong_local,
+                                classify, check_dim2_nogo, domino_match,
+                                is_m_activable, verify_activation)
 from lpcckit.exact import Scalar, Vec, basis_vec, tensor
 from lpcckit.generators import (random_biseparable_322,
-                                random_orthogonal_basis, random_product_set,
-                                random_two_state_set)
+                                random_orthogonal_basis, random_orthogonal_set,
+                                random_product_set, random_two_state_set)
+from lpcckit.indexing import indexer
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (PVM, LocalPVM, Projector, apply,
                                   complement)
@@ -18,7 +19,8 @@ from lpcckit.opsolve import (enumerate_op_pvms, is_pvm_irreducible,
                              rank1_op_directions)
 from lpcckit.protocols import ProtocolError, lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet, build_named_set,
-                               merge_parties, separability_degree)
+                               group_support, merge_parties,
+                               separability_degree)
 from lpcckit.theorems import fixture_activation, fixture_protocol
 
 
@@ -364,6 +366,59 @@ def test_three_fully_product_states_are_exactly_strong_local():
     c = classify(s)
     assert (c.klass, c.exact) == ("strong-local-evidence", True)
     assert c.trace == ("three orthogonal fully product states are strong local",)
+
+
+def ref_structural_strong_local(s: StateSet) -> str | None:
+    """`_structural_strong_local` as it stood when "fully product" was
+    read off the finest factorization of `separability_degree`."""
+    n = s.spec.n_parties
+    if n == 2:
+        first = indexer(s.spec.dims, (0,))
+        if all(first.factor(v) is not None for v in s.vectors()):
+            for party in (0, 1):
+                if group_support(s, (party,))[1] <= 2:
+                    return ("orthogonal product set with a two-dimensional "
+                            "side: activation impossible in n x 2")
+    if len(s) == 3 and all(separability_degree(v, s.spec)[0] == n
+                           for v in s.vectors()):
+        return "three orthogonal fully product states are strong local"
+    return None
+
+
+def _three_state_sets():
+    """Three-state sets of two or three parties: fully product, generic
+    entangled, biseparable, and product states beside orthogonal
+    combinations x + y, |y|^2 x - |x|^2 y of two more (entangled when x and
+    y differ on more than one party). The 3 x 3 sets left_i (x) right_i
+    have three-dimensional supports on both sides."""
+    def mixed(x, y):
+        return x.scale(Scalar(y.norm2())) - y.scale(Scalar(x.norm2()))
+
+    for seed in range(30):
+        rng = random.Random(seed)
+        dims = rng.choice([(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)])
+        yield random_product_set(rng, dims, 3)
+        yield random_orthogonal_set(rng, dims, 3, complex_amps=seed % 2 == 1)
+        yield random_biseparable_322(rng, 3)
+        s = random_product_set(rng, dims, 4, domino_moves=0)
+        (a, u), (b, v), (c, x), (d, y) = s.states
+        yield StateSet(s.spec, [(a, u), (b, v), (c + d, mixed(x, y))])
+        left, right = random_orthogonal_basis(rng, 3), random_orthogonal_basis(rng, 3)
+        x, y, z = (tensor(left[i], right[i]) for i in range(3))
+        spec = PartySpec((3, 3))
+        yield StateSet(spec, [("0", x), ("1", y), ("2", z)])
+        yield StateSet(spec, [("0", x), ("+", y + z), ("-", mixed(y, z))])
+
+
+def test_three_product_recognition_matches_separability_degree():
+    verdicts = []
+    for s in _three_state_sets():
+        got = _structural_strong_local(s)
+        assert got == ref_structural_strong_local(s), s.provenance
+        verdicts.append(got)
+    three = "three orthogonal fully product states are strong local"
+    assert len(verdicts) == 6 * 30
+    assert verdicts.count(three) >= 40 and verdicts.count(None) >= 60
 
 
 def _with_zero_party(s, d):

@@ -88,6 +88,14 @@ def test_complement_needs_mutually_orthogonal_elements():
     assert [e.rank() for e in pvm] == [1, 2, 1]
 
 
+def test_lone_complement_is_the_identity_pvm():
+    from lpcckit.kets import parse_pvm
+    from lpcckit.measurements import Projector
+    for dims in ([3], [2, 2]):
+        pvm = parse_pvm("~", dims)
+        assert list(pvm) == [Projector.full(pvm.dim)]
+
+
 def test_solve_rank1_exit_codes(capsys):
     code, out = run(capsys, "solve", "rank1", "--name", "S2", "--group", "A")
     assert code == 0

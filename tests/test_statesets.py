@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from lpcckit import statesets
 from lpcckit.exact import Mat, Scalar, Vec, ZERO, inner, mat_vec, rank, tensor
-from lpcckit.generators import random_orthogonal_set
+from lpcckit.generators import (random_biseparable_322, random_orthogonal_set,
+                                random_product_set)
 from lpcckit.indexing import (GroupIndexer, digits_of, embed_with_offsets,
                               index_of, permute_axes, relabel_digits, strides,
                               total_dim)
-from lpcckit.statesets import (Partition, PartySpec, StateSet,
+from lpcckit.statesets import (NAMED_SETS, Partition, PartySpec, StateSet,
                                build_named_set, check_mutual_orthogonality,
                                group_support, is_locally_redundant,
                                merge_parties, restrict_support,
@@ -126,6 +128,68 @@ def test_s1_irredundant(s1):
 
 def test_union_irredundant(union_s):
     assert not is_locally_redundant(union_s)
+
+
+def ref_redundancy(s: StateSet) -> tuple[bool, tuple[int, ...] | None]:
+    """The slice-inner-product redundancy test, as it stood before the
+    pair forms took over: discard D when every kept-side slice of one
+    state is orthogonal to every kept-side slice of every other."""
+    n = s.spec.n_parties
+    vecs = s.vectors()
+    for k in range(1, n):
+        for discard in itertools.combinations(range(n), k):
+            kept = tuple(p for p in range(n) if p not in discard)
+            idx = GroupIndexer(s.spec.dims, kept)
+            slices = [list(idx.nonzero_slices(v).values()) for v in vecs]
+            if all(inner(u, w).is_zero()
+                   for i, j in itertools.combinations(range(len(vecs)), 2)
+                   for u in slices[i] for w in slices[j]):
+                return True, discard
+    return False, None
+
+
+def _redundancy_inputs():
+    for name in NAMED_SETS:
+        if name not in ("S1m", "S2m"):
+            yield build_named_set(name)
+    yield build_named_set("S1m", m=2)
+    yield build_named_set("S2m", m=2)
+    for seed in range(60):
+        rng = random.Random(seed)
+        dims = rng.choice([(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)])
+        top = min(5, total_dim(dims))
+        yield random_product_set(rng, dims, rng.randint(2, top))
+        yield random_orthogonal_set(rng, dims, rng.randint(2, 3),
+                                    complex_amps=seed % 2 == 1)
+        yield random_biseparable_322(rng, rng.randint(2, 6))
+
+
+def test_redundancy_matches_the_slice_reference():
+    seen = redundant = 0
+    for s in _redundancy_inputs():
+        verdict = is_locally_redundant(s)
+        want = ref_redundancy(s)
+        assert (verdict.redundant, verdict.discarded_parties) == want, s.provenance
+        seen += 1
+        redundant += want[0]
+    assert seen == 8 + 3 * 60 and redundant >= 20
+
+
+def test_union_redundancy_stops_at_the_first_overlapping_pair(union_s, monkeypatch):
+    """Each party of UnionS is refused as a discard before its last pair
+    form: the lazy forms stop at the first nonzero one."""
+    real, counts = statesets._pair_rows, []
+
+    def counting(s, group):
+        counts.append(0)
+        for form in real(s, group):
+            counts[-1] += 1
+            yield form
+
+    monkeypatch.setattr(statesets, "_pair_rows", counting)
+    assert not is_locally_redundant(union_s)
+    # three parties, 351 pairs of 27 states each
+    assert len(counts) == 3 and max(counts) < 27 * 26 // 2
 
 
 def test_union_supports_disjoint(union_s):
