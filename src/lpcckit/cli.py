@@ -19,7 +19,7 @@ from .activation import (ActivationError, _SourceUndecided, classify,
                          is_m_activable, verify_activation)
 from .diagram import render_ascii, render_svg
 from .kets import parse_pvm
-from .measurements import LocalPVM, apply, preserves_orthogonality
+from .measurements import LocalPVM, measure
 from .opsolve import enumerate_op_pvms, rank1_op_directions
 from .protocols import (ProtocolError, execute_and_verify, lpcc_search,
                         tree_from_script)
@@ -107,10 +107,10 @@ def cmd_measure(args, report: Report) -> int:
     group = _parse_group(args.group, s)
     dims = [s.spec.dims[p] for p in group]
     lp = LocalPVM(parse_pvm(args.pvm, dims), group)
-    ov = preserves_orthogonality(s, lp)
+    ov, branches = measure(s, lp)
     report.say(f"orthogonality preserving: {'yes' if ov else 'no'}",
                preserving=bool(ov))
-    for outcome, br in sorted(apply(s, lp).items()):
+    for outcome, br in sorted(branches.items()):
         if br.states is None:
             report.say(f"outcome {outcome}: all states annihilated",
                        outcome=outcome, states=[])

@@ -6,8 +6,9 @@ imaginary parts, no floating point, equality is literal equality.
 
 The one sparse read of a `Vec` lives on it: `int_read()`, its nonzero
 entries as Gaussian-integer numerators over one denominator, kept after
-first use or set by `GroupIndexer.scatter`. `inner`,
-`GroupIndexer.int_slices` and `StateSet.ray_key` read only that.
+first use or set by `GroupIndexer.scatter`. `inner`, `projector_onto`,
+`GroupIndexer.int_slices` and `StateSet.ray_key` read only that, and
+`vectors_rank` ranks rows of such integers.
 
 Index convention for tensors: leftmost factor is slowest (row-major).
 """
@@ -67,7 +68,17 @@ class Scalar:
         return _reduced(a * f + c * d, b * f + e * d, d * f * g)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + _mk(-other._a, -other._b, other._d)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            if d == 1:
+                return _mk(a - c, b - e, 1)
+            return _reduced(a - c, b - e, d)
+        g = gcd(d, f)
+        if g == 1:
+            return _mk(a * f - c * d, b * f - e * d, d * f)
+        d, f = d // g, f // g
+        return _reduced(a * f - c * d, b * f - e * d, d * f * g)
 
     def __neg__(self) -> "Scalar":
         return _mk(-self._a, -self._b, self._d)
@@ -528,10 +539,38 @@ def nullspace_with_free(a: Mat) -> tuple[list[Vec], list[int]]:
     return basis, free
 
 
-def vectors_rank(vecs: Sequence[Vec]) -> int:
-    if not vecs:
-        return 0
-    return rank(Mat(tuple(v.entries) for v in vecs))
+def vectors_rank(rows: Iterable[Sequence[tuple[int, int, int]]]) -> int:
+    """Rank of Gaussian-integer rows, each given as its nonzero (column,
+    re, im) entries. Division-free elimination: a pivot row p with entry
+    p_c clears column c of each other row x by x <- p_c*x - x_c*p, and the
+    new row is divided by the gcd of its parts, which keeps it in Z[i]
+    and its integers small. The rank does not depend on the pivot order,
+    so the last row left pivots next, on its first column; it stops once
+    the rank reaches the number of columns the rows touch."""
+    todo = [{c: (a, b) for c, a, b in row} for row in rows if row]
+    n_cols = len({c for x in todo for c in x})
+    rank = 0
+    while todo:
+        p = todo.pop()
+        rank += 1
+        if rank == n_cols:
+            break
+        c, (pa, pb) = next(iter(p.items()))
+        left = []
+        for x in todo:
+            fa, fb = x.get(c, (0, 0))
+            if fa or fb:
+                x = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in x.items()}
+                for j, (a, b) in p.items():
+                    re, im = x.get(j, (0, 0))
+                    x[j] = (re - fa * a + fb * b, im - fa * b - fb * a)
+                g = gcd(*(t for z in x.values() for t in z))
+                if not g:
+                    continue
+                x = {j: (re // g, im // g) for j, (re, im) in x.items() if re or im}
+            left.append(x)
+        todo = left
+    return rank
 
 
 def in_span(v: Vec, vecs: Sequence[Vec]) -> bool:
@@ -560,15 +599,24 @@ def gram_schmidt(vecs: Sequence[Vec]) -> list[Vec]:
 
 
 def projector_onto(vecs: Sequence[Vec], dim: int) -> Mat:
-    """Orthogonal projector onto span(vecs), exact over Q(i)."""
-    basis = gram_schmidt([v for v in vecs if not v.is_zero()])
-    # sum of b b^dagger / <b|b>, accumulated on each b's nonzero entries only
+    """Orthogonal projector onto span(vecs), exact over Q(i): the sum of
+    n n^dagger / <n|n> over the `int_read` numerators n of an orthogonal
+    basis (the denominator cancels), accumulated on integers over the one
+    lcm L of the norms <n|n> and reduced once per nonzero entry."""
+    reads = [b.int_read()[1]
+             for b in gram_schmidt([v for v in vecs if not v.is_zero()])]
+    norms = [sum(a * a + b * b for _, a, b in n) for n in reads]
+    den = lcm(*norms)
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for n, nn in zip(reads, norms):
+        w = den // nn
+        for i, a, b in n:
+            a, b = a * w, b * w
+            for j, c, e in n:
+                re, im = acc.get((i, j), (0, 0))
+                acc[i, j] = (re + a * c + b * e, im + b * c - a * e)
     rows = [[ZERO] * dim for _ in range(dim)]
-    for b in basis:
-        nz = _nonzeros(b.entries)
-        inv = inner(b, b).inv()
-        for i, x in nz:
-            row, xi = rows[i], x * inv
-            for j, y in nz:
-                row[j] = row[j] + xi * y.conj()
+    for (i, j), (re, im) in acc.items():
+        if re or im:
+            rows[i][j] = _reduced(re, im, den)
     return _wrap(Mat, tuple(map(tuple, rows)))

@@ -79,8 +79,13 @@ def random_product_set(rng: random.Random, dims: Sequence[int],
                        n_states: int, domino_moves: int = 2) -> StateSet:
     """Orthogonal fully product states: a random local orthogonal basis
     per party, a subset of the product basis, then a few domino-style
-    pair splittings (u(v+v'), u(v-v')) that keep both properties."""
+    pair splittings (u(v+v'), u(v-v')) that keep both properties. The
+    states are distinct product-basis tuples, so there are at least one
+    and at most prod(dims) of them."""
     spec = PartySpec(tuple(dims))
+    if not 1 <= n_states <= spec.total_dim:
+        raise ValueError(f"n_states must be between 1 and {spec.total_dim}, "
+                         f"got {n_states}")
     local = [random_rotation_basis(rng, d) for d in dims]
     tuples = [tuple(rng.randrange(d) for d in dims)]
     while len(tuples) < n_states:

@@ -11,9 +11,10 @@ state's one sparse read, `Vec.int_read`, through the inverse table
 one denominator per state; `scatter` sets that read on the states it
 builds. Measurement application, the orthogonality-
 preservation test, the solver's pair forms and `factor` run on those
-integers; `nonzero_slices` is the `Vec` view of the same read for the
-readers that need `Scalar`s (support vectors, redundancy, the protocols'
-first-slice reads and `apply_operator`). Moving digits into other local
+integers; `nonzero_slices` (and `slice_vec`, for one slice) is the `Vec`
+view of the same read for the readers that need `Scalar`s (support
+vectors, redundancy, the protocols' first-slice reads and
+`apply_operator`). Moving digits into other local
 spaces is the one `relabel_digits`.
 """
 
@@ -146,11 +147,14 @@ class GroupIndexer:
             slices.setdefault(r, []).append((g, a, b))
         return den, slices
 
+    def slice_vec(self, v: Vec, r: int) -> Vec:
+        """The slice u^r as a `Vec` of v's own entries."""
+        e = v.entries
+        return _wrap(Vec, tuple(e[i] for i in self.cells[r]))
+
     def nonzero_slices(self, v: Vec) -> dict[int, Vec]:
-        """The slices of `int_slices` as `Vec`s of v's own entries."""
-        e, cells = v.entries, self.cells
-        return {r: _wrap(Vec, tuple(e[i] for i in cells[r]))
-                for r in self.int_slices(v)[1]}
+        """The slices of `int_slices` as `Vec`s."""
+        return {r: self.slice_vec(v, r) for r in self.int_slices(v)[1]}
 
     def scatter(self, slices: Mapping[int, Sequence]) -> Vec:
         """The state whose slice u^r is slices[r] (a `Vec` or a list of
@@ -208,7 +212,7 @@ class GroupIndexer:
         row = [ZERO] * self.rest_dim
         for r in slices:
             row[r] = e[cells[r][g0]]
-        return _wrap(Vec, tuple(e[i] for i in cells[r0])), _wrap(Vec, tuple(row))
+        return self.slice_vec(v, r0), _wrap(Vec, tuple(row))
 
 
 def indexer(dims: Sequence[int], group: Sequence[int]) -> GroupIndexer:

@@ -1,12 +1,16 @@
 """Projective measurements attached to party groups.
 
 A LocalPVM carries a PVM together with the ordered party group it acts
-on; `apply` produces the exact unnormalized post-measurement branches and
-`preserves_orthogonality` decides the orthogonality-preservation property
-with one sesquilinear zero test per (element, pair). Both, and
-`branch_survivals`, run on integers: each state's `int_slices` (its kept
-`Vec.int_read`, sliced by the shared `indexer`) over its denominator F, and
-each element's nonzero rows over one denominator D, built per call.
+on. One image pass serves both the orthogonality-preservation test and
+the exact unnormalized post-measurement branches: `measure` computes each
+state's images once per outcome, reads the verdict from one sesquilinear
+zero test per (element, pair) on them and builds the branches from them;
+`preserves_orthogonality` (stopping at the first witness) and `apply` are
+the same pass with one of the two reads. It, and `branch_survivals`, run
+on integers: each state's `int_slices` (its kept `Vec.int_read`, sliced
+by the shared `indexer`) over its denominator F, and each element's
+nonzero rows over one denominator D, built per call. Projectors are built
+on integer reads too (`exact.projector_onto`).
 """
 
 from __future__ import annotations
@@ -258,42 +262,67 @@ def _image(rows, u) -> list[tuple[int, int, int]]:
     return out
 
 
-def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
-    """Unnormalized post-measurement branches, one per outcome.
-
-    States mapped to zero are dropped from the branch and recorded as
-    annihilated (that is what lets protocol verification confirm
-    elimination claims).
-    """
+def _images(s: StateSet, lp: LocalPVM):
+    """The one image pass: per outcome, each state's (D*F, {r: P u^r}),
+    its nonzero integer images over D*F. Outcomes come one at a time, so
+    a caller that stops early computes no more of them."""
     lp.validate(s.spec)
     idx = indexer(s.spec.dims, lp.group)
-    group_name = lp.describe(s.spec)
     den, mats = _int_rows(lp)
     reads = [idx.int_slices(v) for v in s.vectors()]
-    branches: dict[int, OutcomeBranch] = {}
     for outcome, rows in enumerate(mats):
-        survivors: list[tuple[str, Vec]] = []
-        killed: list[str] = []
-        for (label, _), (f, sl) in zip(s.states, reads):
-            # Scalars only for the nonzero entries of nonzero images
-            images = {}
-            for r, u in sl.items():
-                w = _image(rows, u)
+        yield outcome, [(den * f, {r: w for r, u in sl.items()
+                                   if (w := _image(rows, u))}) for f, sl in reads]
+
+
+def _overlap(images: list) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, with <P psi_i|P psi_j> != 0, or None.
+    For a projector this is <psi_i|P|psi_j>; it is summed on the integer
+    images over the indices both touch, and is 0 exactly when both
+    integer sums are, whatever the denominators."""
+    looks = [{r: {h: (x, y) for h, x, y in u} for r, u in w.items()} for _, w in images]
+    for i, (_, wi) in enumerate(images):
+        if not wi:
+            continue
+        for j in range(i + 1, len(images)):
+            wj = looks[j]
+            re = im = 0
+            for r, u in wi.items():
+                w = wj.get(r)
                 if w:
-                    images[r] = out = [ZERO] * idx.group_dim
-                    for h, a, b in w:
-                        out[h] = _reduced(a, b, den * f)
-            if images:
-                survivors.append((label, idx.scatter(images)))
-            else:
-                killed.append(label)
-        branch_set = None
-        if survivors:
-            branch_set = StateSet(
-                s.spec, survivors,
-                provenance=f"{s.provenance}|{group_name}:{outcome}")
-        branches[outcome] = OutcomeBranch(outcome, branch_set, tuple(killed))
-    return branches
+                    for h, a, b in u:
+                        x, y = w.get(h, (0, 0))
+                        re += a * x + b * y
+                        im += a * y - b * x
+            if re or im:
+                return i, j
+    return None
+
+
+def _branch(s: StateSet, lp: LocalPVM, outcome: int, images: list) -> OutcomeBranch:
+    """The outcome's branch from its images: states mapped to zero are
+    dropped and recorded as annihilated (that is what lets protocol
+    verification confirm elimination claims), and Scalars are built only
+    for the nonzero entries of the nonzero images."""
+    idx = indexer(s.spec.dims, lp.group)
+    survivors: list[tuple[str, Vec]] = []
+    killed: list[str] = []
+    for (label, _), (d, w) in zip(s.states, images):
+        if not w:
+            killed.append(label)
+            continue
+        slices = {}
+        for r, u in w.items():
+            slices[r] = out = [ZERO] * idx.group_dim
+            for h, a, b in u:
+                out[h] = _reduced(a, b, d)
+        survivors.append((label, idx.scatter(slices)))
+    branch_set = None
+    if survivors:
+        branch_set = StateSet(
+            s.spec, survivors,
+            provenance=f"{s.provenance}|{lp.describe(s.spec)}:{outcome}")
+    return OutcomeBranch(outcome, branch_set, tuple(killed))
 
 
 @dataclass(frozen=True)
@@ -305,38 +334,34 @@ class OPVerdict:
         return self.ok
 
 
-def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
-    """ok iff <psi_i| (P tensor I) |psi_j> = 0 for every element and pair.
+def measure(s: StateSet, lp: LocalPVM
+            ) -> tuple[OPVerdict, dict[int, OutcomeBranch]]:
+    """`preserves_orthogonality` and `apply` from one image pass: each
+    state's images serve both the pair sums and the branch. Every branch
+    is built, also after a witness."""
+    verdict, branches = OPVerdict(True), {}
+    for outcome, images in _images(s, lp):
+        pair = _overlap(images) if verdict else None
+        if pair:
+            verdict = OPVerdict(False, (outcome, *pair))
+        branches[outcome] = _branch(s, lp, outcome, images)
+    return verdict, branches
 
-    For projectors this single sesquilinear value equals the post-
-    measurement inner product, so no Gram recomputation is needed. It is
-    summed over the rest indices where both states have a nonzero group
-    slice, so its cost follows the states' support, not the dimension.
-    The sum runs on integer numerators over the one denominator
-    F_i*D*F_j, so the value is 0 exactly when both integer sums are.
-    """
-    lp.validate(s.spec)
-    idx = indexer(s.spec.dims, lp.group)
-    _, mats = _int_rows(lp)
-    slices = [idx.int_slices(v)[1] for v in s.vectors()]
-    for outcome, rows in enumerate(mats):
-        images = [{r: {h: (x, y) for h, x, y in _image(rows, u)}
-                   for r, u in sl.items()} for sl in slices]
-        for i in range(len(slices)):
-            for j in range(i + 1, len(slices)):
-                re = im = 0
-                for r, u in slices[i].items():
-                    w = images[j].get(r)
-                    if not w:
-                        continue
-                    for g, a, b in u:
-                        p = w.get(g)
-                        if p:
-                            x, y = p
-                            re += a * x + b * y
-                            im += a * y - b * x
-                if re or im:
-                    return OPVerdict(False, (outcome, i, j))
+
+def apply(s: StateSet, lp: LocalPVM) -> dict[int, OutcomeBranch]:
+    """Unnormalized post-measurement branches, one per outcome."""
+    return {o: _branch(s, lp, o, images) for o, images in _images(s, lp)}
+
+
+def preserves_orthogonality(s: StateSet, lp: LocalPVM) -> OPVerdict:
+    """ok iff <psi_i| (P tensor I) |psi_j> = 0 for every element and pair;
+    the witness is the first (outcome, i, j) that breaks it. For
+    projectors this one value is the post-measurement inner product, and
+    its cost follows the states' support, not the dimension."""
+    for outcome, images in _images(s, lp):
+        pair = _overlap(images)
+        if pair:
+            return OPVerdict(False, (outcome, *pair))
     return OPVerdict(True)
 
 

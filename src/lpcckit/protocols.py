@@ -32,7 +32,7 @@ from types import MappingProxyType
 from .exact import Vec, gram_schmidt, inner, sort_keys
 from .indexing import indexer
 from .measurements import (LocalPVM, PVM, Projector, apply, branch_survivals,
-                           preserves_orthogonality)
+                           measure)
 from .opsolve import (IrreducibilityVerdict, _cache_get, _cache_put,
                       enumerate_op_pvms, is_pvm_irreducible)
 from .statesets import (Partition, PartySpec, StateSet, check_mutual_orthogonality,
@@ -153,12 +153,11 @@ def _exec(s: StateSet, tree: ProtocolTree, path: tuple[int, ...],
         lp.validate(s.spec)
     except ValueError as exc:
         raise ProtocolError(str(exc), path) from None
-    ov = preserves_orthogonality(s, lp)
+    ov, branches = measure(s, lp)
     if not ov:
         raise ProtocolError(
             f"measurement on group {tree.group} breaks orthogonality of pair "
             f"{ov.witness[1:]} at outcome {ov.witness[0]}", path)
-    branches = apply(s, lp)
     surviving = {o for o, br in branches.items() if br.states is not None}
     declared = set(tree.children.keys())
     if declared != surviving:

@@ -587,8 +587,7 @@ def restrict_support(s: StateSet) -> StateSet:
 def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
     """All nonzero group-side slices of all states (they span the group's
     joint local support)."""
-    idx = indexer(s.spec.dims, group)
-    return [u for _, v in s.states for u in idx.nonzero_slices(v).values()]
+    return group_support(s, group)[0]
 
 
 def group_support(s: StateSet, group: Sequence[int]
@@ -602,9 +601,16 @@ def group_support(s: StateSet, group: Sequence[int]
     group = tuple(group)
     kept = s._supports.get(group)
     if kept is None:
-        support = local_support_vectors(s, group)
-        r = vectors_rank(support)
-        coords = tuple(sorted({a for u in support for a in u.support()}))
+        idx = indexer(s.spec.dims, group)
+        support, rows = [], []
+        for v in s.vectors():
+            # one sparse read per state gives its support vectors and their
+            # integer rows, which are ranked as they are: no slice keeps a read
+            slices = idx.int_slices(v)[1]
+            support += (idx.slice_vec(v, r) for r in slices)
+            rows += slices.values()
+        r = vectors_rank(rows)
+        coords = tuple(sorted({g for u in rows for g, _, _ in u}))
         if r != len(coords):
             coords = tuple(range(total_dim([s.spec.dims[p] for p in group])))
         kept = s._supports[group] = (tuple(support), r, coords)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lpcckit import exact
 from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, rref, mat_mul,
                            nullspace, rank, reshape, tensor, gram_schmidt,
-                           in_span, projector_onto, sort_keys)
+                           in_span, projector_onto, sort_keys, vectors_rank)
 
 
 def vec(*xs):
@@ -254,6 +254,23 @@ def test_elimination_matches_plain_fraction_reference(n_rows, n_cols, data):
     assert [_pairs(row) for row in a.entries] == before
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.data())
+def test_vectors_rank_matches_plain_fraction_reference(n_rows, n_cols, data):
+    rows = _sparse_gaussian_rows(data, n_rows, n_cols)
+    # dependent rows: Gaussian-integer combinations of the drawn ones
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                    min_size=n_rows, max_size=n_rows))
+        rows.append([tuple(sum(t) for t in zip(*(_c_mul(c, row[j])
+                                                 for c, row in zip(coeffs, rows))))
+                     for j in range(n_cols)])
+    rows += [[(0, 0)] * n_cols] * data.draw(st.integers(0, 2))
+    rows = data.draw(st.permutations(rows))
+    sparse = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in rows]
+    assert vectors_rank(sparse) == len(_reference_rref(rows)[1])
+
+
 # the two-Fraction Scalar that the integer (a + b*i)/d kernel replaced,
 # kept as the reference for every Scalar operation
 
@@ -437,6 +454,13 @@ def test_projector_onto_matches_dense_outer_sum(dim, n_vecs, data):
         for i in data.draw(st.sets(st.integers(0, dim - 1), max_size=3)):
             out[i] = data.draw(_gaussian_rationals)
         vecs.append(Vec(out))
+    # dependent spans: a Gaussian-rational combination of the drawn vectors
+    if data.draw(st.booleans()):
+        coeffs = [data.draw(_gaussian_rationals) for _ in vecs]
+        vecs.append(Vec([sum((c * v[i] for c, v in zip(coeffs, vecs)), Scalar(0))
+                         for i in range(dim)]))
+    vecs += [Vec([Scalar(0)] * dim)] * data.draw(st.integers(0, 2))
+    vecs = data.draw(st.permutations(vecs))
     p = projector_onto(vecs, dim)
     assert p == _dense_projector_onto(vecs, dim)
     for row in p.entries:

@@ -8,15 +8,16 @@ import pytest
 
 from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, mat_vec,
                            rank)
-from lpcckit.generators import random_orthogonal_set
+from lpcckit.generators import random_orthogonal_set, random_rotation_basis
 from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
                                   branch_survivals, complement, embed,
-                                  is_trivial_for_set, preserves_orthogonality)
+                                  is_trivial_for_set, measure,
+                                  preserves_orthogonality)
 from lpcckit.opsolve import enumerate_op_pvms
-from lpcckit.statesets import (Partition, check_mutual_orthogonality,
-                               merge_parties)
+from lpcckit.statesets import (NAMED_SETS, Partition, build_named_set,
+                               check_mutual_orthogonality, merge_parties)
 
 
 def term_state(dims, terms):
@@ -317,3 +318,63 @@ def test_rank_from_span_matches_dense_rank():
     assert [p.rank() for p in projectors[:4]] == [1, 2, 1, 2]
     for p in projectors:
         assert p.rank() == rank(p.mat)
+
+
+def _seeded_pvms(rng, d):
+    """The identity, a coarse computational-basis PVM and a coarse PVM of a
+    rotated basis on a d-dimensional group: the first is preserving, the
+    others are often not."""
+    cut = sorted(rng.sample(range(d), d // 2))
+    rest = [a for a in range(d) if a not in cut]
+    basis = random_rotation_basis(rng, d)
+    rng.shuffle(basis)
+    blocks = [basis[k:k + 2] for k in range(0, d, 2)]
+    return [PVM([Projector.full(d)]),
+            PVM.completed([Projector.diagonal(cut, d)], d) if cut
+            else PVM([Projector.diagonal(rest, d)]),
+            PVM([Projector.from_span(b, d) for b in blocks])]
+
+
+def test_measure_matches_preserves_and_apply():
+    rng = random.Random(32)
+    sets = [build_named_set(n, 2 if n in ("S1m", "S2m") else None)
+            for n in NAMED_SETS]
+    verdicts = set()
+    for s in sets:
+        n = s.spec.n_parties
+        groups = [g for k in range(1, n + 1) for g in itertools.combinations(range(n), k)]
+        groups.append((n - 1, 0))
+        for group in groups:
+            d = GroupIndexer(s.spec.dims, group).group_dim
+            if d > 64:     # UnionS on all three parties: 512 dimensions
+                continue
+            for pvm in _seeded_pvms(rng, d):
+                lp = LocalPVM(pvm, group)
+                ov, branches = measure(s, lp)
+                want = preserves_orthogonality(s, lp)
+                assert (ov.ok, ov.witness) == (want.ok, want.witness)
+                verdicts.add(ov.ok)
+                ref = apply(s, lp)
+                assert sorted(branches) == sorted(ref) == list(range(len(pvm)))
+                for outcome, br in branches.items():
+                    other = ref[outcome]
+                    assert br.outcome == other.outcome == outcome
+                    assert br.annihilated == other.annihilated
+                    if other.states is None:
+                        assert br.states is None
+                        continue
+                    assert br.states.provenance == other.states.provenance
+                    assert br.states.labels() == other.states.labels()
+                    for (l, v), (m, w) in zip(br.states.states, other.states.states):
+                        assert l == m and v == w
+                        assert v._read == w._read == w.int_read()
+    assert verdicts == {True, False}
+
+
+def test_measure_builds_every_branch_after_a_witness(s2):
+    lp = LocalPVM(parse_pvm("0;1;2", [3]), (2,))
+    ov, branches = measure(s2, lp)
+    assert not ov and ov.witness == preserves_orthogonality(s2, lp).witness
+    assert ov.witness[0] < 2 and sorted(branches) == [0, 1, 2]
+    assert branches[2].states.labels() == ("1", "2", "3", "4", "5")
+    assert branches[2].annihilated == ("6", "7", "8", "9")

@@ -585,3 +585,12 @@ def test_indexer_rejects_states_of_another_dimension():
                      idx.nonzero_slices):
             with pytest.raises(ValueError):
                 read(v)
+
+
+def test_random_product_set_refuses_impossible_state_counts():
+    # 2x2 has four product-basis tuples; asking for five used to loop forever
+    for n in (-1, 0, 5):
+        with pytest.raises(ValueError, match="between 1 and 4"):
+            random_product_set(random.Random(1), (2, 2), n)
+    full = random_product_set(random.Random(1), (2, 2), 4)
+    assert len(full) == 4 and check_mutual_orthogonality(full)
