@@ -8,7 +8,7 @@ The one sparse read of a `Vec` lives on it: `int_read()`, its nonzero
 entries as Gaussian-integer numerators over one denominator, kept after
 first use or set by `GroupIndexer.scatter`. `inner`, `projector_onto`,
 `GroupIndexer.int_slices` and `StateSet.ray_key` read only that, and
-`vectors_rank` ranks rows of such integers.
+`rank` and `in_span` eliminate on rows of such integers.
 
 Index convention for tensors: leftmost factor is slowest (row-major).
 """
@@ -512,11 +512,6 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return _wrap(Mat, tuple(map(tuple, rows))), pivots
 
 
-def rank(a: Mat) -> int:
-    _, pivots = rref(a)
-    return len(pivots)
-
-
 def nullspace(a: Mat) -> list[Vec]:
     """Exact basis of {x : a x = 0}, one vector per free column."""
     return nullspace_with_free(a)[0]
@@ -539,21 +534,25 @@ def nullspace_with_free(a: Mat) -> tuple[list[Vec], list[int]]:
     return basis, free
 
 
-def vectors_rank(rows: Iterable[Sequence[tuple[int, int, int]]]) -> int:
-    """Rank of Gaussian-integer rows, each given as its nonzero (column,
-    re, im) entries. Division-free elimination: a pivot row p with entry
-    p_c clears column c of each other row x by x <- p_c*x - x_c*p, and the
-    new row is divided by the gcd of its parts, which keeps it in Z[i]
-    and its integers small. The rank does not depend on the pivot order,
-    so the last row left pivots next, on its first column; it stops once
-    the rank reaches the number of columns the rows touch."""
+def rank(rows: Union[Mat, Iterable[Sequence[tuple[int, int, int]]]]) -> int:
+    """Rank of a Mat, or of Gaussian-integer rows each given as its nonzero
+    (column, re, im) entries, as in `Vec.int_read`; a Mat's rows are read
+    that way first, which scales each by its denominator and keeps the
+    rank. Division-free elimination: a pivot row p with entry p_c clears
+    column c of each other row x by x <- p_c*x - x_c*p, and the new row is
+    divided by the gcd of its parts, which keeps it in Z[i] and its
+    integers small. The rank does not depend on the pivot order, so the
+    last row left pivots next, on its first column; it stops once the
+    rank reaches the number of columns the rows touch."""
+    if isinstance(rows, Mat):
+        rows = [_read_of(_nonzeros(row))[1] for row in rows.entries]
     todo = [{c: (a, b) for c, a, b in row} for row in rows if row]
     n_cols = len({c for x in todo for c in x})
-    rank = 0
+    r = 0
     while todo:
         p = todo.pop()
-        rank += 1
-        if rank == n_cols:
+        r += 1
+        if r == n_cols:
             break
         c, (pa, pb) = next(iter(p.items()))
         left = []
@@ -570,19 +569,15 @@ def vectors_rank(rows: Iterable[Sequence[tuple[int, int, int]]]) -> int:
                 x = {j: (re // g, im // g) for j, (re, im) in x.items() if re or im}
             left.append(x)
         todo = left
-    return rank
+    return r
 
 
 def in_span(v: Vec, vecs: Sequence[Vec]) -> bool:
-    """Exact membership of v in span(vecs)."""
+    """Exact membership of v in span(vecs): appending v keeps the rank."""
     if v.is_zero():
         return True
-    if not vecs:
-        return False
-    base = [list(w.entries) for w in vecs]
-    r0 = len(_row_echelon([row[:] for row in base])[1])
-    r1 = len(_row_echelon(base + [list(v.entries)])[1])
-    return r0 == r1
+    rows = [w.int_read()[1] for w in vecs]
+    return rank(rows) == rank(rows + [v.int_read()[1]])
 
 
 def gram_schmidt(vecs: Sequence[Vec]) -> list[Vec]:

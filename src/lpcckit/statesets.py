@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .exact import Scalar, Vec, ZERO, inner, vectors_rank
+from .exact import Scalar, Vec, ZERO, inner, rank
 from .indexing import (embed_with_offsets, index_of, indexer, permute_axes,
                        relabel_digits, total_dim)
 
@@ -584,12 +584,6 @@ def restrict_support(s: StateSet) -> StateSet:
                     provenance=f"{s.provenance}|support")
 
 
-def local_support_vectors(s: StateSet, group: Sequence[int]) -> list[Vec]:
-    """All nonzero group-side slices of all states (they span the group's
-    joint local support)."""
-    return group_support(s, group)[0]
-
-
 def group_support(s: StateSet, group: Sequence[int]
                   ) -> tuple[list[Vec], int, tuple[int, ...]]:
     """The group's support vectors, their exact rank, and the coordinates
@@ -609,7 +603,7 @@ def group_support(s: StateSet, group: Sequence[int]
             slices = idx.int_slices(v)[1]
             support += (idx.slice_vec(v, r) for r in slices)
             rows += slices.values()
-        r = vectors_rank(rows)
+        r = rank(rows)
         coords = tuple(sorted({g for u in rows for g, _, _ in u}))
         if r != len(coords):
             coords = tuple(range(total_dim([s.spec.dims[p] for p in group])))

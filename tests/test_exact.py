@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lpcckit import exact
 from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, rref, mat_mul,
                            nullspace, rank, reshape, tensor, gram_schmidt,
-                           in_span, projector_onto, sort_keys, vectors_rank)
+                           in_span, projector_onto, sort_keys)
 
 
 def vec(*xs):
@@ -256,7 +256,7 @@ def test_elimination_matches_plain_fraction_reference(n_rows, n_cols, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 8), st.data())
-def test_vectors_rank_matches_plain_fraction_reference(n_rows, n_cols, data):
+def test_integer_rank_matches_plain_fraction_reference(n_rows, n_cols, data):
     rows = _sparse_gaussian_rows(data, n_rows, n_cols)
     # dependent rows: Gaussian-integer combinations of the drawn ones
     for _ in range(data.draw(st.integers(0, 3))):
@@ -268,7 +268,11 @@ def test_vectors_rank_matches_plain_fraction_reference(n_rows, n_cols, data):
     rows += [[(0, 0)] * n_cols] * data.draw(st.integers(0, 2))
     rows = data.draw(st.permutations(rows))
     sparse = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in rows]
-    assert vectors_rank(sparse) == len(_reference_rref(rows)[1])
+    want = len(_reference_rref(rows)[1])
+    assert rank(sparse) == want
+    # a Mat is read to integer rows first; scaling its columns keeps the rank
+    assert rank(Mat([[Scalar(Fraction(a, j + 1), Fraction(b, j + 1))
+                      for j, (a, b) in enumerate(row)] for row in rows])) == want
 
 
 # the two-Fraction Scalar that the integer (a + b*i)/d kernel replaced,

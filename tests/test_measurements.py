@@ -8,7 +8,7 @@ import pytest
 
 from lpcckit.exact import (Mat, Scalar, Vec, identity, inner, mat_vec,
                            rank)
-from lpcckit.generators import random_orthogonal_set, random_rotation_basis
+from lpcckit.generators import random_orthogonal_set
 from lpcckit.indexing import GroupIndexer, index_of
 from lpcckit.kets import parse_pvm
 from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
@@ -16,8 +16,8 @@ from lpcckit.measurements import (LocalPVM, PVM, Projector, apply,
                                   is_trivial_for_set, measure,
                                   preserves_orthogonality)
 from lpcckit.opsolve import enumerate_op_pvms
-from lpcckit.statesets import (NAMED_SETS, Partition, build_named_set,
-                               check_mutual_orthogonality, merge_parties)
+from lpcckit.statesets import (Partition, check_mutual_orthogonality,
+                               merge_parties)
 
 
 def term_state(dims, terms):
@@ -162,8 +162,10 @@ def test_preservation_matches_dense_reference(s1, s2, union_s):
             for p in elements:
                 lp = LocalPVM(PVM([p, complement([p], p.dim)]), group)
                 verdict = preserves_orthogonality(s, lp)
+                fused = measure(s, lp)[0]
                 want = _dense_preserves(s, lp)
                 assert (verdict.ok, verdict.witness) == want, (s.provenance, group)
+                assert (fused.ok, fused.witness) == want, (s.provenance, group)
                 outcomes.add(verdict.ok)
     assert outcomes == {True, False}
 
@@ -195,12 +197,21 @@ def test_apply_matches_dense_reference(s1, s2, union_s, name, group, text):
     s = {"S1": s1, "S2": s2, "UnionS": union_s}[name]
     lp = LocalPVM(parse_pvm(text, [s.spec.dims[p] for p in group]), group)
     branches = apply(s, lp)
+    verdict, fused = measure(s, lp)
+    assert (verdict.ok, verdict.witness) == _dense_preserves(s, lp)
     want = _dense_apply(s, lp)
-    assert sorted(branches) == sorted(want)
-    for outcome, br in branches.items():
-        survivors, killed = want[outcome]
-        assert br.annihilated == killed
-        assert (list(br.states.states) if br.states else []) == survivors
+    for got in (branches, fused):
+        assert sorted(got) == sorted(want)
+        for outcome, br in got.items():
+            survivors, killed = want[outcome]
+            assert br.outcome == outcome and br.annihilated == killed
+            states = list(br.states.states) if br.states else []
+            assert states == survivors
+            # the read a branch state carries from its build is its entries' read
+            assert ([v.int_read() for _, v in states]
+                    == [w.int_read() for _, w in survivors])
+    assert ([br.states and br.states.provenance for br in fused.values()]
+            == [br.states and br.states.provenance for br in branches.values()])
     assert branch_survivals(s, [lp]) == [sum(len(v[0]) for v in want.values())]
 
 
@@ -318,57 +329,6 @@ def test_rank_from_span_matches_dense_rank():
     assert [p.rank() for p in projectors[:4]] == [1, 2, 1, 2]
     for p in projectors:
         assert p.rank() == rank(p.mat)
-
-
-def _seeded_pvms(rng, d):
-    """The identity, a coarse computational-basis PVM and a coarse PVM of a
-    rotated basis on a d-dimensional group: the first is preserving, the
-    others are often not."""
-    cut = sorted(rng.sample(range(d), d // 2))
-    rest = [a for a in range(d) if a not in cut]
-    basis = random_rotation_basis(rng, d)
-    rng.shuffle(basis)
-    blocks = [basis[k:k + 2] for k in range(0, d, 2)]
-    return [PVM([Projector.full(d)]),
-            PVM.completed([Projector.diagonal(cut, d)], d) if cut
-            else PVM([Projector.diagonal(rest, d)]),
-            PVM([Projector.from_span(b, d) for b in blocks])]
-
-
-def test_measure_matches_preserves_and_apply():
-    rng = random.Random(32)
-    sets = [build_named_set(n, 2 if n in ("S1m", "S2m") else None)
-            for n in NAMED_SETS]
-    verdicts = set()
-    for s in sets:
-        n = s.spec.n_parties
-        groups = [g for k in range(1, n + 1) for g in itertools.combinations(range(n), k)]
-        groups.append((n - 1, 0))
-        for group in groups:
-            d = GroupIndexer(s.spec.dims, group).group_dim
-            if d > 64:     # UnionS on all three parties: 512 dimensions
-                continue
-            for pvm in _seeded_pvms(rng, d):
-                lp = LocalPVM(pvm, group)
-                ov, branches = measure(s, lp)
-                want = preserves_orthogonality(s, lp)
-                assert (ov.ok, ov.witness) == (want.ok, want.witness)
-                verdicts.add(ov.ok)
-                ref = apply(s, lp)
-                assert sorted(branches) == sorted(ref) == list(range(len(pvm)))
-                for outcome, br in branches.items():
-                    other = ref[outcome]
-                    assert br.outcome == other.outcome == outcome
-                    assert br.annihilated == other.annihilated
-                    if other.states is None:
-                        assert br.states is None
-                        continue
-                    assert br.states.provenance == other.states.provenance
-                    assert br.states.labels() == other.states.labels()
-                    for (l, v), (m, w) in zip(br.states.states, other.states.states):
-                        assert l == m and v == w
-                        assert v._read == w._read == w.int_read()
-    assert verdicts == {True, False}
 
 
 def test_measure_builds_every_branch_after_a_witness(s2):

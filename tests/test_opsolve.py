@@ -26,7 +26,7 @@ from lpcckit.opsolve import (clear_caches, diagonal_op_subsets,
                              rank1_op_directions)
 from lpcckit.protocols import lpcc_search
 from lpcckit.statesets import (Partition, PartySpec, StateSet,
-                               group_support, local_support_vectors,
+                               group_support,
                                sets_equal_up_to_relabeling)
 
 
@@ -632,7 +632,7 @@ def _scanned_subsets(s, group, max_support=12):
     exact pair matrices)."""
     group = tuple(group)
     cmats = _pair_matrices(s, group).values()
-    occupied = sorted({a for u in local_support_vectors(s, group)
+    occupied = sorted({a for u in group_support(s, group)[0]
                        for a in u.support()})
     if len(occupied) > max_support:
         return []
@@ -682,7 +682,7 @@ def test_diagonal_subsets_match_scanned_reference(s1, s2, domino, union_s):
     found = 0
     for s, group in problems:
         d = GroupIndexer(s.spec.dims, group).group_dim
-        assert len({a for u in local_support_vectors(s, group)
+        assert len({a for u in group_support(s, group)[0]
                     for a in u.support()}) <= 12
         got = diagonal_op_subsets(s, group)
         assert got == _scanned_subsets(s, group), (s.provenance, group)
