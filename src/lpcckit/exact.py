@@ -6,9 +6,12 @@ imaginary parts, no floating point, equality is literal equality.
 
 The one sparse read of a `Vec` lives on it: `int_read()`, its nonzero
 entries as Gaussian-integer numerators over one denominator, kept after
-first use or set by `GroupIndexer.scatter`. `inner`, `projector_onto`,
-`GroupIndexer.int_slices` and `StateSet.ray_key` read only that, and
-`rank` and `in_span` eliminate on rows of such integers.
+first use or set by `GroupIndexer.scatter` or `nullspace`. `inner`,
+`projector_onto`, `GroupIndexer.int_slices` and `StateSet.ray_key` read
+only that. There is one elimination, `_echelon`, division-free on rows
+of such integers: `rank` counts its pivot rows, `rref` divides each by
+its pivot entry, and `nullspace` reads its basis off them. No `Scalar`
+arithmetic runs inside it.
 
 Index convention for tensors: leftmost factor is slowest (row-major).
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -112,9 +116,6 @@ class Scalar:
         a, b, d = self._a, self._b, self._d
         return Fraction(a * a + b * b, d * d)
 
-    def inv(self) -> "Scalar":
-        return ONE / self
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -192,6 +193,18 @@ def _read_of(nz: Sequence[tuple[int, Scalar]]) -> tuple[int, tuple]:
     """`Vec.int_read` of the nonzero (i, x) pairs nz, in ascending i."""
     den = lcm(*{x._d for _, x in nz})
     return den, tuple((i, x._a * (den // x._d), x._b * (den // x._d)) for i, x in nz)
+
+
+def _vec_of(nz: list[tuple[int, Scalar]], n: int) -> "Vec":
+    """The n-entry Vec with the nonzero (index, Scalar) pairs nz and ZERO
+    elsewhere, carrying their `int_read` from the start."""
+    nz.sort()   # the indices are distinct, so no Scalars compare
+    x = [ZERO] * n
+    for i, z in nz:
+        x[i] = z
+    v = _wrap(Vec, tuple(x))
+    v._read = _read_of(nz)
+    return v
 
 
 def _wrap(cls, entries: tuple):
@@ -272,8 +285,8 @@ class Vec:
     def int_read(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """(F, ((i, a, b), ...)): the nonzero entries (a + b*i)/F in
         ascending i, where F is the lcm of their denominators. Computed
-        once and kept, unless `GroupIndexer.scatter` already set it from
-        the entries it wrote; the entries never change."""
+        once and kept, unless `GroupIndexer.scatter` or `nullspace` already
+        set it from the entries they wrote; the entries never change."""
         read = getattr(self, "_read", None)
         if read is None:
             read = self._read = _read_of(_nonzeros(self.entries))
@@ -467,49 +480,69 @@ def reshape(v: Vec, rows: int, cols: int) -> Mat:
                             for r in range(rows)))
 
 
-def _row_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place fraction-exact reduced row echelon; returns (rows, pivot
-    columns). The row lists themselves are overwritten. Eliminating
-    touches only the pivot row's nonzero columns, since x - f*0 = x. Every
-    caller passes at least one row."""
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            x = rows[i][c]
-            if x._a or x._b:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _primitive(y: dict) -> dict:
+    """Row y divided by the gcd of its parts, zeros dropped; {} if none."""
+    g = gcd(*chain.from_iterable(y.values()))
+    return {j: (re // g, im // g) for j, (re, im) in y.items() if re or im} if g else {}
+
+
+def _cleared(x: dict, p: dict, c: int) -> dict:
+    """Row x, nonzero at c, cleared there by pivot row p (p_c a positive
+    integer): x <- p_c*x - x_c*p, made `_primitive`."""
+    d, (fa, fb) = p[c][0], x[c]
+    y = {j: (d * a, d * b) for j, (a, b) in x.items()}
+    for j, (a, b) in p.items():
+        re, im = y.get(j, (0, 0))
+        y[j] = (re - fa * a + fb * b, im - fa * b - fb * a)
+    return _primitive(y)
+
+
+def _echelon(rows: Union[Mat, Iterable[Sequence[tuple[int, int, int]]]],
+             back: bool = True) -> list[tuple[int, dict]]:
+    """The one elimination, on Gaussian-integer rows each given as its
+    nonzero (column, re, im) entries, as in `Vec.int_read` (a Mat's rows
+    are read that way, each scaled by its denominator). Columns go in
+    ascending order: the first row left nonzero at column c, times the
+    conjugate of its entry there, pivots, and `_cleared` clears c from
+    every other row, earlier pivot rows included unless back is false. A
+    real pivot entry keeps Gaussian-integer content (which the gcd of the
+    parts leaves) from piling up. Returns the pivot rows
+    (c, {column: (re, im)}), ascending in c: each is a positive integer
+    at c and, with back, zero at the other pivot columns, so divided by
+    that it is a row of the (unique) reduced row echelon form."""
+    if isinstance(rows, Mat):
+        rows = [_read_of(nz)[1] for nz in map(_nonzeros, rows.entries) if nz]
+    todo = [{c: (a, b) for c, a, b in row} for row in rows if row]
+    done: list[tuple[int, dict]] = []
+    cols = sorted({c for x in todo for c in x})
+    for c in cols:
+        q = next((x for x in todo if c in x), None)
+        if q is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = ONE / prow[c]
-        # columns left of c are zero in the pivot row
-        nz = [j for j in range(c, n_cols) if prow[j]._a or prow[j]._b]
-        for j in nz:
-            prow[j] = prow[j] * inv
-        for i in range(n_rows):
-            row = rows[i]
-            f = row[c]
-            if i == r or not (f._a or f._b):
-                continue
-            for j in nz:
-                row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
+        pa, pb = q[c]
+        p = _primitive({j: (pa * a + pb * b, pa * b - pb * a)
+                        for j, (a, b) in q.items()})
+        if back:
+            done = [(d, _cleared(x, p, c) if c in x else x) for d, x in done]
+        done.append((c, p))
+        # the rows left are zero before c, so at the last column they clear to 0
+        if c == cols[-1]:
             break
-    return rows, pivots
+        todo = [y for x in todo if x is not q
+                and (y := _cleared(x, p, c) if c in x else x)]
+    return done
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot column list."""
-    rows = [list(r) for r in a.entries]
-    rows, pivots = _row_echelon(rows)
-    return _wrap(Mat, tuple(map(tuple, rows))), pivots
+    """Reduced row echelon form and pivot column list: `_echelon`'s pivot
+    rows, each divided by its pivot entry, then the zero rows."""
+    pivots = _echelon(a)
+    rows = [[ZERO] * a.cols for _ in range(a.rows)]
+    for row, (c, p) in zip(rows, pivots):
+        d = p[c][0]
+        for j, (re, im) in p.items():
+            row[j] = _reduced(re, im, d)
+    return _wrap(Mat, tuple(map(tuple, rows))), [c for c, _ in pivots]
 
 
 def nullspace(a: Mat) -> list[Vec]:
@@ -521,61 +554,35 @@ def nullspace_with_free(a: Mat) -> tuple[list[Vec], list[int]]:
     """Nullspace basis plus its free columns: basis vector l is 1 at
     free[l] and 0 at the other free columns, so the l-th coefficient of
     a nullspace vector equals its entry at free[l]."""
-    red, pivots = rref(a)
-    n_cols = a.cols
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [ZERO] * n_cols
-        x[fc] = ONE
-        for r, pc in enumerate(pivots):
-            x[pc] = -red.entries[r][fc]
-        basis.append(_wrap(Vec, tuple(x)))
-    return basis, free
+    return _nullspace(a, a.cols)
+
+
+def _nullspace(rows: Union[Mat, Iterable[Sequence[tuple[int, int, int]]]],
+               n_cols: int) -> tuple[list[Vec], list[int]]:
+    """`nullspace_with_free` of rows as `_echelon` takes them, on n_cols
+    columns: free column j gives 1 at j and -p_j/p_c at each pivot row p's
+    column c. Each vector carries its `int_read`, as `scatter` sets it."""
+    pivots = _echelon(rows)
+    pivot_cols = {c for c, _ in pivots}
+    free = [j for j in range(n_cols) if j not in pivot_cols]
+    nzs = {j: [(j, ONE)] for j in free}
+    for c, p in pivots:
+        d = p[c][0]
+        for j, (re, im) in p.items():
+            if j != c:
+                nzs[j].append((c, _reduced(-re, -im, d)))
+    return [_vec_of(nz, n_cols) for nz in nzs.values()], free
 
 
 def rank(rows: Union[Mat, Iterable[Sequence[tuple[int, int, int]]]]) -> int:
     """Rank of a Mat, or of Gaussian-integer rows each given as its nonzero
-    (column, re, im) entries, as in `Vec.int_read`; a Mat's rows are read
-    that way first, which scales each by its denominator and keeps the
-    rank. Division-free elimination: a pivot row p with entry p_c clears
-    column c of each other row x by x <- p_c*x - x_c*p, and the new row is
-    divided by the gcd of its parts, which keeps it in Z[i] and its
-    integers small. The rank does not depend on the pivot order, so the
-    last row left pivots next, on its first column; it stops once the
-    rank reaches the number of columns the rows touch."""
-    if isinstance(rows, Mat):
-        rows = [_read_of(_nonzeros(row))[1] for row in rows.entries]
-    todo = [{c: (a, b) for c, a, b in row} for row in rows if row]
-    n_cols = len({c for x in todo for c in x})
-    r = 0
-    while todo:
-        p = todo.pop()
-        r += 1
-        if r == n_cols:
-            break
-        c, (pa, pb) = next(iter(p.items()))
-        left = []
-        for x in todo:
-            fa, fb = x.get(c, (0, 0))
-            if fa or fb:
-                x = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in x.items()}
-                for j, (a, b) in p.items():
-                    re, im = x.get(j, (0, 0))
-                    x[j] = (re - fa * a + fb * b, im - fa * b - fb * a)
-                g = gcd(*(t for z in x.values() for t in z))
-                if not g:
-                    continue
-                x = {j: (re // g, im // g) for j, (re, im) in x.items() if re or im}
-            left.append(x)
-        todo = left
-    return r
+    (column, re, im) entries, as in `Vec.int_read`: the number of
+    `_echelon`'s pivot rows, which it need not reduce."""
+    return len(_echelon(rows, back=False))
 
 
 def in_span(v: Vec, vecs: Sequence[Vec]) -> bool:
     """Exact membership of v in span(vecs): appending v keeps the rank."""
-    if v.is_zero():
-        return True
     rows = [w.int_read()[1] for w in vecs]
     return rank(rows) == rank(rows + [v.int_read()[1]])
 

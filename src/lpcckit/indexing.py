@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import Mat, Vec, ZERO, _read_of, _wrap, mat_vec
+from .exact import Mat, Vec, ZERO, _vec_of, _wrap, mat_vec
 
 MAX_INDEXERS = 128   # kept by `indexer`; a query meets far fewer pairs
 
@@ -160,17 +160,9 @@ class GroupIndexer:
         """The state whose slice u^r is slices[r] (a `Vec` or a list of
         `Scalar`s), zero on every other r, carrying from the start the
         `int_read` of the nonzero entries it writes."""
-        out = [ZERO] * len(self.where)
-        nz = []
-        for r, u in slices.items():
-            for i, x in zip(self.cells[r], u):
-                if x._a or x._b:
-                    out[i] = x
-                    nz.append((i, x))
-        nz.sort()   # the flat indices are distinct, so no Scalars compare
-        v = _wrap(Vec, tuple(out))
-        v._read = _read_of(nz)
-        return v
+        return _vec_of([(i, x) for r, u in slices.items()
+                        for i, x in zip(self.cells[r], u) if x._a or x._b],
+                       len(self.where))
 
     def assemble(self, slices: Sequence[Vec]) -> Vec:
         return self.scatter(dict(enumerate(slices)))

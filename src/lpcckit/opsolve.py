@@ -45,9 +45,9 @@ from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
-from .exact import (ONE, Mat, Scalar, Vec, ZERO, _wrap, basis_vec,
-                    identity, in_span, nullspace, nullspace_with_free, rank,
-                    rref, sort_keys, zero_vec)
+from .exact import (ONE, Mat, Scalar, Vec, ZERO, _nullspace, _wrap,
+                    basis_vec, identity, in_span, nullspace,
+                    nullspace_with_free, rank, rref, sort_keys, zero_vec)
 from .indexing import indexer, total_dim
 from .measurements import (LocalPVM, PVM, Projector, acts_as_scalar_on,
                            preserves_orthogonality)
@@ -321,15 +321,17 @@ def _recurse(cmats: list[tuple], k: int, lin_rows: list[list[Scalar]]) -> list[t
 
     # rank-1 reduced form: the constraint factors into two linear pieces
     for mr, mi in reduced:
-        m = Mat([map(Scalar, mr[r:r + f], mi[r:r + f]) for r in range(0, f * f, f)])
-        if rank(m) == 1:
-            r0, c0 = m.first_nonzero()
+        rows = [[(l, x, y) for l, x, y in zip(range(f), mr[r:r + f], mi[r:r + f])
+                 if x or y] for r in range(0, f * f, f)]
+        if rank(rows) == 1:
+            r0 = next(row for row in rows if row)   # first nonzero row
+            c0 = r0[0][0]
             row_a = [ZERO] * k
             row_b = [ZERO] * k
             for kk in range(f):
-                row_a[free[kk]] = m.entries[kk][c0]
-            for ll in range(f):
-                row_b[free[ll]] = m.entries[r0][ll].conj()
+                row_a[free[kk]] = Scalar(mr[kk * f + c0], mi[kk * f + c0])
+            for ll, x, y in r0:
+                row_b[free[ll]] = Scalar(x, -y)
             out = _recurse(cmats, k, lin_rows + [row_a])
             out += _recurse(cmats, k, lin_rows + [row_b])
             return out
@@ -609,16 +611,13 @@ def _operator_space(forms: list[tuple], cells: Sequence[tuple[int, int]]
     other entry of E held at zero: sum E[a][b] C[a][b] = 0 and
     sum E[a][b] conj(C[b][a]) = 0 for each pair form C, whose integer
     rows (as `_pair_rows`) share one denominator, which drops out."""
+    at = {cell: j for j, cell in enumerate(cells)}
     rows = []
     for c in forms:
-        e = {(a, b): (x, y) for a, row in c for b, x, y in row}
-        fwd = [e.get(cell) for cell in cells]
-        back = [e.get((b, a)) for a, b in cells]
-        if any(fwd):
-            rows.append([ZERO if z is None else Scalar(*z) for z in fwd])
-        if any(back):
-            rows.append([ZERO if z is None else Scalar(z[0], -z[1]) for z in back])
-    return nullspace(Mat(rows or [[ZERO] * len(cells)]))
+        e = [(a, b, x, y) for a, row in c for b, x, y in row]
+        rows.append([(at[a, b], x, y) for a, b, x, y in e if (a, b) in at])
+        rows.append([(at[b, a], x, -y) for a, b, x, y in e if (b, a) in at])
+    return _nullspace(rows, len(cells))[0]
 
 
 def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
@@ -627,12 +626,12 @@ def _vanishing_on(space: list, c: int, pattern: tuple[int, ...],
     vanish; space's elements already vanish outside pattern x pattern.
     Coefficients are cleared to Gaussian integers, which keeps the span."""
     cells = [c * k + j for j in pattern] + [j * k + c for j in pattern if j != c]
-    rows = [tuple(Scalar(*e[t]) if t in e else ZERO for e in space)
-            for t in cells if any(t in e for e in space)]
+    rows = [row for t in cells
+            if (row := [(i, *e[t]) for i, e in enumerate(space) if t in e])]
     if not rows:
         return space
     out = []
-    for coeffs in nullspace(_wrap(Mat, tuple(rows))):
+    for coeffs in _nullspace(rows, len(space))[0]:
         acc: dict[int, tuple[int, int]] = {}
         for i, a, b in coeffs.int_read()[1]:
             for t, (x, y) in space[i].items():
