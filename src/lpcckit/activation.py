@@ -6,13 +6,14 @@ PVM-irreducibility), on a set that is free from local redundancy. Sets
 are then classified by who can activate: a single party (TYPE-I), only a
 joint measurement of two parties (TYPE-II), or nobody that the bounded
 search can find (strong-local evidence); m-activability asks the same
-across m-partitions. Both searches take their candidates on a block from
-one rule (`_first_rounds`) and decide each through `_walk`, the one branch
-walk, which `verify_activation` runs once it admits a supplied first round.
+across m-partitions. Both take a block's candidates, ranked once per set
+by stored survival counts (`_first_rounds`), and decide each through
+`_walk`, the branch walk that `verify_activation` runs on a supplied one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,27 +49,34 @@ class DominoMatch:
                 "permutation": [list(p) for p in self.permutation]}
 
 
+@functools.cache
+def _domino_rays() -> dict:
+    """Each Domino ray, as `normalized_leading` reads it, to its label."""
+    return {v.normalized_leading(): l for l, v in build_named_set("Domino").states}
+
+
 def domino_match(s: StateSet) -> DominoMatch | None:
     """Try to map a bipartite 9-state set, per-party, onto the nonlocal
     3x3 product basis via an ordered triple of working coordinates on
     each side, up to state permutation and nonzero scalars: each state,
-    relabeled onto the triples, must be a distinct Domino ray."""
+    relabeled onto the triples, must be a distinct Domino ray. A pair of
+    triples is abandoned at the first state that is not one."""
     if s.spec.n_parties != 2 or len(s) != 9:
         return None
     sup_a = group_support(s, (0,))[2]
     sup_b = group_support(s, (1,))[2]
     if len(sup_a) != 3 or len(sup_b) != 3:
         return None
-    target = {v.normalized_leading(): l
-              for l, v in build_named_set("Domino").states}
+    target = _domino_rays()
     for pa in itertools.permutations(sup_a):
         for pb in itertools.permutations(sup_b):
             maps = [{x: i for i, x in enumerate(pa)},
                     {x: j for j, x in enumerate(pb)}]
-            perm = tuple((label, target.get(relabel_digits(
-                v, s.spec.dims, (3, 3), maps).normalized_leading()))
-                for label, v in s.states)
-            if len({t for _, t in perm} - {None}) == 9:
+            rays = (target.get(relabel_digits(v, s.spec.dims, (3, 3), maps)
+                               .normalized_leading()) for v in s.vectors())
+            perm = tuple(zip(s.labels(), itertools.takewhile(
+                lambda t: t is not None, rays)))
+            if len({t for _, t in perm}) == 9:
                 return DominoMatch(pa, pb, perm)
     return None
 
@@ -237,7 +245,10 @@ def _domino_in_some_bipartition(branch: StateSet, p: Partition):
     """Run domino matching on each bipartition that sets one block of the
     partition against the union of the others (for at most three blocks,
     these are all its bipartite coarsenings). With two blocks only the
-    first is tried: the second would merely swap the sides."""
+    first is tried: the second would merely swap the sides. Only a
+    nine-state branch is merged."""
+    if len(branch) != 9:
+        return None
     blocks = p.blocks
     n = len(blocks)
     coarsenings = [(blocks[i], tuple(q for j in range(n) if j != i
@@ -373,7 +384,7 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
                              f"{len(group_support(s, block)[2])} beyond "
                              f"enumeration bound")
                 continue
-            for lp in _activation_order(s, candidates):
+            for lp in _activation_order(candidates):
                 report = _walk(s, lp, part, assume, fail_fast=True)
                 if report.asserted:
                     trace.append(f"{prefix}{name} activates")
@@ -383,21 +394,24 @@ def classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
     return LocalityClass("strong-local-evidence", exact=False, trace=tuple(trace))
 
 
-def _first_rounds(s: StateSet, block: tuple[int, ...]) -> tuple[LocalPVM, ...] | None:
-    """The candidate first rounds on one block: every nontrivial
-    orthogonality-preserving PVM the solver pool assembles, or None when
-    the block's effective dimension is beyond the enumeration bound."""
+def _first_rounds(s: StateSet, block: tuple[int, ...]) -> tuple[tuple, ...] | None:
+    """Every nontrivial OP PVM the solver pool assembles on a block, each
+    with its `branch_survivals` count (which no state's order or scale
+    changes), stored on the rays; None when beyond the enumeration bound."""
+    key = ("first-rounds", block, s.ray_key)
+    hit = _cache_get(key)
+    if hit is not None:
+        return hit
     if len(group_support(s, block)[2]) > MAX_EXACT_DIM:
         return None
-    return enumerate_op_pvms(s, block)
+    candidates = enumerate_op_pvms(s, block)
+    return _cache_put(key, tuple(zip(candidates, branch_survivals(s, candidates))))
 
 
-def _activation_order(s: StateSet, candidates: Sequence[LocalPVM]) -> list[LocalPVM]:
+def _activation_order(ranked: Sequence[tuple[LocalPVM, int]]) -> list[LocalPVM]:
     """Most promising activators first: a hiding measurement keeps states
-    alive, so sort by total branch survivals descending."""
-    keyed = sorted(zip(candidates, branch_survivals(s, candidates)),
-                   key=lambda t: (-t[1], len(t[0].pvm)))
-    return [lp for lp, _ in keyed]
+    alive, so sort by total branch survivals descending (a stable sort)."""
+    return [lp for lp, _ in sorted(ranked, key=lambda t: (-t[1], len(t[0].pvm)))]
 
 
 def _structural_strong_local(s: StateSet) -> str | None:
@@ -492,7 +506,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
     assume = ("distinguishable (finest partition)"
               if finest.status == "distinguishable" else None)
     for part in iter_m_partitions(n, m):
-        candidates: list[LocalPVM] = []
+        candidates: list[tuple[LocalPVM, int]] = []
         for block in part.blocks:
             found = _first_rounds(s, block)
             if found is None:
@@ -508,7 +522,7 @@ def is_m_activable(s: StateSet, m: int, strong: bool = False,
                 any_unknown = True
                 continue
             source = "distinguishable"
-        for lp in _activation_order(s, candidates):
+        for lp in _activation_order(candidates):
             report = _walk(s, lp, part, source, fail_fast=True)
             gap = next((b for b in report.branches if not b.certified), None)
             if gap is not None:

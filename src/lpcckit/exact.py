@@ -142,7 +142,14 @@ class Scalar:
 
     @staticmethod
     def from_quad(q: Sequence[int]) -> "Scalar":
-        return Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3]))
+        """q0/q1 + (q2/q3)i as (q0*q3 + q2*q1*i)/(q1*q3); anything but four
+        ints with nonzero denominators is a ValueError."""
+        if not (isinstance(q, (list, tuple)) and len(q) == 4
+                and all(type(x) is int for x in q) and q[1] and q[3]):
+            raise ValueError(f"amplitude {q!r} is not four integers with nonzero denominators")
+        a, p, b, r = q
+        sign = 1 if p * r > 0 else -1
+        return _reduced(sign * a * r, sign * b * p, abs(p * r))
 
 
 _new = object.__new__

@@ -231,15 +231,15 @@ class OutcomeBranch:
     annihilated: tuple[str, ...]
 
 
-def _int_rows(lp: LocalPVM) -> tuple[int, list[list]]:
-    """One denominator D for the PVM's elements, and each element's
-    nonzero rows as (h, {g: (re, im)}): the integer numerators over D of
-    the row's nonzero entries only, read from the rows whose diagonal
-    entry is nonzero (the others are zero). Built per call and not kept,
-    so the PVMs that results hold stay small."""
+def _int_rows(lp: LocalPVM, elements: Sequence | None = None) -> tuple[int, list[list]]:
+    """One denominator D for the PVM's elements (or the given ones), and
+    each element's nonzero rows as (h, {g: (re, im)}): the integer
+    numerators over D of the row's nonzero entries only, read from the
+    rows whose diagonal entry is nonzero (the others are zero). Built per
+    call and not kept, so the PVMs that results hold stay small."""
     nonzeros = [[(h, [(g, x) for g, x in enumerate(row) if x._a or x._b])
                  for h, row in enumerate(e.mat.entries) if row[h]._a or row[h]._b]
-                for e in lp.pvm.elements]
+                for e in (lp.pvm.elements if elements is None else elements)]
     den = lcm(*{x._d for m in nonzeros for _, row in m for _, x in row})
     return den, [[(h, {g: (x._a * (den // x._d), x._b * (den // x._d))
                        for g, x in row}) for h, row in m] for m in nonzeros]
@@ -371,17 +371,21 @@ def branch_survivals(s: StateSet, candidates: Sequence[LocalPVM]) -> list[int]:
     A state survives an element whatever PVM holds it, so each distinct
     (group, element object) is counted once per call, up to each state's
     first nonzero image, and a candidate's count is the sum over its
-    elements. The candidates hold their elements for the whole call, so
-    an element's id is a key that hashes no matrix."""
+    elements; a group's slices are read once per call, and integer rows
+    only for elements not counted yet. The candidates hold their elements
+    for the whole call, so an element's id is a key that hashes no matrix."""
     counts: dict[tuple, int] = {}
+    slices: dict[tuple[int, ...], list] = {}
     for lp in candidates:
         lp.validate(s.spec)
-        idx = indexer(s.spec.dims, lp.group)
-        slices = [idx.int_slices(v)[1] for v in s.vectors()]
-        for e, rows in zip(lp.pvm.elements, _int_rows(lp)[1]):
-            if (lp.group, id(e)) not in counts:
-                counts[lp.group, id(e)] = sum(
-                    1 for sl in slices if any(_image(rows, u) for u in sl.values()))
+        fresh = [e for e in lp.pvm.elements if (lp.group, id(e)) not in counts]
+        if lp.group not in slices:
+            idx = indexer(s.spec.dims, lp.group)
+            slices[lp.group] = [idx.int_slices(v)[1] for v in s.vectors()]
+        for e, rows in zip(fresh, _int_rows(lp, fresh)[1]):
+            counts[lp.group, id(e)] = sum(
+                1 for sl in slices[lp.group]
+                if any(_image(rows, u) for u in sl.values()))
     return [sum(counts[lp.group, id(e)] for e in lp.pvm.elements)
             for lp in candidates]
 

@@ -458,9 +458,9 @@ def _quad_on_line(quad, base, direction):
 # public solver
 
 # One store for every exact result that depends only on a set's rays
-# (solver reports, PVM lists, irreducibility, search and redundancy
-# verdicts), keyed on StateSet.ray_key and evicting the least recently
-# used entry beyond the cap.
+# (solver reports, PVM lists, first rounds with their survival counts,
+# irreducibility, search and redundancy verdicts), keyed on
+# StateSet.ray_key and evicting the least recently used beyond the cap.
 _RESULTS: OrderedDict = OrderedDict()
 _CACHE_CAP = 4096
 

@@ -21,7 +21,7 @@ import pytest
 import lpcckit
 from lpcckit import activation
 from lpcckit.activation import (ActivationError, LocalityClass,
-                                MActivabilityVerdict, _activation_order,
+                                MActivabilityVerdict,
                                 _cached_redundancy, _structural_strong_local,
                                 classify, is_m_activable, iter_m_partitions,
                                 verify_activation)
@@ -29,7 +29,7 @@ from lpcckit.cli import main
 from lpcckit.exact import Vec, tensor
 from lpcckit.generators import random_product_set
 from lpcckit.indexing import embed_with_offsets
-from lpcckit.measurements import LocalPVM, apply
+from lpcckit.measurements import LocalPVM, apply, branch_survivals
 from lpcckit.opsolve import (MAX_EXACT_DIM, clear_caches, enumerate_op_pvms,
                              is_pvm_irreducible)
 from lpcckit.protocols import lpcc_search
@@ -42,6 +42,14 @@ from lpcckit.statesets import (Partition, PartySpec, StateSet,
 
 # first rounds the reference classify tried on each block, most promising first
 MAX_FIRST_ROUNDS = 24
+
+
+def ref_activation_order(s: StateSet, candidates: Sequence[LocalPVM]) -> list[LocalPVM]:
+    """Most promising activators first: a hiding measurement keeps states
+    alive, so sort by total branch survivals descending."""
+    keyed = sorted(zip(candidates, branch_survivals(s, candidates)),
+                   key=lambda t: (-t[1], len(t[0].pvm)))
+    return [lp for lp, _ in keyed]
 
 
 def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = None,
@@ -85,7 +93,7 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
         except ValueError:
             exhaustive = False
             continue
-        candidates = _activation_order(s, candidates)
+        candidates = ref_activation_order(s, candidates)
         for lp in candidates[:MAX_FIRST_ROUNDS]:
             try:
                 report = verify_activation(s, lp, singles,
@@ -111,7 +119,7 @@ def ref_classify(s: StateSet, joint_pairs: Sequence[tuple[int, int]] | None = No
         candidates.extend(supplied)
         eff = len(group_support(s, pair)[2])
         if eff <= MAX_EXACT_DIM:
-            candidates.extend(_activation_order(s, enumerate_op_pvms(
+            candidates.extend(ref_activation_order(s, enumerate_op_pvms(
                 s, tuple(pair))))
         else:
             exhaustive = False
@@ -163,7 +171,7 @@ def ref_is_m_activable(s: StateSet, m: int, strong: bool = False,
                 exhaustive = False
                 trace.append(f"{part.describe(s.spec)}: block {block} beyond "
                              f"enumeration bound")
-        candidates = _activation_order(s, candidates)
+        candidates = ref_activation_order(s, candidates)
         for lp in candidates:
             outcome_reports = []
             all_irreducible = True

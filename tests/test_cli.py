@@ -350,3 +350,15 @@ def test_only_lemma_1_is_implemented(capsys):
     code, out = run(capsys, "lemma", "2")
     assert code == 64
     assert out == "only lemma 1 is implemented\n"
+
+
+@pytest.mark.parametrize("quad", [[1, 0, 0, 1], [1.5, 1, 0, 1], [1, 1, 0], [1, 1, 0, 1, 5]])
+def test_malformed_amplitude_quad_is_a_usage_error(capsys, tmp_path, quad):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"dims": [2, 2], "states": [
+        {"label": "a", "amps": [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], quad]}]}))
+    assert main(["sets", "check", "--file", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: amplitude {quad!r} is not four integers "
+                            f"with nonzero denominators\n")

@@ -583,3 +583,41 @@ def test_projector_onto_matches_dense_outer_sum(dim, n_vecs, data):
     for row in p.entries:
         for z in row:
             assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+
+
+_wide_quads = st.tuples(st.integers(-10**12, 10**12), st.integers(-10**6, 10**6).filter(bool),
+                        st.integers(-10**12, 10**12), st.integers(-10**6, 10**6).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_quads, _pairs_of_parts)
+def test_from_quad_equals_the_two_fraction_construction_and_round_trips(q, p):
+    z = Scalar.from_quad(list(q))
+    assert z == Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3]))
+    assert (z.re, z.im) == (Fraction(q[0], q[1]), Fraction(q[2], q[3]))
+    assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+    assert Scalar.from_quad(z.to_quad()) == z
+    x = Scalar(*p)
+    assert Scalar.from_quad(x.to_quad()) == x
+
+
+MALFORMED_QUADS = [[1, 0, 0, 1], [1, 1, 0, 0], [1.5, 1, 0, 1], [1, 1, 0],
+                   [1, 1, 0, 1, 5], [True, 1, 0, 1], [1, 1, "0", 1], "1101", None]
+
+
+@pytest.mark.parametrize("q", MALFORMED_QUADS)
+def test_from_quad_refuses_anything_but_four_ints_with_nonzero_denominators(q):
+    with pytest.raises(ValueError, match="with nonzero denominators") as err:
+        Scalar.from_quad(q)
+    assert repr(q) in str(err.value)
+
+
+@pytest.mark.parametrize("q", MALFORMED_QUADS[:5])
+def test_json_readers_refuse_a_malformed_quad(q):
+    from lpcckit.measurements import Projector
+    from lpcckit.statesets import StateSet
+    with pytest.raises(ValueError, match="with nonzero denominators"):
+        StateSet.from_json({"dims": [2], "states": [
+            {"label": "a", "amps": [[1, 1, 0, 1], q]}]})
+    with pytest.raises(ValueError, match="with nonzero denominators"):
+        Projector.from_json([[[1, 1, 0, 1], [0, 1, 0, 1]], [[0, 1, 0, 1], q]])
